@@ -34,14 +34,13 @@ the breakaway torque for the impending direction.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from . import configfile
+from . import configfile, csvfile
 from .errors import (
     DegenerateRangeError,
     DomainError,
@@ -148,6 +147,8 @@ class TorqueTrace:
         tau = np.asarray(self.torque, dtype=float)
         if t.shape != tau.shape or t.ndim != 1:
             raise DomainError("trace needs matching 1-d time/torque arrays")
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(tau))):
+            raise DomainError("torque trace samples must be finite")
         object.__setattr__(self, "time", t)
         object.__setattr__(self, "torque", tau)
 
@@ -255,23 +256,7 @@ def nrmsd(simulated: TorqueTrace, measured: TorqueTrace) -> float:
 
 def read_trace_csv(path):
     """Read a `time_s,value` CSV into (time, value) arrays."""
-    rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DomainError(f"{path}: empty trace file")
-        if [h.strip() for h in header] != ["time_s", "value"]:
-            raise DomainError(f"{path}: expected header 'time_s,value'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise DomainError(f"{path}:{lineno}: expected 2 columns")
-            rows.append((float(row[0]), float(row[1])))
-    if not rows:
-        raise DomainError(f"{path}: no data rows")
-    data = np.asarray(rows, dtype=float)
+    data = csvfile.read_numeric_csv(path, ("time_s", "value"), DomainError, "trace")
     return data[:, 0], data[:, 1]
 
 

@@ -29,7 +29,7 @@ motor velocity and torques are at the motor shaft.
 
 from __future__ import annotations
 
-import csv
+import bisect
 import math
 import warnings
 from dataclasses import dataclass
@@ -38,7 +38,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.stats import norm as _norm
 
-from . import configfile, dynamics
+from . import configfile, csvfile, dynamics
 from .dynamics import Direction, FrictionParams, TransmissionSpec, efficiency
 from .errors import (
     DomainError,
@@ -72,10 +72,11 @@ class TelemetryLog:
         for name, arr in (("time", t), ("velocity", v), ("torque", tau)):
             if not np.all(np.isfinite(arr)):
                 raise InvalidLogError(f"telemetry {name} contains non-finite values")
-        bad = set(np.unique(jid)) - set(VALID_JOINT_IDS)
+        ids = np.unique(jid)
+        bad = set(ids) - set(VALID_JOINT_IDS)
         if bad:
             raise InvalidLogError(f"joint_id values outside 1..4: {sorted(bad)}")
-        for j in np.unique(jid):
+        for j in ids:
             tj = t[jid == j]
             if np.any(np.diff(tj) <= 0.0):
                 raise InvalidLogError(f"joint {j}: timestamps not strictly increasing")
@@ -103,30 +104,10 @@ class TelemetryLog:
 
 def load_telemetry_csv(path, nominal_rate_hz: float = 200.0) -> TelemetryLog:
     """Read a `time_s,joint_id,velocity,torque` CSV into a TelemetryLog."""
-    rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise InvalidLogError(f"{path}: empty telemetry file")
-        if [h.strip() for h in header] != ["time_s", "joint_id", "velocity", "torque"]:
-            raise InvalidLogError(
-                f"{path}: expected header 'time_s,joint_id,velocity,torque'"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise InvalidLogError(f"{path}:{lineno}: expected 4 columns")
-            try:
-                rows.append(
-                    (float(row[0]), int(float(row[1])), float(row[2]), float(row[3]))
-                )
-            except ValueError:
-                raise InvalidLogError(f"{path}:{lineno}: malformed record") from None
-    if not rows:
-        raise InvalidLogError(f"{path}: no data rows")
-    data = np.asarray(rows, dtype=float)
+    data = csvfile.read_numeric_csv(
+        path, ("time_s", "joint_id", "velocity", "torque"), InvalidLogError,
+        "telemetry", integer_columns=(1,),
+    )
     return TelemetryLog(
         data[:, 0], data[:, 1].astype(int), data[:, 2], data[:, 3], nominal_rate_hz
     )
@@ -165,18 +146,19 @@ def _resolve_joint(log: TelemetryLog, joint_id):
 
 def _segment_indices(v: np.ndarray, tol: float):
     """Greedy split into runs staying within tol of their running mean."""
+    values = v.tolist()
     segments = []
     start = 0
-    total = v[0]
-    for i in range(1, v.size):
-        count = i - start
-        if abs(v[i] - total / count) > tol:
+    total = values[0]
+    for i in range(1, len(values)):
+        x = values[i]
+        if abs(x - total / (i - start)) > tol:
             segments.append((start, i))
             start = i
-            total = v[i]
+            total = x
         else:
-            total += v[i]
-    segments.append((start, v.size))
+            total += x
+    segments.append((start, len(values)))
     return segments
 
 
@@ -198,6 +180,8 @@ def extract_steady_segments(log: TelemetryLog, velocity_tolerance: float,
 
     raw_points = []
     for i0, i1 in _segment_indices(v, velocity_tolerance):
+        if i1 - i0 < min_samples:
+            continue  # cannot keep enough samples after trimming
         keep = i0 + int(np.searchsorted(t[i0:i1], t[i0] + discard_s, side="left"))
         if i1 - keep < min_samples:
             continue
@@ -237,30 +221,54 @@ def extract_breakaway_samples(log: TelemetryLog, velocity_tolerance: float,
     """
     Breakaway torques: for each qualifying plateau preceded by a rest, the
     motor torque at the first sample whose speed exceeds `rest_fraction`
-    of the plateau level. Returns a list of (direction, torque) pairs.
+    of the plateau level. A rest gives at most one sample, to the first
+    plateau after it. Returns a list of (direction, torque) pairs.
     """
     jid = _resolve_joint(log, joint_id)
     t, v, tau = log.joint(jid)
+    times = t.tolist()
+    speed = np.abs(v)
 
+    # One forward sweep. low_idx holds every swept sample slower than all
+    # later swept ones, with its speed in low_speed; both lists ascend, so
+    # the last sample before a plateau at or under a threshold is a bisect.
+    low_idx: list[int] = []
+    low_speed: list[float] = []
+    swept = 0
+    used_rests = set()
     samples = []
     for i0, i1 in _segment_indices(v, velocity_tolerance):
+        if times[i1 - 1] - times[i0] < min_duration_s:
+            continue
         level = float(np.mean(v[i0:i1]))
         if abs(level) <= velocity_tolerance:
             continue
-        if t[i1 - 1] - t[i0] < min_duration_s:
-            continue
+        if swept < i0:
+            # Sweep speed[swept:i0]: its own suffix minima replace every
+            # stacked sample that is not slower than the block's minimum.
+            block = speed[swept:i0]
+            tail_min = np.minimum.accumulate(block[::-1])[::-1]
+            keep = np.flatnonzero(np.append(block[:-1] < tail_min[1:], True))
+            del low_speed[bisect.bisect_left(low_speed, tail_min[0]):]
+            del low_idx[len(low_speed):]
+            low_speed.extend(block[keep].tolist())
+            low_idx.extend((keep + swept).tolist())
+            swept = i0
         threshold = rest_fraction * abs(level)
-        j = i0
-        while j > 0 and abs(v[j - 1]) > threshold:
-            j -= 1
-        if j == 0:
+        below = bisect.bisect_right(low_speed, threshold)
+        if below == 0:
             continue
-        rest_end = j - 1
+        rest_end = low_idx[below - 1]
+        if rest_end in used_rests:
+            continue
+        # Walk back only as far as the rest must last.
         rest_start = rest_end
-        while rest_start > 0 and abs(v[rest_start - 1]) <= threshold:
+        while (rest_start > 0 and speed[rest_start - 1] <= threshold
+               and times[rest_end] - times[rest_start] < min_rest_s):
             rest_start -= 1
-        if t[rest_end] - t[rest_start] < min_rest_s:
+        if times[rest_end] - times[rest_start] < min_rest_s:
             continue
+        used_rests.add(rest_end)
         samples.append((1 if level > 0 else -1, float(tau[rest_end + 1])))
     return samples
 

@@ -57,3 +57,53 @@ def line_scan_multiplicity(v, p, q, delta, n=20001):
     if abs(delta - dmin) < margin:
         return None
     return 2 if delta > dmin else 0
+
+
+def segment_oracle(v, tol):
+    """Greedy running-mean plateau split over numpy scalars."""
+    segments = []
+    start = 0
+    total = v[0]
+    for i in range(1, v.size):
+        if abs(v[i] - total / (i - start)) > tol:
+            segments.append((start, i))
+            start = i
+            total = v[i]
+        else:
+            total += v[i]
+    segments.append((start, v.size))
+    return segments
+
+
+def breakaway_walk_oracle(t, v, tau, velocity_tolerance, min_duration_s,
+                          rest_fraction=1e-3, min_rest_s=0.1):
+    """
+    Quadratic reference for `extract_breakaway_samples` on one joint: each
+    plateau walks back over every earlier sample to find its rest. A rest
+    gives at most one sample, to the first plateau after it.
+    """
+    used_rests = set()
+    samples = []
+    for i0, i1 in segment_oracle(v, velocity_tolerance):
+        level = float(np.mean(v[i0:i1]))
+        if abs(level) <= velocity_tolerance:
+            continue
+        if t[i1 - 1] - t[i0] < min_duration_s:
+            continue
+        threshold = rest_fraction * abs(level)
+        j = i0
+        while j > 0 and abs(v[j - 1]) > threshold:
+            j -= 1
+        if j == 0:
+            continue
+        rest_end = j - 1
+        if rest_end in used_rests:
+            continue
+        rest_start = rest_end
+        while rest_start > 0 and abs(v[rest_start - 1]) <= threshold:
+            rest_start -= 1
+        if t[rest_end] - t[rest_start] < min_rest_s:
+            continue
+        used_rests.add(rest_end)
+        samples.append((1 if level > 0 else -1, float(tau[rest_end + 1])))
+    return samples

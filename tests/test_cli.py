@@ -198,6 +198,18 @@ class TestIdentifyCommand:
         )
         assert code == 2
 
+    def test_non_integral_joint_id_exits_2(self, tmp_path, drive_cfg, capsys):
+        log_path = tmp_path / "telemetry.csv"
+        self._write_log(log_path, load=1.0)
+        lines = log_path.read_text(encoding="utf-8").splitlines()
+        lines[5] = lines[5].replace(",1,", ",1.7,", 1)
+        log_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = cli.main(
+            ["identify", str(log_path), "--transmission", str(drive_cfg)]
+        )
+        assert code == 2
+        assert f"{log_path}:6: joint_id must be an integer" in capsys.readouterr().err
+
     def test_report_is_deterministic(self, tmp_path, drive_cfg):
         log_path = tmp_path / "telemetry.csv"
         self._write_log(log_path, load=1.0, noise=0.05)
@@ -286,6 +298,36 @@ class TestSimulateCommand:
             assert code == 0
             kv = parse_kv_stdout(capsys.readouterr().out)
             assert float(kv["nrmsd"]) < 0.02
+
+    def test_malformed_trajectory_exits_2(self, tmp_path, drive_cfg, capsys):
+        traj = tmp_path / "traj.csv"
+        traj.write_text("time_s,value\n0,0.1\n0.1,abc\n", encoding="utf-8")
+        code = cli.main(
+            [
+                "simulate", str(traj), "--transmission", str(drive_cfg),
+                "--out", str(tmp_path / "torque.csv"),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {traj}:3: malformed record\n"
+
+    def test_non_finite_measured_exits_2(self, tmp_path, drive_cfg, capsys):
+        traj = tmp_path / "traj.csv"
+        self._write_trajectory(traj, n=101)
+        measured = tmp_path / "measured.csv"
+        tau = np.ones(101)
+        tau[50] = math.nan
+        write_trace_csv(measured, np.linspace(0.0, 1.0, 101), tau)
+        code = cli.main(
+            [
+                "simulate", str(traj), "--transmission", str(drive_cfg),
+                "--out", str(tmp_path / "torque.csv"), "--measured", str(measured),
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "nrmsd" not in captured.out
+        assert "finite" in captured.err
 
     def test_misaligned_measured_exits_2(self, tmp_path, drive_cfg, capsys):
         traj = tmp_path / "traj.csv"

@@ -1,0 +1,120 @@
+import math
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ssmkit import csvfile
+from ssmkit.errors import InvalidLogError
+
+COLUMNS = ("time_s", "joint_id", "velocity", "torque")
+
+# Spellings that both float() and np.loadtxt read.
+_FORMATS = (repr, "{:.17g}".format, "{:.6e}".format, "{:.6E}".format, "{:.3f}".format,
+            lambda x: repr(x) if repr(x).startswith("-") else f"+{x!r}")
+_floats = st.floats(-1e6, 1e6, allow_nan=False) | st.sampled_from(
+    [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e300]
+)
+
+
+@st.composite
+def _tables(draw):
+    n = draw(st.integers(1, 20))
+    lines = [",".join(COLUMNS)]
+    for _ in range(n):
+        joint = float(draw(st.integers(1, 4)))
+        values = [draw(_floats), joint, draw(_floats), draw(_floats)]
+        fields = []
+        for x in values:
+            text = draw(st.sampled_from(_FORMATS))(x)
+            fields.append(draw(st.sampled_from(["", " ", "\t"])) + text
+                          + draw(st.sampled_from(["", " "])))
+        lines.append(",".join(fields))
+        if draw(st.integers(0, 9)) == 0:
+            lines.append("")
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline])), lines
+
+
+def _row_loop(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return csvfile._read_rows(fh, path, COLUMNS, InvalidLogError, (1,))
+
+
+def _read(path):
+    return csvfile.read_numeric_csv(path, COLUMNS, InvalidLogError, "telemetry", (1,))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+class TestReaderMatchesRowLoop:
+    @settings(max_examples=100, deadline=None)
+    @given(table=_tables())
+    def test_valid_files_parse_bit_identically(self, tmp_path_factory, table):
+        text, _ = table
+        path = tmp_path_factory.getbasetemp() / "log.csv"
+        path.write_bytes(text.encode("utf-8"))
+        row_loop = mock.patch.object(csvfile, "_read_rows", side_effect=AssertionError)
+        with row_loop:
+            fast = _read(path)
+        slow = _row_loop(path)
+        assert fast.shape == slow.shape
+        assert np.array_equal(_bits(fast), _bits(slow))
+
+    @settings(max_examples=100, deadline=None)
+    @given(table=_tables(), data=st.data())
+    def test_one_corrupted_row_names_the_same_line(self, tmp_path_factory, table, data):
+        _, lines = table
+        records = [i for i, line in enumerate(lines) if i > 0 and line]
+        target = data.draw(st.sampled_from(records))
+        fields = lines[target].split(",")
+        column = data.draw(st.integers(0, 3))
+        bad = data.draw(
+            st.sampled_from(["abc", "", "1.2.3", "0x1F", "--1", "1e", "2.5", "drop"])
+        )
+        if bad == "drop":
+            del fields[column]
+            message = "expected 4 columns"
+        elif bad == "2.5" and column != 1:
+            return  # a valid value outside the joint_id column
+        else:
+            fields[column] = bad
+            integral = bad == "2.5"
+            message = "joint_id must be an integer" if integral else "malformed record"
+        lines = list(lines)
+        lines[target] = ",".join(fields)
+        path = tmp_path_factory.getbasetemp() / "log.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        expected = f"{path}:{target + 1}: {message}"
+        with pytest.raises(InvalidLogError) as fast:
+            _read(path)
+        with pytest.raises(InvalidLogError) as slow:
+            _row_loop(path)
+        assert str(fast.value) == str(slow.value) == expected
+
+
+class TestRowLoopFallback:
+    def test_forms_only_float_reads_are_accepted(self, tmp_path):
+        path = tmp_path / "log.csv"
+        path.write_text(
+            'time_s,joint_id,velocity,torque\n"0",1,1_000,0.5\n0.005,"2",1,0.25\n',
+            encoding="utf-8",
+        )
+        expected = [[0.0, 1.0, 1000.0, 0.5], [0.005, 2.0, 1.0, 0.25]]
+        assert _read(path).tolist() == expected
+
+    def test_whitespace_only_line_is_a_record(self, tmp_path):
+        path = tmp_path / "log.csv"
+        path.write_text("time_s,joint_id,velocity,torque\n0,1,0,0\n  \n", encoding="utf-8")
+        with pytest.raises(InvalidLogError, match=":3: expected 4 columns"):
+            _read(path)
+
+    def test_no_data_rows(self, tmp_path):
+        path = tmp_path / "log.csv"
+        path.write_text("time_s,joint_id,velocity,torque\n\n", encoding="utf-8")
+        with pytest.raises(InvalidLogError, match="no data rows"):
+            _read(path)

@@ -300,6 +300,18 @@ class TestNrmsd:
             nrmsd(TorqueTrace(t, t), TorqueTrace(t[:5], t[:5]))
 
 
+class TestTorqueTrace:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_samples_rejected(self, bad):
+        t = np.linspace(0, 1, 5)
+        tau = np.zeros(5)
+        tau[2] = bad
+        with pytest.raises(DomainError, match="finite"):
+            TorqueTrace(t, tau)
+        with pytest.raises(DomainError, match="finite"):
+            TorqueTrace(np.where(tau == 0.0, t, bad), np.zeros(5))
+
+
 class TestFileFormats:
     def test_trace_round_trip(self, tmp_path):
         path = tmp_path / "trace.csv"
@@ -321,6 +333,13 @@ class TestFileFormats:
         path.write_text("time,torque\n0,0\n", encoding="utf-8")
         with pytest.raises(DomainError):
             read_trace_csv(path)
+
+    def test_malformed_record_names_its_line(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text("time_s,value\n0,0.1\n0.1,abc\n", encoding="utf-8")
+        with pytest.raises(DomainError) as exc:
+            read_trace_csv(path)
+        assert str(exc.value) == f"{path}:3: malformed record"
 
     def test_transmission_config_round_trip(self, tmp_path):
         path = tmp_path / "drive.cfg"

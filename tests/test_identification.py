@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssmkit.dynamics import (
     FrictionParams,
@@ -19,6 +21,7 @@ from ssmkit.errors import (
 )
 from ssmkit.identification import (
     MapPoint,
+    _segment_indices,
     TelemetryLog,
     TorqueVelocityMap,
     evaluate_model,
@@ -28,6 +31,8 @@ from ssmkit.identification import (
     load_telemetry_csv,
     save_fit_report,
 )
+
+from helpers import breakaway_walk_oracle, segment_oracle
 
 DEG = math.radians
 
@@ -136,6 +141,36 @@ class TestTelemetryLog:
         bad.write_text("time,joint,v,t\n0,1,0,0\n", encoding="utf-8")
         with pytest.raises(InvalidLogError):
             load_telemetry_csv(bad)
+
+    def test_csv_loader_rejects_non_integral_joint_id(self, tmp_path):
+        path = tmp_path / "telemetry.csv"
+        path.write_text(
+            "time_s,joint_id,velocity,torque\n0,1,0.5,0.01\n0.005,1.7,0.5,0.01\n"
+            "0.01,2.5,0.5,0.01\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(InvalidLogError) as exc:
+            load_telemetry_csv(path)
+        assert str(exc.value) == f"{path}:3: joint_id must be an integer"
+
+    def test_csv_loader_names_malformed_line(self, tmp_path):
+        path = tmp_path / "telemetry.csv"
+        path.write_text(
+            "time_s,joint_id,velocity,torque\n0,1,0.5,0.01\n\n0.005,1,x,0.01\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(InvalidLogError) as exc:
+            load_telemetry_csv(path)
+        assert str(exc.value) == f"{path}:4: malformed record"
+
+    def test_csv_loader_rejects_non_finite_torque(self, tmp_path):
+        path = tmp_path / "telemetry.csv"
+        path.write_text(
+            "time_s,joint_id,velocity,torque\n0,1,0.5,0.01\n0.005,1,0.5,nan\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(InvalidLogError, match="non-finite"):
+            load_telemetry_csv(path)
 
 
 class TestExtractSteadySegments:
@@ -365,12 +400,85 @@ class TestBreakawayExtraction:
         samples = extract_breakaway_samples(log, 0.05, 0.5)
         assert samples == [(1, 0.025)]
 
+    def test_one_sample_per_rest(self):
+        # Back-to-back plateaus after one rest: only the first one owns the
+        # onset; the second rest gives the negative sample.
+        v = np.array(
+            [0.0] * 100 + [1.0] * 200 + [2.0] * 200 + [0.0] * 100 + [-1.0] * 200
+        )
+        t = np.arange(v.size) / 200.0
+        log = TelemetryLog(t, np.ones(v.size, int), v, np.arange(v.size, dtype=float))
+        assert extract_breakaway_samples(log, 0.05, 0.5) == [(1, 100.0), (-1, 600.0)]
+
     def test_no_rest_means_no_sample(self):
         rate = 200.0
         v = np.full(int(2.0 * rate), 1.0)
         t = np.arange(v.size) / rate
         log = TelemetryLog(t, np.ones(v.size, int), v, np.zeros(v.size))
         assert extract_breakaway_samples(log, 0.05, 0.5) == []
+
+
+# One block of a synthetic velocity log: a rest (exact zeros or tiny
+# alternating noise) or a plateau, flat or wobbling, possibly with
+# near-zero dropouts. Flat plateaus at 0.5, 1 and 2 put rest noise of
+# 5e-4, 1e-3 and 2e-3 exactly on the threshold at rest_fraction 1e-3.
+_blocks = st.one_of(
+    st.tuples(
+        st.just("rest"),
+        st.sampled_from([0.0, 1e-5, 1e-4, 5e-4, 1e-3, 2e-3]),
+        st.integers(1, 120),
+    ),
+    st.tuples(
+        st.just("plateau"),
+        st.floats(0.2, 3.0) | st.floats(-3.0, -0.2)
+        | st.sampled_from([0.5, 1.0, 2.0, -0.5, -1.0, -2.0]),
+        st.sampled_from([0.0, 0.01]),
+        st.integers(1, 150),
+        st.lists(st.integers(0, 149), max_size=3),
+    ),
+)
+
+
+def _velocity_log(blocks):
+    parts = []
+    for block in blocks:
+        if block[0] == "rest":
+            _, noise, n = block
+            parts.append(noise * (-1.0) ** np.arange(n))
+        else:
+            _, level, wobble, n, dropouts = block
+            plateau = level * (1.0 + wobble * np.sin(np.arange(n)))
+            for k in dropouts:
+                if k < n:
+                    plateau[k] = 1e-4 * level
+            parts.append(plateau)
+    return np.concatenate(parts)
+
+
+class TestBreakawayScanMatchesWalk:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        blocks=st.lists(_blocks, min_size=1, max_size=12),
+        tolerance=st.sampled_from([0.01, 0.05, 0.2]),
+        min_duration=st.sampled_from([0.0, 0.05, 0.2, 0.5]),
+        rest_fraction=st.sampled_from([1e-3, 1e-2, 0.1, 0.5]),
+        min_rest=st.sampled_from([0.0, 0.02, 0.1]),
+    )
+    def test_same_samples_as_the_walk(self, blocks, tolerance, min_duration,
+                                      rest_fraction, min_rest):
+        v = _velocity_log(blocks)
+        t = np.arange(v.size) / 200.0
+        tau = np.sin(np.arange(v.size) * 0.37)
+        log = TelemetryLog(t, np.ones(v.size, int), v, tau)
+        assert _segment_indices(v, tolerance) == segment_oracle(v, tolerance)
+        got = extract_breakaway_samples(
+            log, tolerance, min_duration, rest_fraction=rest_fraction, min_rest_s=min_rest
+        )
+        want = breakaway_walk_oracle(
+            t, v, tau, tolerance, min_duration, rest_fraction=rest_fraction,
+            min_rest_s=min_rest,
+        )
+        assert got == want
 
 
 class TestEvaluateModel:
