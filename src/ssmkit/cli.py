@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dynamics, identification, kinematics, workspace
+from . import csvfile, dynamics, identification, kinematics, workspace
 from .configfile import format_float, parse_float, parse_floats, read_kv
 from .errors import DomainError, SsmKitError, UnreachableError
 from .screws import Pose, ensure_rotation
@@ -115,7 +115,7 @@ def _drive_for(args, project):
 
 
 def _precision(args, project) -> int:
-    if getattr(args, "precision", None):
+    if getattr(args, "precision", None) is not None:
         return args.precision
     if project is not None:
         return project.precision
@@ -268,15 +268,26 @@ def cmd_payload(args) -> int:
     grid = np.linspace(args.vmax / args.points, args.vmax, args.points)
     curve = dynamics.payload_curve(spec, params, args.load, grid)
     path = _out_path(args.out, project)
-    fmt = "%.{}g".format(prec)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("velocity_rad_s,torque_Nm\n")
-        np.savetxt(fh, curve, fmt=fmt, delimiter=",")
+    csvfile.write_numeric_csv(path, ("velocity_rad_s", "torque_Nm"), curve, prec)
     print(f"payload curve written to {path}")
     return 0
 
 
 # ---------------------------------------------------------------------------
+
+def _finite_float(raw) -> float:
+    try:
+        return parse_float(raw, "")
+    except DomainError:
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {raw!r}") from None
+
+
+def _precision_arg(raw) -> int:
+    value = int(raw) if raw.strip().isdecimal() else 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {raw!r}")
+    return value
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -289,13 +300,13 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--project", help="project config supplying defaults")
         p.add_argument(
-            "--precision", type=int, default=None,
-            help="significant digits for emitted numbers (default 9)",
+            "--precision", type=_precision_arg, default=None,
+            help="significant digits for emitted numbers, at least 1 (default 9)",
         )
 
     p = sub.add_parser("workspace", help="tilt band from the axis angles")
-    p.add_argument("alpha_deg", type=float, help="angle between axes 1 and 2, deg")
-    p.add_argument("beta_deg", type=float, help="angle between axes 2 and 3, deg")
+    p.add_argument("alpha_deg", type=_finite_float, help="angle between axes 1 and 2, deg")
+    p.add_argument("beta_deg", type=_finite_float, help="angle between axes 2 and 3, deg")
     p.add_argument("--samples", type=int, default=2048,
                    help="grid size per joint for --csv emission")
     p.add_argument("--csv", help="write an N x N sampled point cloud CSV here")
@@ -320,15 +331,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("telemetry", help="telemetry CSV (time_s,joint_id,velocity,torque)")
     p.add_argument("--transmission", help="transmission/friction config file")
     p.add_argument("--joint", type=int, default=None, help="joint id 1..4")
-    p.add_argument("--load", type=float, default=0.0,
+    p.add_argument("--load", type=_finite_float, default=0.0,
                    help="constant joint-side test load, N*m")
-    p.add_argument("--tolerance", type=float, default=0.01,
+    p.add_argument("--tolerance", type=_finite_float, default=0.01,
                    help="plateau velocity tolerance, motor rad/s")
-    p.add_argument("--min-duration", type=float, default=0.5,
+    p.add_argument("--min-duration", type=_finite_float, default=0.5,
                    help="minimum plateau duration after trimming, s")
-    p.add_argument("--discard", type=float, default=0.25,
+    p.add_argument("--discard", type=_finite_float, default=0.25,
                    help="leading transient discard per plateau, s")
-    p.add_argument("--rate", type=float, default=200.0,
+    p.add_argument("--rate", type=_finite_float, default=200.0,
                    help="nominal telemetry sample rate, Hz")
     p.add_argument("--breakaway", action="store_true",
                    help="also estimate mu_s from breakaway transients")
@@ -341,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--transmission", help="transmission/friction config file")
     p.add_argument("--joint", type=int, default=None,
                    help="joint id when using --project")
-    p.add_argument("--load", type=float, default=0.0,
+    p.add_argument("--load", type=_finite_float, default=0.0,
                    help="constant joint-side load torque, N*m")
     p.add_argument("--measured", help="measured torque CSV to score against")
     p.add_argument("--out", default="simulated_torque.csv",
@@ -353,9 +364,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--transmission", help="transmission/friction config file")
     p.add_argument("--joint", type=int, default=None,
                    help="joint id when using --project")
-    p.add_argument("--load", type=float, default=0.0,
+    p.add_argument("--load", type=_finite_float, default=0.0,
                    help="constant joint-side load torque, N*m")
-    p.add_argument("--vmax", type=float, required=True,
+    p.add_argument("--vmax", type=_finite_float, required=True,
                    help="maximum motor velocity, rad/s")
     p.add_argument("--points", type=int, default=100, help="grid point count")
     p.add_argument("--out", default="payload_curve.csv", help="output CSV path")
@@ -376,7 +387,7 @@ def main(argv=None) -> int:
     except SsmKitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

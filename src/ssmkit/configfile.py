@@ -6,11 +6,10 @@ whatever whitespace-separated tokens follow the '='.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 from .errors import DomainError
-
-FLOAT_FMT = "%.9g"
 
 
 def format_float(x: float, precision: int = 9) -> str:
@@ -20,7 +19,10 @@ def format_float(x: float, precision: int = 9) -> str:
 def read_kv(path) -> dict[str, str]:
     """Parse a key = value file into a dict (later keys win)."""
     out: dict[str, str] = {}
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise DomainError(f"{path}: config file is not valid UTF-8") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -40,10 +42,14 @@ def write_kv(path, items, comments=()) -> None:
 
 
 def parse_float(raw: str, key: str) -> float:
+    """A finite number, or DomainError naming the key."""
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise DomainError(f"key {key!r}: expected a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise DomainError(f"key {key!r}: expected a finite number, got {raw!r}")
+    return value
 
 
 def parse_floats(raw: str, key: str, count: int) -> list[float]:

@@ -1,6 +1,6 @@
 """
-Numeric CSV tables with one header line, shared by the trace and the
-telemetry readers.
+Numeric CSV tables with one header line, shared by every CSV reader and
+writer of the toolkit.
 
 A valid file is parsed in one C-level `np.loadtxt` call. Only a file the
 fast parse rejects goes through the `csv.reader` row loop, which finds the
@@ -25,24 +25,36 @@ def read_numeric_csv(path, columns, error, kind, integer_columns=()):
     that is not a number, a non-integral value in one of
     `integer_columns`, or a file without data rows.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        header = next(csv.reader(fh), None)
-        if header is None:
-            raise error(f"{path}: empty {kind} file")
-        if [h.strip() for h in header] != list(columns):
-            raise error(f"{path}: expected header '{','.join(columns)}'")
-        try:
-            with warnings.catch_warnings():
-                # An empty body warns; the row loop reports it instead.
-                warnings.simplefilter("ignore", UserWarning)
-                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-        except ValueError:
-            data = None
-        if (data is None or data.shape[0] == 0 or data.shape[1] != len(columns)
-                or not all(_integral(data[:, c]) for c in integer_columns)):
-            fh.seek(0)
-            data = _read_rows(fh, path, columns, error, integer_columns)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            header = next(csv.reader(fh), None)
+            if header is None:
+                raise error(f"{path}: empty {kind} file")
+            if [h.strip() for h in header] != list(columns):
+                raise error(f"{path}: expected header '{','.join(columns)}'")
+            try:
+                with warnings.catch_warnings():
+                    # An empty body warns; the row loop reports it instead.
+                    warnings.simplefilter("ignore", UserWarning)
+                    data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+            except ValueError:
+                # Also a UnicodeDecodeError, which the row loop raises again.
+                data = None
+            if (data is None or data.shape[0] == 0 or data.shape[1] != len(columns)
+                    or not all(_integral(data[:, c]) for c in integer_columns)):
+                fh.seek(0)
+                data = _read_rows(fh, path, columns, error, integer_columns)
+    except UnicodeDecodeError:
+        raise error(f"{path}: {kind} file is not valid UTF-8") from None
     return data
+
+
+def write_numeric_csv(path, columns, data, precision: int) -> None:
+    """Write a header line of `columns` and the rows of `data`, each
+    number with `precision` significant digits."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(columns) + "\n")
+        np.savetxt(fh, data, fmt="%.{}g".format(precision), delimiter=",")
 
 
 def _integral(values) -> bool:

@@ -75,7 +75,7 @@ class FrictionParams:
 
     def __post_init__(self):
         for name in ("mu_s", "mu_c", "b_c", "b_v"):
-            if getattr(self, name) < 0.0:
+            if not getattr(self, name) >= 0.0:
                 raise DomainError(f"{name} must be nonnegative")
         if self.mu_s < self.mu_c:
             raise DomainError("mu_s must be >= mu_c (breakaway >= sliding)")
@@ -91,11 +91,11 @@ class TransmissionSpec:
     reflected_inertia: float  # kg*m^2 at the motor shaft
 
     def __post_init__(self):
-        if self.ratio <= 0.0:
+        if not self.ratio > 0.0:
             raise DomainError("ratio must be positive")
         if not 0.0 < self.lead_angle < math.pi / 2.0:
             raise DomainError("lead_angle must lie in (0, pi/2)")
-        if self.reflected_inertia < 0.0:
+        if not self.reflected_inertia >= 0.0:
             raise DomainError("reflected_inertia must be nonnegative")
 
 
@@ -168,10 +168,17 @@ def transmission_efficiency(spec: TransmissionSpec, params: FrictionParams,
     return efficiency(spec.lead_angle, params.mu_c, direction)
 
 
-def _reflect_load(load, motion_sign, ratio, eta_drive, eta_over):
-    """Directional load reflection onto the motor shaft (array-friendly)."""
+def reflect_load(spec: TransmissionSpec, mu: float, load, motion_sign):
+    """
+    Joint-side load reflected onto the motor shaft through friction mu:
+    driving where load * motion_sign > 0, overhauling elsewhere. Serves
+    scalars (returns a float) and arrays alike.
+    """
+    eta_d = efficiency(spec.lead_angle, mu, Direction.DRIVING)
+    eta_o = efficiency(spec.lead_angle, mu, Direction.OVERHAULING)
     driving = load * motion_sign > 0.0
-    return np.where(driving, load / (ratio * eta_drive), load * eta_over / ratio)
+    reflected = np.where(driving, load / (spec.ratio * eta_d), load * eta_o / spec.ratio)
+    return reflected if reflected.ndim else float(reflected)
 
 
 def inverse_dynamics(spec: TransmissionSpec, params: FrictionParams,
@@ -190,11 +197,6 @@ def inverse_dynamics(spec: TransmissionSpec, params: FrictionParams,
     else:
         load = np.broadcast_to(np.asarray(load_torque_fn(t), dtype=float), t.shape)
 
-    eta_d = efficiency(spec.lead_angle, params.mu_c, Direction.DRIVING)
-    eta_o = efficiency(spec.lead_angle, params.mu_c, Direction.OVERHAULING)
-    eta_ds = efficiency(spec.lead_angle, params.mu_s, Direction.DRIVING)
-    eta_os = efficiency(spec.lead_angle, params.mu_s, Direction.OVERHAULING)
-
     inertial = spec.reflected_inertia * a_m
 
     sign_w = np.sign(w_m)
@@ -202,16 +204,17 @@ def inverse_dynamics(spec: TransmissionSpec, params: FrictionParams,
         inertial
         + params.b_c * sign_w
         + params.b_v * w_m
-        + _reflect_load(load, sign_w, spec.ratio, eta_d, eta_o)
+        + reflect_load(spec, params.mu_c, load, sign_w)
     )
 
     sign_a = np.sign(a_m)
     breakaway = (
         inertial
         + params.b_c * sign_a
-        + _reflect_load(load, sign_a, spec.ratio, eta_ds, eta_os)
+        + reflect_load(spec, params.mu_s, load, sign_a)
     )
-    leak = load * eta_os / spec.ratio
+    # A zero motion sign takes the overhauling branch: the load back-drives.
+    leak = reflect_load(spec, params.mu_s, load, 0.0)
     holding = np.where(np.abs(leak) <= params.b_c, 0.0, leak)
     static = np.where(np.abs(a_m) > _ACCEL_EPS, breakaway, holding)
 
@@ -231,9 +234,7 @@ def payload_curve(spec: TransmissionSpec, params: FrictionParams,
         raise DomainError("velocity grid must be a non-empty 1-d array")
     if grid[0] <= 0.0 or np.any(np.diff(grid) <= 0.0):
         raise DomainError("velocity grid must be positive and ascending")
-    eta_d = efficiency(spec.lead_angle, params.mu_c, Direction.DRIVING)
-    eta_o = efficiency(spec.lead_angle, params.mu_c, Direction.OVERHAULING)
-    reflected = _reflect_load(load_torque, 1.0, spec.ratio, eta_d, eta_o)
+    reflected = reflect_load(spec, params.mu_c, load_torque, 1.0)
     torque = params.b_c + params.b_v * grid + reflected
     return np.column_stack([grid, torque])
 
@@ -261,10 +262,9 @@ def read_trace_csv(path):
 
 
 def write_trace_csv(path, time, value, precision: int = 9) -> None:
-    fmt = "%.{}g".format(precision)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("time_s,value\n")
-        np.savetxt(fh, np.column_stack([time, value]), fmt=fmt, delimiter=",")
+    """Write (time, value) arrays as a `time_s,value` CSV."""
+    csvfile.write_numeric_csv(path, ("time_s", "value"),
+                              np.column_stack([time, value]), precision)
 
 
 def read_trajectory_csv(path) -> JointTrajectory:

@@ -73,7 +73,7 @@ class TelemetryLog:
             if not np.all(np.isfinite(arr)):
                 raise InvalidLogError(f"telemetry {name} contains non-finite values")
         ids = np.unique(jid)
-        bad = set(ids) - set(VALID_JOINT_IDS)
+        bad = set(ids.tolist()) - set(VALID_JOINT_IDS)
         if bad:
             raise InvalidLogError(f"joint_id values outside 1..4: {sorted(bad)}")
         for j in ids:
@@ -293,14 +293,6 @@ def _reflection_sum(rho: float, lead_angle: float) -> float:
     )
 
 
-def _reflect_scalar(load, motion_sign, spec, mu):
-    eta_d = efficiency(spec.lead_angle, mu, Direction.DRIVING)
-    eta_o = efficiency(spec.lead_angle, mu, Direction.OVERHAULING)
-    if load * motion_sign > 0.0:
-        return load / (spec.ratio * eta_d)
-    return load * eta_o / spec.ratio
-
-
 def _solve_mu_c(intercept_sum, spec, test_load, flags):
     target = intercept_sum * spec.ratio / test_load
     lo = 0.0
@@ -352,6 +344,8 @@ def fit_friction(tv_map: TorqueVelocityMap, spec: TransmissionSpec,
         x = np.column_stack([np.ones_like(w), w])
     xw = x * wt[:, None]
     yw = y * wt
+    if not (np.all(np.isfinite(xw.T @ xw)) and np.all(np.isfinite(xw.T @ yw))):
+        raise DomainError("map velocities or torques are too large to fit")
     coef, *_ = np.linalg.lstsq(xw, yw, rcond=None)
 
     if both:
@@ -362,7 +356,7 @@ def fit_friction(tv_map: TorqueVelocityMap, spec: TransmissionSpec,
             flags.append("mu_c not identifiable without a test load; set to 0")
         else:
             mu_c = _solve_mu_c(a_pos + a_neg, spec, test_load, flags)
-            b_c = a_pos - _reflect_scalar(test_load, +1.0, spec, mu_c)
+            b_c = a_pos - dynamics.reflect_load(spec, mu_c, test_load, +1.0)
     else:
         s = 1.0 if pos else -1.0
         intercept, b_v = (float(c) for c in coef)
@@ -400,12 +394,7 @@ def fit_friction(tv_map: TorqueVelocityMap, spec: TransmissionSpec,
 
 def _predict_map_torque(params, spec, test_load, w):
     sgn = np.sign(w)
-    eta_d = efficiency(spec.lead_angle, params.mu_c, Direction.DRIVING)
-    eta_o = efficiency(spec.lead_angle, params.mu_c, Direction.OVERHAULING)
-    driving = test_load * sgn > 0.0
-    reflected = np.where(
-        driving, test_load / (spec.ratio * eta_d), test_load * eta_o / spec.ratio
-    )
+    reflected = dynamics.reflect_load(spec, params.mu_c, test_load, sgn)
     return params.b_c * sgn + params.b_v * w + reflected
 
 
@@ -432,7 +421,7 @@ def _fit_mu_s(breakaway, spec, test_load, mu_c, b_c, flags):
         s = 1.0 if direction > 0 else -1.0
 
         def gap(mu, s=s, torque=torque):
-            return b_c * s + _reflect_scalar(test_load, s, spec, mu) - torque
+            return b_c * s + dynamics.reflect_load(spec, mu, test_load, s) - torque
 
         g_lo, g_hi = gap(0.0), gap(hi)
         if g_lo == 0.0:
@@ -466,7 +455,7 @@ def _half_widths(xw, yw, coef, both, spec, test_load, confidence, flags):
         def transform(c):
             scratch: list[str] = []
             mu = _solve_mu_c(c[0] + c[1], spec, test_load, scratch)
-            bc = c[0] - _reflect_scalar(test_load, +1.0, spec, mu)
+            bc = c[0] - dynamics.reflect_load(spec, mu, test_load, +1.0)
             return np.array([mu, bc, c[2]])
 
         jac = np.zeros((3, 3))

@@ -26,7 +26,7 @@ from .errors import (
     UnreachableError,
 )
 from .screws import Pose, ensure_rotation, normalize_angle, rodrigues
-from .subproblems import _rotation_angle, subproblem3prime
+from .subproblems import _rotation_angle, _two_axis_points, subproblem3prime
 
 # Tool direction within this angle (radians) of the roll axis makes theta1
 # indeterminate; the solver then pins theta1 = 0 and flags the result.
@@ -159,7 +159,13 @@ def inverse_kinematics(geom: MechanismGeometry, target: Pose,
             except (NoSolutionError, DegenerateInputError):
                 continue
         else:
-            pairs = _two_axis_pairs(geom, p2, q2, tol)
+            pairs = []
+            for c in _two_axis_points(geom.omega1, geom.omega2, p2, q2, tol):
+                try:
+                    pairs.append((_rotation_angle(geom.omega1, c, q2, tol),
+                                  _rotation_angle(geom.omega2, p2, c, tol)))
+                except (NoSolutionError, DegenerateInputError):
+                    continue
 
         for theta1, theta2 in pairs:
             r1 = rodrigues(geom.omega1, theta1)
@@ -206,50 +212,6 @@ def inverse_kinematics(geom: MechanismGeometry, target: Pose,
         tuple(residuals[i] for i in order),
         singular,
     )
-
-
-def _two_axis_pairs(geom, p, q, tol):
-    """Inlined two-axis solve returning a (possibly empty) pair list.
-    Scalar arithmetic throughout: this sits on the IK hot path."""
-    px, py, pz = p
-    qx, qy, qz = q
-    pn2 = px * px + py * py + pz * pz
-    pn = math.sqrt(pn2)
-    qn = math.sqrt(qx * qx + qy * qy + qz * qz)
-    scale = max(1.0, pn, qn)
-    if abs(pn - qn) > tol * scale:
-        return []
-    w1x, w1y, w1z = geom.omega1
-    w2x, w2y, w2z = geom.omega2
-    d = w1x * w2x + w1y * w2y + w1z * w2z
-    crx = w1y * w2z - w1z * w2y
-    cry = w1z * w2x - w1x * w2z
-    crz = w1x * w2y - w1y * w2x
-    crn2 = crx * crx + cry * cry + crz * crz
-    w2p = w2x * px + w2y * py + w2z * pz
-    w1q = w1x * qx + w1y * qy + w1z * qz
-    den = d * d - 1.0
-    a = (d * w2p - w1q) / den
-    b = (d * w1q - w2p) / den
-    gamma2 = (pn2 - a * a - b * b - 2.0 * a * b * d) / crn2
-    band = 1e-12 * scale * scale
-    if gamma2 < -band:
-        return []
-    gammas = (0.0,) if gamma2 <= band else (math.sqrt(gamma2), -math.sqrt(gamma2))
-    pairs = []
-    for g in gammas:
-        c = (a * w1x + b * w2x + g * crx,
-             a * w1y + b * w2y + g * cry,
-             a * w1z + b * w2z + g * crz)
-        try:
-            pairs.append(
-                (_rotation_angle(geom.omega1, c, q, tol),
-                 _rotation_angle(geom.omega2, p, c, tol))
-            )
-        except (NoSolutionError, DegenerateInputError):
-            continue
-    pairs.sort()
-    return pairs
 
 
 def load_mechanism_config(path) -> MechanismGeometry:

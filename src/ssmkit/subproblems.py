@@ -100,6 +100,47 @@ def subproblem1(xi: Twist, p, q, tol: float = _MATCH_TOL) -> SubproblemSolutions
     return SubproblemSolutions((_rotation_angle(omega, p, q, tol),))
 
 
+def _two_axis_points(w1, w2, p, q, tol: float) -> list:
+    """
+    Intersection points c of the circle p sweeps about w2 with the circle
+    q sweeps about w1, for non-parallel unit axes meeting at the origin:
+    e^(hat(w2) t2) p = c = e^(-hat(w1) t1) q. Returns one point at
+    tangency, two otherwise, and none when |p| != |q| or the circles miss.
+    Scalar arithmetic throughout: this sits on the IK hot path.
+    """
+    px, py, pz = p
+    qx, qy, qz = q
+    pn2 = px * px + py * py + pz * pz
+    pn = math.sqrt(pn2)
+    qn = math.sqrt(qx * qx + qy * qy + qz * qz)
+    scale = max(1.0, pn, qn)
+    if abs(pn - qn) > tol * scale:
+        return []
+    w1x, w1y, w1z = w1
+    w2x, w2y, w2z = w2
+    d = w1x * w2x + w1y * w2y + w1z * w2z
+    crx = w1y * w2z - w1z * w2y
+    cry = w1z * w2x - w1x * w2z
+    crz = w1x * w2y - w1y * w2x
+    crn2 = crx * crx + cry * cry + crz * crz
+    w2p = w2x * px + w2y * py + w2z * pz
+    w1q = w1x * qx + w1y * qy + w1z * qz
+    den = d * d - 1.0
+    a = (d * w2p - w1q) / den
+    b = (d * w1q - w2p) / den
+    gamma2 = (pn2 - a * a - b * b - 2.0 * a * b * d) / crn2
+    band = TANGENCY_TOL * scale * scale
+    if gamma2 < -band:
+        return []
+    gammas = (0.0,) if gamma2 <= band else (math.sqrt(gamma2), -math.sqrt(gamma2))
+    points = []
+    for g in gammas:
+        points.append((a * w1x + b * w2x + g * crx,
+                       a * w1y + b * w2y + g * cry,
+                       a * w1z + b * w2z + g * crz))
+    return points
+
+
 def subproblem2(xi1: Twist, xi2: Twist, p, q,
                 tol: float = _MATCH_TOL) -> SubproblemSolutions:
     """
@@ -108,41 +149,18 @@ def subproblem2(xi1: Twist, xi2: Twist, p, q,
     """
     w1 = _require_revolute(xi1)
     w2 = _require_revolute(xi2)
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-
     cr = np.cross(w1, w2)
-    crn2 = float(cr @ cr)
-    if crn2 < 1e-18:
+    if float(cr @ cr) < 1e-18:
         raise DegenerateAxesError("rotation axes are parallel")
-
-    pn = math.sqrt(float(p @ p))
-    qn = math.sqrt(float(q @ q))
-    scale = max(1.0, pn, qn)
-    if abs(pn - qn) > tol * scale:
-        raise NoSolutionError("rotations preserve norm but |p| != |q|")
-
-    d = float(w1 @ w2)
-    w2p = float(w2 @ p)
-    w1q = float(w1 @ q)
-    den = d * d - 1.0
-    a = (d * w2p - w1q) / den
-    b = (d * w1q - w2p) / den
-    gamma2 = (float(p @ p) - a * a - b * b - 2.0 * a * b * d) / crn2
-
-    band = TANGENCY_TOL * scale * scale
-    if gamma2 < -band:
-        raise NoSolutionError("the two rotation circles do not intersect")
-    gammas = (0.0,) if gamma2 <= band else (math.sqrt(gamma2), -math.sqrt(gamma2))
-
-    pairs = []
-    for g in gammas:
-        c = a * w1 + b * w2 + g * cr
-        theta1 = _rotation_angle(w1, c, q, tol)
-        theta2 = _rotation_angle(w2, p, c, tol)
-        pairs.append((theta1, theta2))
-    pairs.sort()
-    return SubproblemSolutions(tuple(pairs))
+    points = _two_axis_points(w1, w2, p, q, tol)
+    if not points:
+        raise NoSolutionError(
+            "no rotation pair maps p onto q (|p| != |q| or the circles miss)"
+        )
+    return SubproblemSolutions(tuple(sorted(
+        (_rotation_angle(w1, c, q, tol), _rotation_angle(w2, p, c, tol))
+        for c in points
+    )))
 
 
 def subproblem3prime(v, p, q, delta: float) -> SubproblemSolutions:

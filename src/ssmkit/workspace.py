@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import csvfile
 from .errors import DegenerateGeometryError, DomainError
 from .kinematics import MechanismGeometry
 
@@ -46,14 +47,18 @@ class WorkspaceSample:
 
 def rotate_about(axis: np.ndarray, theta, vec: np.ndarray) -> np.ndarray:
     """
-    e^(hat(axis) theta) vec for scalar or array theta (unit axis assumed).
-    Returns shape (3,) for scalar theta, (n, 3) for an n-vector of angles.
+    e^(hat(axis) theta) vec for every angle and every vector (unit axis
+    assumed). theta is a scalar or an n-vector, vec a 3-vector or an
+    (m, 3) stack; the result has shape theta.shape + vec.shape, so
+    result[i, j] rotates vec[j] by theta[i].
     """
     theta = np.asarray(theta, dtype=float)
-    c = np.cos(theta)[..., None]
-    s = np.sin(theta)[..., None]
+    vec = np.asarray(vec, dtype=float)
+    lift = theta.shape + (1,) * vec.ndim
+    c = np.cos(theta).reshape(lift)
+    s = np.sin(theta).reshape(lift)
     axv = np.cross(axis, vec)
-    axial = float(axis @ vec) * axis
+    axial = (vec @ axis)[..., None] * axis
     return c * vec + s * axv + (1.0 - c) * axial
 
 
@@ -120,12 +125,8 @@ def sample_workspace_grid(geom: MechanismGeometry, n1: int, n2: int):
         raise DomainError("grid needs at least 2 samples per joint")
     theta1 = np.linspace(-math.pi, math.pi, n1, endpoint=False)
     theta2 = np.linspace(-math.pi, math.pi, n2, endpoint=False)
-    ring = rotate_about(geom.omega2, theta2, geom.v4)          # (n2, 3)
-    c = np.cos(theta1)[:, None, None]
-    s = np.sin(theta1)[:, None, None]
-    axv = np.cross(geom.omega1, ring)[None, :, :]
-    axial = (ring @ geom.omega1)[None, :, None] * geom.omega1[None, None, :]
-    points = (c * ring[None, :, :] + s * axv + (1.0 - c) * axial).reshape(-1, 3)
+    ring = rotate_about(geom.omega2, theta2, geom.v4)
+    points = rotate_about(geom.omega1, theta1, ring).reshape(-1, 3)
     polar = np.arccos(np.clip(points @ geom.omega1, -1.0, 1.0))
     return theta1, theta2, points, polar
 
@@ -148,7 +149,6 @@ def write_workspace_csv(path, geom: MechanismGeometry, n1: int, n2: int,
     t1 = np.repeat(theta1, len(theta2))
     t2 = np.tile(theta2, len(theta1))
     data = np.column_stack([t1, t2, points, np.degrees(polar)])
-    fmt = "%.{}g".format(precision)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("theta1_rad,theta2_rad,x,y,z,polar_deg\n")
-        np.savetxt(fh, data, fmt=fmt, delimiter=",")
+    csvfile.write_numeric_csv(
+        path, ("theta1_rad", "theta2_rad", "x", "y", "z", "polar_deg"), data, precision
+    )

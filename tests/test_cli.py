@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssmkit import cli
 from ssmkit.dynamics import (
@@ -142,6 +144,18 @@ class TestFkIkCommands:
 
     def test_missing_config_exits_2(self, capsys):
         assert cli.main(["fk", "--theta", "0,0,0,0"]) == 2
+
+    def test_nan_theta_exits_2(self, mech_cfg, capsys):
+        code = cli.main(["fk", "--config", str(mech_cfg), "--theta", "nan,2,3,0.01"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'--theta': expected a finite number" in captured.err
+
+    def test_nan_pose_exits_2(self, mech_cfg, capsys):
+        pose = "nan,0,0,0,1,0,0,0,1,0,0,0.01"
+        assert cli.main(["ik", "--config", str(mech_cfg), "--pose", pose]) == 2
+        assert "'--pose': expected a finite number" in capsys.readouterr().err
 
 
 class TestIdentifyCommand:
@@ -329,6 +343,64 @@ class TestSimulateCommand:
         assert "nrmsd" not in captured.out
         assert "finite" in captured.err
 
+    def test_non_utf8_trajectory_exits_2(self, tmp_path, drive_cfg, capsys):
+        traj = tmp_path / "traj.csv"
+        traj.write_bytes(b"time_s,value\n0,0.1\n0.1,0.\xff\n")
+        code = cli.main(
+            [
+                "simulate", str(traj), "--transmission", str(drive_cfg),
+                "--out", str(tmp_path / "torque.csv"),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {traj}: trace file is not valid UTF-8\n"
+
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys):
+        traj = tmp_path / "traj.csv"
+        self._write_trajectory(traj)
+        drive = tmp_path / "drive.cfg"
+        drive.write_bytes(b"kind = wormgear\nratio = 1\xff0\n")
+        code = cli.main(
+            [
+                "simulate", str(traj), "--transmission", str(drive),
+                "--out", str(tmp_path / "torque.csv"),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {drive}: config file is not valid UTF-8\n"
+
+    def test_nan_friction_exits_2(self, tmp_path, drive_cfg, capsys):
+        traj = tmp_path / "traj.csv"
+        self._write_trajectory(traj)
+        text = drive_cfg.read_text(encoding="utf-8")
+        drive_cfg.write_text(
+            "\n".join("mu_s = nan" if line.startswith("mu_s") else line
+                      for line in text.splitlines()) + "\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "torque.csv"
+        code = cli.main(
+            ["simulate", str(traj), "--transmission", str(drive_cfg), "--out", str(out)]
+        )
+        assert code == 2
+        assert "'mu_s': expected a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("which", ["trajectory", "out"])
+    def test_directory_path_exits_2(self, tmp_path, drive_cfg, capsys, which):
+        traj = tmp_path / "traj.csv"
+        self._write_trajectory(traj)
+        paths = {"trajectory": traj, "out": tmp_path / "torque.csv"}
+        paths[which] = tmp_path
+        code = cli.main(
+            [
+                "simulate", str(paths["trajectory"]), "--transmission", str(drive_cfg),
+                "--out", str(paths["out"]),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_misaligned_measured_exits_2(self, tmp_path, drive_cfg, capsys):
         traj = tmp_path / "traj.csv"
         self._write_trajectory(traj, n=101)
@@ -416,6 +488,128 @@ class TestProjectConfig:
         project = tmp_path / "project.cfg"
         project.write_text("mechanism = nowhere.cfg\n", encoding="utf-8")
         assert cli.main(["fk", "--project", str(project), "--theta", "0,0,0,0"]) == 2
+
+    def test_non_finite_precision_rejected(self, tmp_path, mech_cfg, capsys):
+        project = tmp_path / "project.cfg"
+        project.write_text(f"mechanism = {mech_cfg.name}\nprecision = inf\n",
+                           encoding="utf-8")
+        assert cli.main(["fk", "--project", str(project), "--theta", "0,0,0,0"]) == 2
+        assert "'precision': expected a finite number" in capsys.readouterr().err
+
+
+class TestOptionValues:
+    @pytest.mark.parametrize("value", ["0", "-3", "abc"])
+    def test_precision_below_one_rejected(self, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["workspace", "30", "110", "--precision", value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"--precision: expected an integer of at least 1, got '{value}'" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["workspace", "nan", "110"],
+        ["payload", "--vmax", "inf"],
+        ["payload", "--vmax", "10", "--load", "nan"],
+        ["identify", "log.csv", "--rate", "nan"],
+        ["identify", "log.csv", "--load", "abc"],
+    ])
+    def test_non_finite_number_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert ": expected a finite number, got" in capsys.readouterr().err
+
+    def test_precision_one_is_used(self, capsys):
+        assert cli.main(["workspace", "30", "110", "--precision", "1"]) == 0
+        assert "span_deg = 6e+01" in capsys.readouterr().out
+
+
+# Number spellings: ordinary, out of range, denormal, non-finite, malformed.
+_NUMBERS = ("0", "1", "-1", "2.5", "-0.5", "4", "-4", "90", "1e-320", "1e308",
+            "-1e308")
+_TOKENS = _NUMBERS + ("nan", "inf", "-inf", "abc", "", " ", "1_0", '"1"')
+
+
+@st.composite
+def _drive_text(draw):
+    """The J1 config with some values replaced, keys dropped or added."""
+    lines = [f"kind = {J1_SPEC.kind.value}", f"ratio = {J1_SPEC.ratio!r}",
+             f"lead_angle_deg = {math.degrees(J1_SPEC.lead_angle)!r}",
+             f"reflected_inertia = {J1_SPEC.reflected_inertia!r}"]
+    lines += [f"{k} = {getattr(J1_PARAMS, k)!r}" for k in ("mu_s", "mu_c", "b_c", "b_v")]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        key = lines[i].partition(" = ")[0]
+        lines[i] = draw(st.sampled_from(_NUMBERS).map(f"{key} = {{}}".format)
+                        | st.sampled_from(_TOKENS).map(f"{key} = {{}}".format)
+                        | st.sampled_from(["", "gear = 1", key]))
+    return "\n".join(lines)
+
+
+@st.composite
+def _trace_text(draw):
+    """A time_s,value trace on an increasing grid, some fields replaced."""
+    rows = [[repr(i / 100.0), draw(st.sampled_from(_NUMBERS[:8]))]
+            for i in range(draw(st.integers(0, 12)))]
+    for _ in range(draw(st.integers(0, 2))):
+        if rows:
+            row = draw(st.sampled_from(rows))
+            row[draw(st.integers(0, 1))] = draw(st.sampled_from(_TOKENS))
+    return "\n".join(["time_s,value"] + [",".join(r) for r in rows])
+
+
+@st.composite
+def _telemetry_text(draw):
+    """A 200 Hz joint-1 log of 0.8 s constant-velocity blocks, long enough
+    to fit, with a field replaced in some blocks."""
+    lines = ["time_s,joint_id,velocity,torque"]
+    i = 0
+    speeds = ("1", "2.5", "4", "90", "-1", "-0.5", "-4", "-90")
+    for v in draw(st.lists(st.sampled_from(speeds), min_size=1, max_size=8, unique=True)):
+        fields = ["1", v, draw(st.sampled_from(["0.5", "-0.5", "2"]))]
+        if draw(st.integers(0, 7)) == 0:
+            fields[draw(st.integers(0, 2))] = draw(st.sampled_from(_TOKENS + ("2", "1.5")))
+        for _ in range(160):
+            lines.append(f"{i / 200.0!r},{','.join(fields)}")
+            i += 1
+    return "\n".join(lines)
+
+
+def _bytes_of(text_strategy):
+    """Arbitrary bytes, or encoded text with at most one byte set to 0xff."""
+    @st.composite
+    def build(draw):
+        raw = bytearray(draw(text_strategy).encode("utf-8"))
+        if raw and draw(st.integers(0, 3)) == 0:
+            raw[draw(st.integers(0, len(raw) - 1))] = 0xFF
+        return bytes(raw)
+    return st.binary(max_size=200) | build()
+
+
+_FUZZ_TEXT = {"drive": _drive_text(), "trace": _trace_text(), "telemetry": _telemetry_text()}
+
+
+class TestArbitraryInputFiles:
+    @settings(max_examples=180, deadline=None)
+    @given(st.sampled_from(sorted(_FUZZ_TEXT)).flatmap(
+        lambda kind: st.tuples(st.just(kind), _bytes_of(_FUZZ_TEXT[kind]))))
+    def test_exit_code_is_0_2_or_3(self, tmp_path_factory, case):
+        """Whatever bytes a config, trace or telemetry file holds, the CLI
+        ends with exit code 0, 2 or 3 and lets no exception escape."""
+        kind, data = case
+        work = tmp_path_factory.mktemp("fuzz")
+        files = {"drive": work / "drive.cfg", "trace": work / "traj.csv",
+                 "telemetry": work / "telemetry.csv"}
+        save_transmission_config(files["drive"], J1_SPEC, J1_PARAMS, precision=17)
+        write_trace_csv(files["trace"], np.linspace(0.0, 1.0, 21), np.linspace(-0.2, 0.2, 21))
+        files[kind].write_bytes(data)
+        if kind == "telemetry":
+            argv = ["identify", str(files["telemetry"]), "--joint", "1", "--breakaway"]
+        else:
+            argv = ["simulate", str(files["trace"]), "--measured", str(files["trace"])]
+        argv += ["--transmission", str(files["drive"]), "--load", "1",
+                 "--out", str(work / "out")]
+        assert cli.main(argv) in (0, 2, 3)
 
 
 class TestHelp:

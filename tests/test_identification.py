@@ -285,6 +285,14 @@ class TestFitFriction:
         with pytest.raises(RankDeficientError):
             fit_friction(tv, spec)
 
+    @pytest.mark.parametrize("torque", [1e308, math.inf])
+    def test_overflowing_map_rejected(self, torque):
+        spec = JOINT_SPECS[1]
+        points = [MapPoint(w, torque, 0.0, 100) for w in BOTH_DIRECTIONS]
+        tv = TorqueVelocityMap(tuple(sorted(points, key=lambda p: p.velocity)))
+        with pytest.raises(DomainError, match="too large to fit"):
+            fit_friction(tv, spec, test_load=1.0, breakaway=[(1, 1.0)])
+
     def test_one_direction_fit_is_flagged(self):
         spec, params = JOINT_SPECS[1], JOINT_PARAMS[1]
         tv = make_map(spec, params, 0.0, MOTOR_SPEEDS)

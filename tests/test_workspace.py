@@ -11,6 +11,7 @@ from ssmkit.workspace import (
     critical_directions,
     dot_profile,
     dot_profile_derivatives,
+    rotate_about,
     sample_workspace,
     sample_workspace_grid,
     tilt_extremes,
@@ -22,6 +23,29 @@ DEG = math.radians
 
 def design_geometry():
     return build_geometry(DEG(30), DEG(110))
+
+
+class TestRotateAbout:
+    def test_matches_rodrigues_for_every_angle_and_vector(self):
+        rng = np.random.default_rng(7)
+        for alpha, beta in ((30, 110), (60, 60), (5, 170), (120, 45)):
+            g = build_geometry(DEG(alpha), DEG(beta))
+            thetas = rng.uniform(-math.pi, math.pi, 6)
+            stack = rng.normal(size=(5, 3))
+            stack /= np.linalg.norm(stack, axis=1)[:, None]
+            for axis in (g.omega1, g.omega2, g.omega3):
+                got = rotate_about(axis, thetas, stack)
+                assert got.shape == (6, 5, 3)
+                for i, theta in enumerate(thetas):
+                    r = rodrigues(axis, theta)
+                    for j, v in enumerate(stack):
+                        assert np.abs(got[i, j] - r @ v).max() <= 1e-15
+                        single = rotate_about(axis, theta, v)
+                        assert single.shape == (3,)
+                        assert np.abs(single - r @ v).max() <= 1e-15
+                ring = rotate_about(axis, thetas, stack[0])
+                assert ring.shape == (6, 3)
+                assert np.abs(ring - got[:, 0]).max() <= 1e-15
 
 
 class TestDotProfile:
