@@ -129,6 +129,8 @@ def cmd_workspace(args) -> int:
     project = _load_project(args)
     prec = _precision(args, project)
     ff = lambda x: format_float(x, prec)
+    if args.csv:
+        workspace.check_grid_samples(args.samples, args.samples)
     alpha = math.radians(args.alpha_deg)
     beta = math.radians(args.beta_deg)
     ext = workspace.tilt_extremes(alpha, beta)

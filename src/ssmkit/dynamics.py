@@ -245,11 +245,23 @@ def nrmsd(simulated: TorqueTrace, measured: TorqueTrace) -> float:
         simulated.time, measured.time, rtol=_TIME_TOL, atol=_TIME_TOL
     ):
         raise MisalignedTracesError("traces do not share a time grid")
-    spread = float(measured.torque.max() - measured.torque.min())
+    spread = float(measured.torque.max()) - float(measured.torque.min())
+    if not math.isfinite(spread):
+        raise DomainError("measured torque range is not finite")
     if spread < 1e-12:
         raise DegenerateRangeError("measured torque range is numerically zero")
-    diff = simulated.torque - measured.torque
-    return float(math.sqrt(np.mean(diff * diff)) / spread)
+    with np.errstate(over="ignore"):
+        diff = simulated.torque - measured.torque
+        value = float(math.sqrt(np.mean(diff * diff)) / spread)
+    if not math.isfinite(value):
+        # Squares overflowed: scale both traces into [-1, 1] first.
+        scale = max(float(np.max(np.abs(simulated.torque))),
+                    float(np.max(np.abs(measured.torque))))
+        diff = simulated.torque / scale - measured.torque / scale
+        value = math.sqrt(np.mean(diff * diff)) * (scale / spread)
+        if not math.isfinite(value):
+            raise DomainError("nrmsd exceeds the float range")
+    return value
 
 
 # ---------------------------------------------------------------------------

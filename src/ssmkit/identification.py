@@ -13,15 +13,15 @@ is linear in the per-direction intercepts (A+, A-) and the slope b_v, so
 those are solved by weighted least squares. The intercept sum
 A+ + A- = (load / ratio) * (1/eta_driving + eta_overhauling) depends on
 the load only through the transmission friction, and the bracketed factor
-is strictly increasing in the friction angle, so mu_c follows from a
-scalar root solve and b_c from back-substitution. mu_c is therefore only
-identifiable when a nonzero, unidirectional test load was applied; with
-no load the transmission term vanishes from the data and mu_c is reported
-as zero with a flag.
+is strictly increasing in the friction angle and inverts in closed form
+(`_solve_mu_c`) for mu_c, and b_c follows by back-substitution. mu_c is
+therefore only identifiable when a nonzero, unidirectional test load was
+applied; with no load the transmission term vanishes from the data and
+mu_c is reported as zero with a flag.
 
 mu_s comes from breakaway torque samples (motor torque at motion onset
-after a rest), solved against the static branch of the dynamics model;
-without such samples mu_s defaults to mu_c, flagged.
+after a rest), solved in closed form against the static branch of the
+dynamics model; without such samples mu_s defaults to mu_c, flagged.
 
 All fitted coefficients are motor-side referenced: b_c and b_v act on the
 motor velocity and torques are at the motor shaft.
@@ -33,10 +33,9 @@ import bisect
 import math
 import warnings
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.stats import norm as _norm
 
 from . import configfile, csvfile, dynamics
 from .dynamics import Direction, FrictionParams, TransmissionSpec, efficiency
@@ -108,6 +107,12 @@ def load_telemetry_csv(path, nominal_rate_hz: float = 200.0) -> TelemetryLog:
         path, ("time_s", "joint_id", "velocity", "torque"), InvalidLogError,
         "telemetry", integer_columns=(1,),
     )
+    ids = data[:, 1]
+    outside = (ids < min(VALID_JOINT_IDS)) | (ids > max(VALID_JOINT_IDS))
+    if outside.any():
+        # Range-check the floats: astype(int) would wrap a value like 1e308.
+        bad = [int(x) if abs(x) < 2.0**53 else x for x in np.unique(ids[outside]).tolist()]
+        raise InvalidLogError(f"{path}: joint_id values outside 1..4: {bad}")
     return TelemetryLog(
         data[:, 0], data[:, 1].astype(int), data[:, 2], data[:, 3], nominal_rate_hz
     )
@@ -294,22 +299,28 @@ def _reflection_sum(rho: float, lead_angle: float) -> float:
 
 
 def _solve_mu_c(intercept_sum, spec, test_load, flags):
+    """
+    Invert S(rho) = 1/eta_d + eta_o = target for mu = tan(rho). With
+    t = tan(lam) and m = tan(rho), S = (tan(lam + rho) + tan(lam - rho)) / t
+    = 2 (1 + m^2) / (1 - t^2 m^2) while rho < lam; from rho = lam on, eta_o
+    is clamped to 0 and S = tan(lam + rho) / t.
+    """
     target = intercept_sum * spec.ratio / test_load
+    lam = spec.lead_angle
     lo = 0.0
-    hi = math.pi / 2.0 - spec.lead_angle - 1e-9
-    if target <= _reflection_sum(lo, spec.lead_angle):
-        if target < _reflection_sum(lo, spec.lead_angle) - 1e-12:
+    hi = math.pi / 2.0 - lam - 1e-9
+    if target <= _reflection_sum(lo, lam):
+        if target < _reflection_sum(lo, lam) - 1e-12:
             flags.append("non-physical mu_c estimate clamped to 0")
             warnings.warn("fitted mu_c was negative; clamped to 0", stacklevel=3)
         return 0.0
-    if target >= _reflection_sum(hi, spec.lead_angle):
+    if target >= _reflection_sum(hi, lam):
         flags.append("mu_c estimate clamped at the driving-domain limit")
         return math.tan(hi)
-    rho = brentq(
-        lambda r: _reflection_sum(r, spec.lead_angle) - target, lo, hi,
-        xtol=1e-15, rtol=8.9e-16,
-    )
-    return math.tan(rho)
+    if 2.0 * lam < math.pi / 2.0 and target >= math.tan(2.0 * lam) / math.tan(lam):
+        return math.tan(math.atan(target * math.tan(lam)) - lam)
+    c2 = math.cos(lam) ** 2
+    return math.sqrt(c2 * (target - 2.0) / (target * math.sin(lam) ** 2 + 2.0 * c2))
 
 
 def fit_friction(tv_map: TorqueVelocityMap, spec: TransmissionSpec,
@@ -415,7 +426,8 @@ def _fit_mu_s(breakaway, spec, test_load, mu_c, b_c, flags):
     if test_load == 0.0:
         flags.append("mu_s not identifiable from breakaway without a test load")
         return mu_c
-    hi = math.tan(math.pi / 2.0 - spec.lead_angle - 1e-9)
+    lam = spec.lead_angle
+    hi = math.tan(math.pi / 2.0 - lam - 1e-9)
     estimates = []
     for direction, torque in breakaway:
         s = 1.0 if direction > 0 else -1.0
@@ -428,8 +440,14 @@ def _fit_mu_s(breakaway, spec, test_load, mu_c, b_c, flags):
             estimates.append(0.0)
         elif g_lo * g_hi > 0.0:
             flags.append("breakaway sample outside the representable mu_s range")
+        elif g_hi == 0.0:
+            # Flat self-locking zone: every mu from tan(lam) up fits; take hi.
+            estimates.append(hi)
         else:
-            estimates.append(brentq(gap, 0.0, hi, xtol=1e-15, rtol=8.9e-16))
+            # tan(lam + rho) driving, tan(lam - rho) overhauling, equals x.
+            x = (torque - b_c * s) * spec.ratio * math.tan(lam) / test_load
+            rho = math.atan(x) - lam if test_load * s > 0.0 else lam - math.atan(x)
+            estimates.append(min(max(math.tan(rho), 0.0), hi))
     if not estimates:
         flags.append("mu_s defaulted to mu_c (no usable breakaway samples)")
         return mu_c
@@ -480,11 +498,16 @@ def _half_widths(xw, yw, coef, both, spec, test_load, confidence, flags):
         cov = jac @ cov_lin @ jac.T
         names = ("b_c", "b_v")
 
-    z = float(_norm.ppf(0.5 * (1.0 + confidence)))
+    z = _two_sided_z(confidence)
     halves = {nm: z * math.sqrt(max(0.0, cov[i, i])) for i, nm in enumerate(names)}
     if "mu_c" not in halves:
         halves["mu_c"] = math.inf
     return halves
+
+
+def _two_sided_z(confidence: float) -> float:
+    """Standard-normal quantile whose two-sided interval holds `confidence`."""
+    return NormalDist().inv_cdf(0.5 * (1.0 + confidence))
 
 
 def evaluate_model(report: FitReport, spec: TransmissionSpec,

@@ -115,14 +115,19 @@ def tilt_extremes(alpha: float, beta: float) -> TiltExtremes:
     return TiltExtremes(folded, tilt_min, tilt_max, tilt_max - tilt_min)
 
 
+def check_grid_samples(n1: int, n2: int) -> None:
+    """Raise DomainError unless each joint gets at least 2 grid samples."""
+    if n1 < 2 or n2 < 2:
+        raise DomainError("grid needs at least 2 samples per joint")
+
+
 def sample_workspace_grid(geom: MechanismGeometry, n1: int, n2: int):
     """
     Vectorized tip directions over the (theta1, theta2) grid with the tool
     extended one unit. Returns (theta1 grid, theta2 grid, points with
     shape (n1*n2, 3) in theta2-fastest row-major order, polar angles).
     """
-    if n1 < 2 or n2 < 2:
-        raise DomainError("grid needs at least 2 samples per joint")
+    check_grid_samples(n1, n2)
     theta1 = np.linspace(-math.pi, math.pi, n1, endpoint=False)
     theta2 = np.linspace(-math.pi, math.pi, n2, endpoint=False)
     ring = rotate_about(geom.omega2, theta2, geom.v4)

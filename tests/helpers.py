@@ -107,3 +107,56 @@ def breakaway_walk_oracle(t, v, tau, velocity_tolerance, min_duration_s,
         used_rests.add(rest_end)
         samples.append((1 if level > 0 else -1, float(tau[rest_end + 1])))
     return samples
+
+
+def bisect_root(f, lo, hi):
+    """
+    Plain bisection on [lo, hi], which must bracket a sign change of f,
+    down to adjacent floats. A zero at either end is returned as is.
+    """
+    f_lo, f_hi = f(lo), f(hi)
+    if f_lo == 0.0:
+        return lo
+    if f_hi == 0.0:
+        return hi
+    assert (f_lo < 0.0) != (f_hi < 0.0), "no sign change in the bracket"
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            return mid
+        f_mid = f(mid)
+        if f_mid == 0.0:
+            return mid
+        if (f_mid < 0.0) == (f_lo < 0.0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+
+
+def reflection_sum_oracle(rho, lam):
+    """1/eta_driving + eta_overhauling of an inclined plane at friction angle rho."""
+    return (math.tan(lam + rho) + max(0.0, math.tan(lam - rho))) / math.tan(lam)
+
+
+def mu_c_oracle(target, lam):
+    """mu = tan(rho) with reflection_sum_oracle(rho, lam) == target, by bisection."""
+    hi = math.pi / 2.0 - lam - 1e-9
+    return math.tan(bisect_root(lambda r: reflection_sum_oracle(r, lam) - target, 0.0, hi))
+
+
+def breakaway_gap_oracle(mu, torque, b_c, s, load, ratio, lam):
+    """Static model torque at friction mu minus a breakaway torque."""
+    rho = math.atan(mu)
+    if load * s > 0.0:
+        reflected = load * math.tan(lam + rho) / (ratio * math.tan(lam))
+    else:
+        reflected = load * max(0.0, math.tan(lam - rho)) / (ratio * math.tan(lam))
+    return b_c * s + reflected - torque
+
+
+def mu_s_oracle(torque, b_c, s, load, ratio, lam):
+    """Root in mu of breakaway_gap_oracle on [0, tan(pi/2 - lam - 1e-9)]."""
+    hi = math.tan(math.pi / 2.0 - lam - 1e-9)
+    return bisect_root(
+        lambda mu: breakaway_gap_oracle(mu, torque, b_c, s, load, ratio, lam), 0.0, hi
+    )

@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -84,6 +89,17 @@ class TestWorkspaceCommand:
         lines = out_csv.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 64 * 64 + 1
         assert lines[0] == "theta1_rad,theta2_rad,x,y,z,polar_deg"
+
+    def test_too_few_samples_exit_2_before_any_output(self, tmp_path, capsys):
+        out_csv = tmp_path / "w.csv"
+        code = cli.main(
+            ["workspace", "30", "110", "--samples", "1", "--csv", str(out_csv)]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "grid needs at least 2 samples per joint" in captured.err
+        assert not out_csv.exists()
 
     def test_csv_emission_is_deterministic(self, tmp_path):
         a = tmp_path / "a.csv"
@@ -224,6 +240,23 @@ class TestIdentifyCommand:
         assert code == 2
         assert f"{log_path}:6: joint_id must be an integer" in capsys.readouterr().err
 
+    def test_out_of_range_joint_id_names_the_file_value(self, tmp_path, drive_cfg,
+                                                        capsys):
+        log_path = tmp_path / "telemetry.csv"
+        self._write_log(log_path, load=1.0)
+        lines = log_path.read_text(encoding="utf-8").splitlines()
+        lines[5] = lines[5].replace(",1,", ",1e308,", 1)
+        lines[7] = lines[7].replace(",1,", ",7,", 1)
+        log_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(
+                ["identify", str(log_path), "--transmission", str(drive_cfg)]
+            )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{log_path}: joint_id values outside 1..4: [7, 1e+308]" in err
+
     def test_report_is_deterministic(self, tmp_path, drive_cfg):
         log_path = tmp_path / "telemetry.csv"
         self._write_log(log_path, load=1.0, noise=0.05)
@@ -342,6 +375,41 @@ class TestSimulateCommand:
         captured = capsys.readouterr()
         assert "nrmsd" not in captured.out
         assert "finite" in captured.err
+
+    def test_non_finite_measured_range_exits_2(self, tmp_path, drive_cfg, capsys):
+        traj = tmp_path / "traj.csv"
+        self._write_trajectory(traj, n=3)
+        measured = tmp_path / "measured.csv"
+        write_trace_csv(measured, np.linspace(0.0, 1.0, 3), np.array([1e308, -1e308, 0.0]))
+        code = cli.main(
+            [
+                "simulate", str(traj), "--transmission", str(drive_cfg),
+                "--out", str(tmp_path / "torque.csv"), "--measured", str(measured),
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "nrmsd" not in captured.out
+        assert "measured torque range is not finite" in captured.err
+
+    def test_huge_measured_torques_give_a_finite_nrmsd(self, tmp_path, drive_cfg,
+                                                     capsys):
+        traj = tmp_path / "traj.csv"
+        self._write_trajectory(traj, n=4)
+        measured = tmp_path / "measured.csv"
+        write_trace_csv(measured, np.linspace(0.0, 1.0, 4),
+                        np.array([1e200, -1e200, 0.0, 0.0]), precision=17)
+        code = cli.main(
+            [
+                "simulate", str(traj), "--transmission", str(drive_cfg),
+                "--out", str(tmp_path / "torque.csv"), "--measured", str(measured),
+                "--precision", "17",
+            ]
+        )
+        assert code == 0
+        nrmsd = float(parse_kv_stdout(capsys.readouterr().out)["nrmsd"])
+        # The simulated torques are negligible next to 1e200: rms 1e200/sqrt(2).
+        assert abs(nrmsd - math.sqrt(0.5) / 2.0) < 1e-15
 
     def test_non_utf8_trajectory_exits_2(self, tmp_path, drive_cfg, capsys):
         traj = tmp_path / "traj.csv"
@@ -610,6 +678,20 @@ class TestArbitraryInputFiles:
         argv += ["--transmission", str(files["drive"]), "--load", "1",
                  "--out", str(work / "out")]
         assert cli.main(argv) in (0, 2, 3)
+
+
+class TestImports:
+    def test_cli_import_loads_no_scipy(self):
+        """The runtime depends on numpy alone; scipy is a test-only oracle."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        probe = (
+            "import sys, ssmkit.cli; print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))"
+        )
+        result = subprocess.run([sys.executable, "-c", probe], env=env,
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "[]"
 
 
 class TestHelp:

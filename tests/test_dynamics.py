@@ -292,6 +292,32 @@ class TestNrmsd:
         with pytest.raises(DegenerateRangeError):
             nrmsd(TorqueTrace(t, t), TorqueTrace(t, np.ones(10)))
 
+    def test_non_finite_measured_range_rejected(self):
+        t = np.linspace(0, 1, 3)
+        measured = TorqueTrace(t, np.array([1e308, -1e308, 0.0]))
+        with pytest.raises(DomainError, match="range is not finite"):
+            nrmsd(TorqueTrace(t, np.zeros(3)), measured)
+
+    def test_overflowing_squares_are_scaled_away(self):
+        # Scaling both traces by 2**600 leaves the ratio exact; without
+        # scaling, the squared differences would overflow to inf.
+        rng = np.random.default_rng(5)
+        t = np.linspace(0, 1, 40)
+        a = rng.normal(size=40)
+        b = rng.normal(size=40)
+        small = nrmsd(TorqueTrace(t, a), TorqueTrace(t, b))
+        big = 2.0 ** 600
+        with np.errstate(over="raise"):
+            huge = nrmsd(TorqueTrace(t, a * big), TorqueTrace(t, b * big))
+        assert math.isfinite(huge)
+        assert abs(huge - small) < 1e-14 * small
+
+    def test_nrmsd_beyond_the_float_range_rejected(self):
+        t = np.linspace(0, 1, 3)
+        simulated = TorqueTrace(t, np.array([1e308, -1e308, 1e308]))
+        with pytest.raises(DomainError, match="exceeds the float range"):
+            nrmsd(simulated, TorqueTrace(t, np.array([0.0, 1e-3, 0.0])))
+
     def test_misaligned_traces(self):
         t = np.linspace(0, 1, 10)
         with pytest.raises(MisalignedTracesError):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +22,11 @@ from ssmkit.errors import (
 )
 from ssmkit.identification import (
     MapPoint,
+    _fit_mu_s,
+    _reflection_sum,
     _segment_indices,
+    _solve_mu_c,
+    _two_sided_z,
     TelemetryLog,
     TorqueVelocityMap,
     evaluate_model,
@@ -32,7 +37,14 @@ from ssmkit.identification import (
     save_fit_report,
 )
 
-from helpers import breakaway_walk_oracle, segment_oracle
+from helpers import (
+    breakaway_gap_oracle,
+    breakaway_walk_oracle,
+    mu_c_oracle,
+    mu_s_oracle,
+    reflection_sum_oracle,
+    segment_oracle,
+)
 
 DEG = math.radians
 
@@ -171,6 +183,21 @@ class TestTelemetryLog:
         )
         with pytest.raises(InvalidLogError, match="non-finite"):
             load_telemetry_csv(path)
+
+    def test_csv_loader_names_out_of_range_joint_id(self, tmp_path):
+        path = tmp_path / "telemetry.csv"
+        path.write_text(
+            "time_s,joint_id,velocity,torque\n0,1,0.5,0.01\n0.005,1e308,0.5,0.01\n"
+            "0.010,-1e308,0.5,0.01\n0.015,0,0.5,0.01\n",
+            encoding="utf-8",
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidLogError) as exc:
+                load_telemetry_csv(path)
+        assert str(exc.value) == (
+            f"{path}: joint_id values outside 1..4: [-1e+308, 0, 1e+308]"
+        )
 
 
 class TestExtractSteadySegments:
@@ -389,6 +416,102 @@ class TestFitFriction:
         tv = make_map(spec, params, 1.0, BOTH_DIRECTIONS)
         report = fit_friction(tv, spec, test_load=1.0)
         assert set(report.residuals_by_direction) == {"positive", "negative"}
+
+
+def _drive(lam, ratio=1.0):
+    return TransmissionSpec(TransmissionKind.WORM_GEAR, ratio, lam, 0.0)
+
+
+class TestClosedFormInversions:
+    """`_solve_mu_c` and `_fit_mu_s` against plain bisection on the model."""
+
+    @pytest.mark.parametrize("zone", ["eta_o positive", "eta_o clamped"])
+    @settings(max_examples=40, deadline=None)
+    @given(lam_frac=st.floats(0.0, 1.0), rho_frac=st.floats(0.0, 1.0),
+           load=st.sampled_from([1.0, -1.0, 0.25, -4.0]))
+    def test_mu_c_matches_bisection(self, zone, lam_frac, rho_frac, load):
+        # eta_o is clamped to 0 from rho = lam on, which needs 2 lam < pi/2.
+        if zone == "eta_o clamped":
+            lam = 0.02 + lam_frac * 0.76
+            top = math.pi / 2.0 - lam - 1e-9
+            rho = lam + rho_frac * 0.999 * (top - lam)
+        else:
+            lam = 0.02 + lam_frac * 1.48
+            top = min(lam, math.pi / 2.0 - lam - 1e-9)
+            rho = 1e-3 + rho_frac * (0.999 * top - 1e-3)
+        target = reflection_sum_oracle(rho, lam)
+        flags = []
+        # Power-of-two loads keep target * load / load exact.
+        mu = _solve_mu_c(target * load, _drive(lam), load, flags)
+        expected = mu_c_oracle(target, lam)
+        assert flags == []
+        assert abs(mu - expected) <= 1e-8 * expected
+
+    @settings(max_examples=30, deadline=None)
+    @given(lam=st.floats(0.02, 1.5), excess=st.floats(1e-9, 10.0))
+    def test_mu_c_clamps_and_flags(self, lam, excess):
+        spec = _drive(lam)
+        flags = []
+        with pytest.warns(UserWarning, match="clamped to 0"):
+            assert _solve_mu_c(2.0 - excess, spec, 1.0, flags) == 0.0
+        assert flags == ["non-physical mu_c estimate clamped to 0"]
+        flags = []
+        assert _solve_mu_c(2.0 - 1e-13, spec, 1.0, flags) == 0.0
+        assert flags == []
+        hi = math.pi / 2.0 - lam - 1e-9
+        target = _reflection_sum(hi, lam) * (1.0 + excess)
+        assert _solve_mu_c(target, spec, 1.0, flags) == math.tan(hi)
+        assert flags == ["mu_c estimate clamped at the driving-domain limit"]
+
+    @pytest.mark.parametrize("s", [1.0, -1.0])
+    @pytest.mark.parametrize("zone", ["driving", "overhauling", "self-locking"])
+    @settings(max_examples=25, deadline=None)
+    @given(lam_frac=st.floats(0.0, 1.0), rho_frac=st.floats(0.0, 1.0),
+           ratio=st.floats(1.0, 3000.0), load_mag=st.floats(0.1, 10.0),
+           b_c=st.floats(0.0, 0.01))
+    def test_mu_s_matches_bisection(self, s, zone, lam_frac, rho_frac, ratio,
+                                    load_mag, b_c):
+        load = load_mag * (s if zone == "driving" else -s)
+        if zone == "self-locking":
+            # rho > lam clamps eta_o to 0: every mu from tan(lam) up fits.
+            lam = 0.02 + lam_frac * 0.76
+            top = math.pi / 2.0 - lam - 1e-9
+            rho = lam + (1e-3 + 0.998 * rho_frac) * (top - lam)
+        else:
+            lam = 0.02 + lam_frac * 1.48
+            top = math.pi / 2.0 - lam - 1e-9
+            if zone == "overhauling":
+                top = min(lam, top)
+            rho = 1e-3 + rho_frac * (0.999 * top - 1e-3)
+        torque = breakaway_gap_oracle(math.tan(rho), 0.0, b_c, s, load, ratio, lam)
+        flags = []
+        mu = _fit_mu_s([(int(s), torque)], _drive(lam, ratio), load, 0.0, b_c, flags)
+        expected = mu_s_oracle(torque, b_c, s, load, ratio, lam)
+        assert flags == []
+        if zone == "self-locking":
+            assert mu == expected == math.tan(top)
+        else:
+            assert abs(mu - expected) <= 1e-8 * expected
+
+    @pytest.mark.parametrize("s", [1.0, -1.0])
+    def test_mu_s_edge_samples(self, s):
+        spec = _drive(DEG(5.0), 120.0)
+        load, b_c = 1.0, 3.82e-3
+        # Without friction either way the whole load reaches the motor.
+        at_zero = b_c * s + load / spec.ratio
+        flags = []
+        assert _fit_mu_s([(int(s), at_zero)], spec, load, 0.0, b_c, flags) == 0.0
+        assert flags == []
+        # Less torque than frictionless driving needs, or more than a
+        # frictionless overhauling load gives back: no mu fits.
+        outside = b_c * s + (0.5 if s > 0 else 1.5) * load / spec.ratio
+        flags = []
+        assert _fit_mu_s([(int(s), outside)], spec, load, 0.07, b_c, flags) == 0.07
+        assert flags == ["breakaway sample outside the representable mu_s range",
+                         "mu_s defaulted to mu_c (no usable breakaway samples)"]
+
+    def test_z_for_95_percent(self):
+        assert abs(_two_sided_z(0.95) - 1.959963984540054) < 1e-12
 
 
 class TestBreakawayExtraction:
