@@ -15,6 +15,7 @@ import argparse
 import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import csvfile, dynamics, identification, kinematics, workspace
 from .configfile import format_float, parse_float, parse_floats, read_kv
-from .errors import DomainError, SsmKitError, UnreachableError
+from .errors import DomainError, SsmKitError, TrajectoryOverflowError, UnreachableError
 from .screws import Pose, ensure_rotation
 
 OUTPUT_DIR_ENV = "SSMKIT_OUTPUT_DIR"
@@ -219,9 +220,12 @@ def cmd_identify(args) -> int:
         breakaway = identification.extract_breakaway_samples(
             log, args.tolerance, args.min_duration, joint_id=args.joint
         )
-    report = identification.fit_friction(
-        tv_map, spec, test_load=args.load, breakaway=breakaway
-    )
+    with warnings.catch_warnings():
+        # Every clamp the fit warns about is also printed as a flag line.
+        warnings.simplefilter("ignore", UserWarning)
+        report = identification.fit_friction(
+            tv_map, spec, test_load=args.load, breakaway=breakaway
+        )
     print("map points (velocity, torque_mean, torque_std, count):")
     for p in tv_map.points:
         print(f"  {ff(p.velocity)} {ff(p.torque_mean)} {ff(p.torque_std)} {p.count}")
@@ -248,7 +252,10 @@ def cmd_simulate(args) -> int:
     spec, params = _drive_for(args, project)
     traj = dynamics.read_trajectory_csv(args.trajectory)
     load_fn = None if args.load == 0.0 else (lambda t: args.load)
-    trace = dynamics.inverse_dynamics(spec, params, load_fn, traj)
+    try:
+        trace = dynamics.inverse_dynamics(spec, params, load_fn, traj)
+    except TrajectoryOverflowError as exc:
+        raise DomainError(f"{args.trajectory}: {exc}") from None
     path = _out_path(args.out, project)
     dynamics.write_trace_csv(path, trace.time, trace.torque, prec)
     print(f"simulated torque written to {path}")

@@ -45,6 +45,7 @@ from .errors import (
     DegenerateRangeError,
     DomainError,
     MisalignedTracesError,
+    TrajectoryOverflowError,
 )
 
 # Karnopp zero-velocity band at the motor shaft, rad/s.
@@ -187,38 +188,45 @@ def inverse_dynamics(spec: TransmissionSpec, params: FrictionParams,
     Motor torque trace for a joint trajectory under a time-dependent load.
 
     load_torque_fn maps the trajectory time array (or a scalar time) to the
-    joint-side load torque; pass ``None`` for an unloaded motion.
+    joint-side load torque; pass ``None`` for an unloaded motion. Raises
+    TrajectoryOverflowError, without numpy warnings, when huge finite
+    samples overflow the motor velocity, acceleration or torque.
     """
     t = traj.time
-    w_m = spec.ratio * traj.velocity
-    a_m = spec.ratio * traj.accelerations()
-    if load_torque_fn is None:
-        load = np.zeros_like(t)
-    else:
-        load = np.broadcast_to(np.asarray(load_torque_fn(t), dtype=float), t.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        w_m = spec.ratio * traj.velocity
+        a_m = spec.ratio * traj.accelerations()
+        if load_torque_fn is None:
+            load = np.zeros_like(t)
+        else:
+            load = np.broadcast_to(np.asarray(load_torque_fn(t), dtype=float), t.shape)
 
-    inertial = spec.reflected_inertia * a_m
+        inertial = spec.reflected_inertia * a_m
 
-    sign_w = np.sign(w_m)
-    kinetic = (
-        inertial
-        + params.b_c * sign_w
-        + params.b_v * w_m
-        + reflect_load(spec, params.mu_c, load, sign_w)
-    )
+        sign_w = np.sign(w_m)
+        kinetic = (
+            inertial
+            + params.b_c * sign_w
+            + params.b_v * w_m
+            + reflect_load(spec, params.mu_c, load, sign_w)
+        )
 
-    sign_a = np.sign(a_m)
-    breakaway = (
-        inertial
-        + params.b_c * sign_a
-        + reflect_load(spec, params.mu_s, load, sign_a)
-    )
-    # A zero motion sign takes the overhauling branch: the load back-drives.
-    leak = reflect_load(spec, params.mu_s, load, 0.0)
-    holding = np.where(np.abs(leak) <= params.b_c, 0.0, leak)
-    static = np.where(np.abs(a_m) > _ACCEL_EPS, breakaway, holding)
+        sign_a = np.sign(a_m)
+        breakaway = (
+            inertial
+            + params.b_c * sign_a
+            + reflect_load(spec, params.mu_s, load, sign_a)
+        )
+        # A zero motion sign takes the overhauling branch: the load back-drives.
+        leak = reflect_load(spec, params.mu_s, load, 0.0)
+        holding = np.where(np.abs(leak) <= params.b_c, 0.0, leak)
+        static = np.where(np.abs(a_m) > _ACCEL_EPS, breakaway, holding)
 
-    torque = np.where(np.abs(w_m) >= STATIC_VELOCITY_BAND, kinetic, static)
+        torque = np.where(np.abs(w_m) >= STATIC_VELOCITY_BAND, kinetic, static)
+    if not (np.isfinite(w_m).all() and np.isfinite(a_m).all() and np.isfinite(torque).all()):
+        raise TrajectoryOverflowError(
+            "motor velocity, acceleration or torque of the trajectory overflows"
+        )
     return TorqueTrace(t, torque)
 
 

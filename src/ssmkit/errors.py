@@ -9,6 +9,10 @@ class DomainError(SsmKitError, ValueError):
     """Input outside the mathematical domain of an operation."""
 
 
+class TrajectoryOverflowError(DomainError):
+    """Trajectory samples overflow the float range at the motor shaft."""
+
+
 class NoSolutionError(SsmKitError):
     """A geometric subproblem has no real solution for the given data."""
 

@@ -90,6 +90,7 @@ class TelemetryLog:
         object.__setattr__(self, "joint_id", jid)
         object.__setattr__(self, "velocity", v)
         object.__setattr__(self, "torque", tau)
+        object.__setattr__(self, "_runs", {})
 
     def joint_ids(self):
         return sorted(int(j) for j in np.unique(self.joint_id))
@@ -167,6 +168,21 @@ def _segment_indices(v: np.ndarray, tol: float):
     return segments
 
 
+def _joint_runs(log: TelemetryLog, joint_id: int, tol: float):
+    """
+    (t, v, tau, runs) of one joint, with runs from _segment_indices. Kept on
+    the log per joint and tolerance, so the steady-segment and breakaway
+    extractions of one identify call segment the joint once.
+    """
+    key = (joint_id, tol)
+    if key not in log._runs:
+        t, v, tau = log.joint(joint_id)
+        for shared in (t, v, tau):
+            shared.flags.writeable = False
+        log._runs[key] = (t, v, tau, _segment_indices(v, tol))
+    return log._runs[key]
+
+
 def extract_steady_segments(log: TelemetryLog, velocity_tolerance: float,
                             min_duration_s: float, *, joint_id=None,
                             discard_s: float = 0.25,
@@ -181,10 +197,10 @@ def extract_steady_segments(log: TelemetryLog, velocity_tolerance: float,
     velocities agree within tolerance are merged count-weighted.
     """
     jid = _resolve_joint(log, joint_id)
-    t, v, tau = log.joint(jid)
+    t, v, tau, runs = _joint_runs(log, jid, velocity_tolerance)
 
     raw_points = []
-    for i0, i1 in _segment_indices(v, velocity_tolerance):
+    for i0, i1 in runs:
         if i1 - i0 < min_samples:
             continue  # cannot keep enough samples after trimming
         keep = i0 + int(np.searchsorted(t[i0:i1], t[i0] + discard_s, side="left"))
@@ -230,7 +246,7 @@ def extract_breakaway_samples(log: TelemetryLog, velocity_tolerance: float,
     plateau after it. Returns a list of (direction, torque) pairs.
     """
     jid = _resolve_joint(log, joint_id)
-    t, v, tau = log.joint(jid)
+    t, v, tau, runs = _joint_runs(log, jid, velocity_tolerance)
     times = t.tolist()
     speed = np.abs(v)
 
@@ -242,7 +258,7 @@ def extract_breakaway_samples(log: TelemetryLog, velocity_tolerance: float,
     swept = 0
     used_rests = set()
     samples = []
-    for i0, i1 in _segment_indices(v, velocity_tolerance):
+    for i0, i1 in runs:
         if times[i1 - 1] - times[i0] < min_duration_s:
             continue
         level = float(np.mean(v[i0:i1]))

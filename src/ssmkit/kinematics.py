@@ -25,8 +25,8 @@ from .errors import (
     NoSolutionError,
     UnreachableError,
 )
-from .screws import Pose, ensure_rotation, normalize_angle, rodrigues
-from .subproblems import _rotation_angle, _two_axis_points, subproblem3prime
+from .screws import Pose, _rotation_rows, ensure_rotation, normalize_angle, rodrigues
+from .subproblems import _rotation_angle, _two_axis_points
 
 # Tool direction within this angle (radians) of the roll axis makes theta1
 # indeterminate; the solver then pins theta1 = 0 and flags the result.
@@ -94,16 +94,20 @@ def build_geometry(alpha: float, beta: float, r0=None) -> MechanismGeometry:
     return MechanismGeometry(alpha, beta, omega1, omega2, omega3, omega3.copy(), r0)
 
 
+def _check_tool_axis(geom: MechanismGeometry) -> None:
+    if abs(math.sin(geom.beta)) < 1e-9:
+        raise DegenerateGeometryError(
+            "beta ~ 0 or pi puts the tool axis on the second joint axis"
+        )
+
+
 def probe_point_defaults(geom: MechanismGeometry):
     """
-    Default probe points for the three-step IK reduction: p1 on the tool
+    Default probe points of the probe-point IK reduction: p1 on the tool
     axis, p2 on the third joint axis, p3 off it. p3 = +y is exactly
     perpendicular to omega3 under the canonical axis placement.
     """
-    if abs(math.sin(geom.beta)) < 1e-9:
-        raise DegenerateGeometryError(
-            "beta ~ 0 or pi puts the probe point on the second joint axis"
-        )
+    _check_tool_axis(geom)
     return geom.v4.copy(), geom.v4.copy(), np.array([0.0, 1.0, 0.0])
 
 
@@ -118,94 +122,113 @@ def forward_kinematics(geom: MechanismGeometry, theta: JointState) -> Pose:
     return Pose(r12 @ r3 @ geom.r0, r12 @ (geom.v4 * theta.theta4))
 
 
+def _matmul(a, b):
+    """Product of two 3x3 matrices given as rows of floats."""
+    (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = b
+    return [
+        (x * b00 + y * b10 + z * b20,
+         x * b01 + y * b11 + z * b21,
+         x * b02 + y * b12 + z * b22)
+        for x, y, z in a
+    ]
+
+
 def inverse_kinematics(geom: MechanismGeometry, target: Pose,
                        tol: float = _FIT_TOL) -> IkSolutionSet:
     """
-    All closed-form joint-space branches reaching `target`, found by
-    reducing the pose equation to one translation-to-distance solve
-    (theta4), one two-axis rotation solve (theta1, theta2), and one
-    single-axis rotation solve (theta3). Candidate branches are verified
-    against forward kinematics and kept only when both the position and
-    rotation errors fall below `tol`.
+    All closed-form joint-space branches reaching `target`. The spin about
+    the tool axis leaves it in place, so the target fixes the tool axis
+    u = R r0^T v4 = R1 R2 v4 and the tip p = u theta4: theta4 = p . u, one
+    two-axis rotation solve takes v4 onto u (theta1, theta2), and theta3 is
+    the angle of (R1 R2)^T R r0^T about omega3. Candidate branches are
+    verified against forward kinematics and kept only when both the
+    position and rotation errors fall below `tol`.
+    Scalar arithmetic throughout: the target is read into floats once.
     """
-    p1, p2, p3 = probe_point_defaults(geom)
-    r1g = target.rotation @ geom.r0.T
-    t1g = target.position
+    _check_tool_axis(geom)
+    rot = target.rotation.tolist()
+    px, py, pz = target.position.tolist()
+    r0 = geom.r0.tolist()
+    w1 = geom.omega1.tolist()
+    w2 = geom.omega2.tolist()
+    w3 = geom.omega3.tolist()
+    v4 = geom.v4.tolist()
 
-    # Translation along the tool axis, from the preserved distance between
-    # the transformed probe point and the remote center.
-    g1p1 = r1g @ p1 + t1g
-    delta = math.sqrt(float(g1p1 @ g1p1))
-    if delta <= 1e-12:
-        theta4_candidates: tuple[float, ...] = (-1.0,)
-    else:
-        theta4_candidates = subproblem3prime(geom.v4, p1, np.zeros(3), delta).solutions
+    # The target's tool axis u = R (r0^T v4) and its +y column yt = R (r0^T e_y).
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = r0
+    vx, vy, vz = v4
+    bx = a0 * vx + b0 * vy + c0 * vz
+    by = a1 * vx + b1 * vy + c1 * vz
+    bz = a2 * vx + b2 * vy + c2 * vz
+    u = [rx * bx + ry * by + rz * bz for rx, ry, rz in rot]
+    yt = [rx * b0 + ry * b1 + rz * b2 for rx, ry, rz in rot]
+    ux, uy, uz = u
+    theta4 = px * ux + py * uy + pz * uz
 
-    tool_dir = r1g @ geom.v4
-    ux, uy, uz = tool_dir
-    w1x, w1y, w1z = geom.omega1
+    w1x, w1y, w1z = w1
     cx = uy * w1z - uz * w1y
     cy = uz * w1x - ux * w1z
     cz = ux * w1y - uy * w1x
     singular = math.sqrt(cx * cx + cy * cy + cz * cz) <= SINGULARITY_TOL
 
+    pairs = []
+    if singular:
+        try:
+            pairs.append((0.0, _rotation_angle(w2, v4, u, tol)))
+        except (NoSolutionError, DegenerateInputError):
+            pass
+    else:
+        for c in _two_axis_points(w1, w2, v4, u, tol):
+            try:
+                pairs.append((_rotation_angle(w1, c, u, tol),
+                              _rotation_angle(w2, v4, c, tol)))
+            except (NoSolutionError, DegenerateInputError):
+                continue
+
+    tx, ty, tz = (x * theta4 for x in v4)
+    yx, yy, yz = yt
     branches: list[JointState] = []
     residuals: list[tuple[float, float]] = []
-    for theta4 in theta4_candidates:
-        q2 = r1g @ (p2 - geom.v4 * theta4) + t1g
-        if singular:
-            try:
-                pairs = [(0.0, _rotation_angle(geom.omega2, p2, q2, tol))]
-            except (NoSolutionError, DegenerateInputError):
-                continue
-        else:
-            pairs = []
-            for c in _two_axis_points(geom.omega1, geom.omega2, p2, q2, tol):
-                try:
-                    pairs.append((_rotation_angle(geom.omega1, c, q2, tol),
-                                  _rotation_angle(geom.omega2, p2, c, tol)))
-                except (NoSolutionError, DegenerateInputError):
-                    continue
+    for theta1, theta2 in pairs:
+        r12 = _matmul(_rotation_rows(w1, theta1), _rotation_rows(w2, theta2))
+        (m0, m1, m2), (n0, n1, n2), (o0, o1, o2) = r12
+        # +y column of (R1 R2)^T R r0^T, which is R3 e_y for the true theta3.
+        q3 = (m0 * yx + n0 * yy + o0 * yz,
+              m1 * yx + n1 * yy + o1 * yz,
+              m2 * yx + n2 * yy + o2 * yz)
+        try:
+            theta3 = _rotation_angle(w3, (0.0, 1.0, 0.0), q3, tol)
+        except (NoSolutionError, DegenerateInputError):
+            continue
 
-        for theta1, theta2 in pairs:
-            r1 = rodrigues(geom.omega1, theta1)
-            r2 = rodrigues(geom.omega2, theta2)
-            h3 = r1g @ (p3 - geom.v4 * theta4) + t1g
-            q3 = r2.T @ (r1.T @ h3)
-            try:
-                theta3 = _rotation_angle(geom.omega3, p3, q3, tol)
-            except (NoSolutionError, DegenerateInputError):
-                continue
-
-            r12 = r1 @ r2
-            fk_rot = r12 @ rodrigues(geom.omega3, theta3) @ geom.r0
-            fk_pos = r12 @ (geom.v4 * theta4)
-            dp = fk_pos - target.position
-            pos_err = math.sqrt(float(dp @ dp))
-            dr = fk_rot - target.rotation
-            rot_err = math.sqrt(float((dr * dr).sum()))
-            if pos_err < tol and rot_err < tol:
-                branches.append(
-                    JointState(
-                        normalize_angle(theta1),
-                        normalize_angle(theta2),
-                        normalize_angle(theta3),
-                        theta4,
-                    )
+        dx = m0 * tx + m1 * ty + m2 * tz - px
+        dy = n0 * tx + n1 * ty + n2 * tz - py
+        dz = o0 * tx + o1 * ty + o2 * tz - pz
+        pos_err = math.sqrt(dx * dx + dy * dy + dz * dz)
+        rot_sq = 0.0
+        for (f0, f1, f2), (g0, g1, g2) in zip(
+            _matmul(_matmul(r12, _rotation_rows(w3, theta3)), r0), rot
+        ):
+            d0, d1, d2 = f0 - g0, f1 - g1, f2 - g2
+            rot_sq += d0 * d0 + d1 * d1 + d2 * d2
+        rot_err = math.sqrt(rot_sq)
+        if pos_err < tol and rot_err < tol:
+            branches.append(
+                JointState(
+                    normalize_angle(theta1),
+                    normalize_angle(theta2),
+                    normalize_angle(theta3),
+                    theta4,
                 )
-                residuals.append((pos_err, rot_err))
+            )
+            residuals.append((pos_err, rot_err))
 
     if not branches:
         raise UnreachableError("no joint-space branch reproduces the target pose")
 
     order = sorted(
         range(len(branches)),
-        key=lambda i: (
-            branches[i].theta4,
-            branches[i].theta1,
-            branches[i].theta2,
-            branches[i].theta3,
-        ),
+        key=lambda i: (branches[i].theta1, branches[i].theta2, branches[i].theta3),
     )
     return IkSolutionSet(
         tuple(branches[i] for i in order),

@@ -50,25 +50,30 @@ def hat(w) -> np.ndarray:
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
+def _rotation_rows(axis, angle: float):
+    """
+    Rodrigues rotation by `angle` about an axis already known to be unit,
+    as three row tuples of floats: the IK hot path does its 3x3 products
+    on these without building arrays.
+    """
+    x, y, z = axis
+    c = math.cos(angle)
+    s = math.sin(angle)
+    k = 1.0 - c
+    return (
+        (c + k * x * x, k * x * y - s * z, k * x * z + s * y),
+        (k * x * y + s * z, c + k * y * y, k * y * z - s * x),
+        (k * x * z - s * y, k * y * z + s * x, c + k * z * z),
+    )
+
+
 def rodrigues(axis, angle: float) -> np.ndarray:
     """Rotation matrix for a rotation by `angle` about a unit `axis`."""
     x, y, z = axis
     n = math.sqrt(x * x + y * y + z * z)
     if abs(n - 1.0) > UNIT_TOL:
         raise DomainError(f"rotation axis must be unit, got norm {n:.3e}")
-    x /= n
-    y /= n
-    z /= n
-    c = math.cos(angle)
-    s = math.sin(angle)
-    k = 1.0 - c
-    return np.array(
-        [
-            [c + k * x * x, k * x * y - s * z, k * x * z + s * y],
-            [k * x * y + s * z, c + k * y * y, k * y * z - s * x],
-            [k * x * z - s * y, k * y * z + s * x, c + k * z * z],
-        ]
-    )
+    return np.array(_rotation_rows((x / n, y / n, z / n), angle))
 
 
 def ensure_rotation(r, tol: float = UNIT_TOL) -> np.ndarray:

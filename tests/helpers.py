@@ -5,6 +5,11 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
+from ssmkit.errors import DegenerateInputError, NoSolutionError, UnreachableError
+from ssmkit.kinematics import SINGULARITY_TOL, IkSolutionSet, JointState, probe_point_defaults
+from ssmkit.screws import normalize_angle, rodrigues
+from ssmkit.subproblems import _rotation_angle, _two_axis_points, subproblem3prime
+
 
 def _spherical(cos_polar, azimuth):
     s = math.sqrt(max(0.0, 1.0 - cos_polar * cos_polar))
@@ -160,3 +165,66 @@ def mu_s_oracle(torque, b_c, s, load, ratio, lam):
     return bisect_root(
         lambda mu: breakaway_gap_oracle(mu, torque, b_c, s, load, ratio, lam), 0.0, hi
     )
+
+
+def probe_point_ik_oracle(geom, target, tol=1e-9):
+    """
+    The probe-point IK reduction, as a reference for `inverse_kinematics`:
+    theta4 from the distance of a transformed tool-axis probe point to the
+    remote center (`subproblem3prime`), (theta1, theta2) from a two-axis
+    solve on a second probe point, theta3 from a single-axis solve on a
+    third, each root checked against forward kinematics. Returns an
+    IkSolutionSet or raises UnreachableError.
+    """
+    p1, p2, p3 = probe_point_defaults(geom)
+    r1g = target.rotation @ geom.r0.T
+    t1g = target.position
+
+    g1p1 = r1g @ p1 + t1g
+    delta = math.sqrt(float(g1p1 @ g1p1))
+    if delta <= 1e-12:
+        theta4_candidates = (-1.0,)
+    else:
+        theta4_candidates = subproblem3prime(geom.v4, p1, np.zeros(3), delta).solutions
+
+    singular = float(np.linalg.norm(np.cross(r1g @ geom.v4, geom.omega1))) <= SINGULARITY_TOL
+
+    branches = []
+    for theta4 in theta4_candidates:
+        q2 = r1g @ (p2 - geom.v4 * theta4) + t1g
+        pairs = []
+        if singular:
+            try:
+                pairs.append((0.0, _rotation_angle(geom.omega2, p2, q2, tol)))
+            except (NoSolutionError, DegenerateInputError):
+                pass
+        else:
+            for c in _two_axis_points(geom.omega1, geom.omega2, p2, q2, tol):
+                try:
+                    pairs.append((_rotation_angle(geom.omega1, c, q2, tol),
+                                  _rotation_angle(geom.omega2, p2, c, tol)))
+                except (NoSolutionError, DegenerateInputError):
+                    continue
+        for theta1, theta2 in pairs:
+            r1 = rodrigues(geom.omega1, theta1)
+            r2 = rodrigues(geom.omega2, theta2)
+            q3 = r2.T @ (r1.T @ (r1g @ (p3 - geom.v4 * theta4) + t1g))
+            try:
+                theta3 = _rotation_angle(geom.omega3, p3, q3, tol)
+            except (NoSolutionError, DegenerateInputError):
+                continue
+            r12 = r1 @ r2
+            dp = r12 @ (geom.v4 * theta4) - target.position
+            dr = r12 @ rodrigues(geom.omega3, theta3) @ geom.r0 - target.rotation
+            pos_err = math.sqrt(float(dp @ dp))
+            rot_err = math.sqrt(float((dr * dr).sum()))
+            if pos_err < tol and rot_err < tol:
+                state = JointState(normalize_angle(theta1), normalize_angle(theta2),
+                                   normalize_angle(theta3), theta4)
+                branches.append((state, (pos_err, rot_err)))
+
+    if not branches:
+        raise UnreachableError("no joint-space branch reproduces the target pose")
+    branches.sort(key=lambda b: (b[0].theta4, b[0].theta1, b[0].theta2, b[0].theta3))
+    return IkSolutionSet(tuple(b[0] for b in branches), tuple(b[1] for b in branches),
+                         singular)

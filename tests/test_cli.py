@@ -257,6 +257,20 @@ class TestIdentifyCommand:
         err = capsys.readouterr().err
         assert f"{log_path}: joint_id values outside 1..4: [7, 1e+308]" in err
 
+    def test_fit_warnings_stay_off_stderr(self, tmp_path, drive_cfg, capsys):
+        log_path = tmp_path / "telemetry.csv"
+        self._write_log(log_path, load=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(
+                ["identify", str(log_path), "--transmission", str(drive_cfg),
+                 "--joint", "1", "--load=-0.7"]
+            )
+        assert code == 0
+        captured = capsys.readouterr()
+        assert "flag: non-physical mu_c estimate clamped to 0" in captured.out
+        assert captured.err == ""
+
     def test_report_is_deterministic(self, tmp_path, drive_cfg):
         log_path = tmp_path / "telemetry.csv"
         self._write_log(log_path, load=1.0, noise=0.05)
@@ -391,6 +405,22 @@ class TestSimulateCommand:
         captured = capsys.readouterr()
         assert "nrmsd" not in captured.out
         assert "measured torque range is not finite" in captured.err
+
+    def test_overflowing_trajectory_names_the_file(self, tmp_path, drive_cfg, capsys):
+        traj = tmp_path / "traj.csv"
+        traj.write_text("time_s,value\n0,1e308\n0.01,-1e308\n0.02,1e308\n",
+                        encoding="utf-8")
+        out = tmp_path / "torque.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(
+                ["simulate", str(traj), "--transmission", str(drive_cfg), "--out", str(out)]
+            )
+        assert code == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {traj}: ")
+        assert "overflows" in err
 
     def test_huge_measured_torques_give_a_finite_nrmsd(self, tmp_path, drive_cfg,
                                                      capsys):

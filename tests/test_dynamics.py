@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from ssmkit.errors import (
     DegenerateRangeError,
     DomainError,
     MisalignedTracesError,
+    TrajectoryOverflowError,
 )
 
 DEG = math.radians
@@ -219,6 +221,21 @@ class TestInverseDynamics:
             JointTrajectory([0.0, 0.0, 0.1], [0.0, 0.0, 0.0])
         with pytest.raises(DomainError):
             JointTrajectory([0.0, 0.1], [0.0, np.inf])
+
+
+    @pytest.mark.parametrize(
+        "v",
+        [
+            [1e308, -1e308, 1e308],  # the differentiated acceleration overflows
+            [1e307, 1e307, 1e307],  # the motor velocity (ratio 120) overflows
+        ],
+    )
+    def test_overflowing_trajectory_rejected_without_warnings(self, v):
+        traj = JointTrajectory([0.0, 0.01, 0.02], v)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrajectoryOverflowError):
+                inverse_dynamics(J1_SPEC, J1_PARAMS, lambda t: 1.0, traj)
 
 
 class TestPayloadCurve:

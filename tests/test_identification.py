@@ -541,6 +541,27 @@ class TestBreakawayExtraction:
         log = TelemetryLog(t, np.ones(v.size, int), v, np.arange(v.size, dtype=float))
         assert extract_breakaway_samples(log, 0.05, 0.5) == [(1, 100.0), (-1, 600.0)]
 
+    def test_one_segmentation_per_joint_and_tolerance(self, monkeypatch):
+        calls = []
+
+        def counting(v, tol):
+            calls.append(tol)
+            return _segment_indices(v, tol)
+
+        v = np.array([0.0] * 100 + [1.0] * 200 + [0.0] * 100 + [-1.0] * 200)
+        t = np.arange(v.size) / 200.0
+        log = TelemetryLog(t, np.ones(v.size, int), v, np.arange(v.size, dtype=float))
+        monkeypatch.setattr("ssmkit.identification._segment_indices", counting)
+        first = extract_breakaway_samples(log, 0.05, 0.5)
+        steady = extract_steady_segments(log, 0.05, 0.5)
+        assert extract_breakaway_samples(log, 0.05, 0.5) == first
+        assert calls == [0.05]
+        extract_steady_segments(log, 0.02, 0.5)
+        assert calls == [0.05, 0.02]
+        fresh = TelemetryLog(t, np.ones(v.size, int), v, np.arange(v.size, dtype=float))
+        assert extract_steady_segments(fresh, 0.05, 0.5) == steady
+        assert calls == [0.05, 0.02, 0.05]
+
     def test_no_rest_means_no_sample(self):
         rate = 200.0
         v = np.full(int(2.0 * rate), 1.0)

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from helpers import hat
+from helpers import angles, hat, probe_point_ik_oracle, unit_vectors
 from ssmkit.errors import (
     DegenerateGeometryError,
     DomainError,
@@ -197,6 +199,21 @@ class TestInverseKinematics:
         with pytest.raises(UnreachableError):
             inverse_kinematics(g, target)
 
+    @pytest.mark.parametrize("t4", [-1.0 + 1e-7, -1.0 - 1e-7, 0.0])
+    def test_translation_read_off_the_tool_axis(self, t4):
+        # theta4 = p . u holds for every extension, including those near
+        # -1 m, where a probe point at unit distance meets the remote center
+        g = design_geometry()
+        state = JointState(0.3, 1.0, -0.5, t4)
+        sols = inverse_kinematics(g, forward_kinematics(g, state))
+        assert any(_matches(b, state) for b in sols.branches)
+        assert all(abs(b.theta4 - t4) <= 1e-15 for b in sols.branches)
+
+    def test_degenerate_geometry_rejected(self):
+        g = build_geometry(DEG(30), 1e-12)
+        with pytest.raises(DegenerateGeometryError):
+            inverse_kinematics(g, Pose(np.eye(3), np.zeros(3)))
+
     def test_unreachable_when_position_norm_inconsistent(self):
         g = design_geometry()
         state = JointState(0.7, -0.4, 0.2, 0.03)
@@ -204,6 +221,89 @@ class TestInverseKinematics:
         bad = Pose(pose.rotation, pose.position * 1.5 + np.array([0.0, 0.01, 0.0]))
         with pytest.raises(UnreachableError):
             inverse_kinematics(g, bad)
+
+
+def _state_gap(a, b):
+    return max(
+        abs(normalize_angle(a.theta1 - b.theta1)),
+        abs(normalize_angle(a.theta2 - b.theta2)),
+        abs(normalize_angle(a.theta3 - b.theta3)),
+        abs(a.theta4 - b.theta4),
+    )
+
+
+def _ik_outcome(solve, geom, pose):
+    try:
+        return solve(geom, pose)
+    except UnreachableError:
+        return None
+
+
+def _tilted(pose, geom, polar):
+    """The pose turned rigidly so that its tool axis sits at `polar` from omega1."""
+    u = pose.rotation @ geom.r0.T @ geom.v4
+    now = math.acos(max(-1.0, min(1.0, float(u @ geom.omega1))))
+    axis = np.cross(u, geom.omega1)
+    turn = rodrigues(axis / np.linalg.norm(axis), now - polar)
+    return Pose(turn @ pose.rotation, turn @ pose.position)
+
+
+@st.composite
+def ik_cases(draw):
+    """(geometry, target pose) of one class: generic, elbow-tangent,
+    roll-axis singular, tilted off the band, or tip off the tool axis."""
+    kind = draw(st.sampled_from(["generic", "tangent", "singular", "tilted", "off_axis"]))
+    r0 = None
+    if draw(st.booleans()):
+        r0 = rodrigues(draw(unit_vectors), draw(angles))
+    if kind == "singular":
+        a = DEG(draw(st.sampled_from([45.0, 60.0])))
+        geom = build_geometry(a, a, r0)
+    else:
+        geom = build_geometry(DEG(30.0), DEG(110.0), r0)
+    t1, t2, t3 = draw(angles), draw(angles), draw(angles)
+    if kind == "tangent":
+        t2 = draw(st.sampled_from([0.0, math.pi]))
+    elif kind == "singular":
+        t2 = math.pi  # with alpha = beta this turns the tool onto the roll axis
+    t4 = draw(st.floats(0.005, 0.05)) * draw(st.sampled_from([-1.0, 1.0]))
+    pose = forward_kinematics(geom, JointState(t1, t2, t3, t4))
+    if kind == "tilted":
+        # the 30/110 build reaches polar angles 80..140 deg only
+        polar = DEG(draw(st.one_of(st.floats(1.0, 75.0), st.floats(145.0, 179.0))))
+        pose = _tilted(pose, geom, polar)
+    elif kind == "off_axis":
+        u = pose.rotation @ geom.r0.T @ geom.v4
+        side = np.cross(u, draw(unit_vectors))
+        if np.linalg.norm(side) < 1e-3:
+            side = np.cross(u, geom.omega1)
+        side /= np.linalg.norm(side)
+        pose = Pose(pose.rotation, pose.position + draw(st.floats(1e-6, 0.01)) * side)
+    return kind, geom, pose
+
+
+class TestToolAxisMatchesProbePointOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(ik_cases())
+    def test_same_branches_flags_and_errors(self, case):
+        kind, geom, pose = case
+        got = _ik_outcome(inverse_kinematics, geom, pose)
+        want = _ik_outcome(probe_point_ik_oracle, geom, pose)
+        assert (got is None) == (want is None)
+        assert (got is None) == (kind in ("tilted", "off_axis"))
+        if got is None:
+            return
+        assert got.singular == want.singular == (kind == "singular")
+        assert len(got.branches) == len(want.branches)
+        # Matched as sets: a theta1 at -pi + ulp in one solver may be +pi in
+        # the other, which swaps the sorted order.
+        unmatched = list(got.branches)
+        for o in want.branches:
+            # both solvers are sqrt(eps)-conditioned where the elbow branches meet
+            tol = 1e-9 if abs(math.sin(o.theta2)) < 1e-3 else 1e-12
+            b = min(unmatched, key=lambda b: _state_gap(b, o))
+            assert _state_gap(b, o) <= tol
+            unmatched.remove(b)
 
 
 class TestMechanismConfig:
