@@ -16,6 +16,9 @@ import warnings
 
 import numpy as np
 
+# Rows formatted per write call by `write_numeric_csv`.
+_WRITE_BLOCK_ROWS = 4096
+
 
 def read_numeric_csv(path, columns, error, kind, integer_columns=()):
     """
@@ -51,10 +54,20 @@ def read_numeric_csv(path, columns, error, kind, integer_columns=()):
 
 def write_numeric_csv(path, columns, data, precision: int) -> None:
     """Write a header line of `columns` and the rows of `data`, each
-    number with `precision` significant digits."""
+    number with `precision` significant digits. A 1-D `data` is one column.
+
+    Each block of `_WRITE_BLOCK_ROWS` rows is formatted by one `%` call on
+    a row format repeated per row; the blocks keep the tuple of Python
+    floats a few thousand rows long."""
+    data = np.asarray(data)
+    if data.ndim == 1:
+        data = data[:, None]
+    row_fmt = ",".join(["%.{}g".format(precision)] * data.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(columns) + "\n")
-        np.savetxt(fh, data, fmt="%.{}g".format(precision), delimiter=",")
+        for start in range(0, data.shape[0], _WRITE_BLOCK_ROWS):
+            block = data[start:start + _WRITE_BLOCK_ROWS]
+            fh.write((row_fmt * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
 def _integral(values) -> bool:

@@ -200,21 +200,24 @@ def extract_steady_segments(log: TelemetryLog, velocity_tolerance: float,
     t, v, tau, runs = _joint_runs(log, jid, velocity_tolerance)
 
     raw_points = []
-    for i0, i1 in runs:
-        if i1 - i0 < min_samples:
-            continue  # cannot keep enough samples after trimming
-        keep = i0 + int(np.searchsorted(t[i0:i1], t[i0] + discard_s, side="left"))
-        if i1 - keep < min_samples:
-            continue
-        if t[i1 - 1] - t[keep] < min_duration_s:
-            continue
-        v_mean = float(np.mean(v[keep:i1]))
-        if abs(v_mean) <= velocity_tolerance:
-            continue
-        raw_points.append(
-            (v_mean, float(np.mean(tau[keep:i1])), float(np.std(tau[keep:i1])),
-             int(i1 - keep))
-        )
+    # Torques near the float64 limit overflow the plateau sums to inf or nan
+    # without a warning; fit_friction rejects such a map.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i0, i1 in runs:
+            if i1 - i0 < min_samples:
+                continue  # cannot keep enough samples after trimming
+            keep = i0 + int(np.searchsorted(t[i0:i1], t[i0] + discard_s, side="left"))
+            if i1 - keep < min_samples:
+                continue
+            if t[i1 - 1] - t[keep] < min_duration_s:
+                continue
+            v_mean = float(np.mean(v[keep:i1]))
+            if abs(v_mean) <= velocity_tolerance:
+                continue
+            raw_points.append(
+                (v_mean, float(np.mean(tau[keep:i1])), float(np.std(tau[keep:i1])),
+                 int(i1 - keep))
+            )
 
     if not raw_points:
         raise InsufficientDataError("no steady segment satisfies the criteria")
@@ -369,9 +372,11 @@ def fit_friction(tv_map: TorqueVelocityMap, spec: TransmissionSpec,
         x = np.column_stack([(w > 0).astype(float), (w < 0).astype(float), w])
     else:
         x = np.column_stack([np.ones_like(w), w])
-    xw = x * wt[:, None]
-    yw = y * wt
-    if not (np.all(np.isfinite(xw.T @ xw)) and np.all(np.isfinite(xw.T @ yw))):
+    with np.errstate(over="ignore", invalid="ignore"):
+        xw = x * wt[:, None]
+        yw = y * wt
+        finite = bool(np.all(np.isfinite(xw.T @ xw)) and np.all(np.isfinite(xw.T @ yw)))
+    if not finite:
         raise DomainError("map velocities or torques are too large to fit")
     coef, *_ = np.linalg.lstsq(xw, yw, rcond=None)
 

@@ -228,3 +228,11 @@ def probe_point_ik_oracle(geom, target, tol=1e-9):
     branches.sort(key=lambda b: (b[0].theta4, b[0].theta1, b[0].theta2, b[0].theta3))
     return IkSolutionSet(tuple(b[0] for b in branches), tuple(b[1] for b in branches),
                          singular)
+
+
+def savetxt_writer_oracle(path, columns, data, precision):
+    """The row-at-a-time `np.savetxt` writer, as a byte-level reference for
+    `csvfile.write_numeric_csv`."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(columns) + "\n")
+        np.savetxt(fh, data, fmt="%.{}g".format(precision), delimiter=",")

@@ -271,6 +271,24 @@ class TestIdentifyCommand:
         assert "flag: non-physical mu_c estimate clamped to 0" in captured.out
         assert captured.err == ""
 
+    def test_overflowing_torques_exit_2_without_numpy_warnings(self, tmp_path,
+                                                                drive_cfg):
+        log_path = tmp_path / "telemetry.csv"
+        self._write_log(log_path, load=0.0)
+        lines = log_path.read_text(encoding="utf-8").splitlines()
+        lines[1:] = [line.rsplit(",", 1)[0] + ",1e308" for line in lines[1:]]
+        log_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        result = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "ssmkit", "identify",
+             str(log_path), "--transmission", str(drive_cfg), "--joint", "1",
+             "--breakaway"],
+            env=env, capture_output=True, text=True,
+        )
+        assert result.returncode == 2
+        assert result.stderr == "error: map velocities or torques are too large to fit\n"
+
     def test_report_is_deterministic(self, tmp_path, drive_cfg):
         log_path = tmp_path / "telemetry.csv"
         self._write_log(log_path, load=1.0, noise=0.05)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import savetxt_writer_oracle
 from ssmkit import csvfile
 from ssmkit.errors import InvalidLogError
 
@@ -118,3 +120,53 @@ class TestRowLoopFallback:
         path.write_text("time_s,joint_id,velocity,torque\n\n", encoding="utf-8")
         with pytest.raises(InvalidLogError, match="no data rows"):
             _read(path)
+
+
+_BLOCK = csvfile._WRITE_BLOCK_ROWS
+_writer_values = st.floats(-1e6, 1e6, allow_nan=False) | st.sampled_from(
+    [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e308, -1e308]
+)
+
+
+@st.composite
+def _writer_tables(draw):
+    """Row counts around the block boundary, 1-6 columns or 1-D; a few drawn
+    values repeated over the rows, so large tables stay cheap to draw."""
+    n = draw(st.sampled_from([0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3]))
+    one_d = draw(st.booleans())
+    ncols = 1 if one_d else draw(st.integers(1, 6))
+    pool = np.array(draw(st.lists(_writer_values, min_size=1, max_size=24)))
+    picks = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(
+        0, pool.size, size=n * ncols)
+    data = pool[picks]
+    return data if one_d else data.reshape(n, ncols)
+
+
+class TestWriterMatchesSavetxt:
+    @settings(max_examples=60, deadline=None)
+    @given(data=_writer_tables(), precision=st.integers(1, 17))
+    def test_bytes_equal_savetxt(self, tmp_path_factory, data, precision):
+        base = tmp_path_factory.getbasetemp()
+        columns = tuple(f"c{j}" for j in range(1 if data.ndim == 1 else data.shape[1]))
+        csvfile.write_numeric_csv(base / "new.csv", columns, data, precision)
+        savetxt_writer_oracle(base / "old.csv", columns, data, precision)
+        assert (base / "new.csv").read_bytes() == (base / "old.csv").read_bytes()
+
+    @pytest.mark.parametrize("precision", [1, 3, 9, 17])
+    def test_special_values_row(self, tmp_path, precision):
+        data = np.array([[0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e308, -1e308]])
+        columns = tuple("abcdefgh")
+        csvfile.write_numeric_csv(tmp_path / "new.csv", columns, data, precision)
+        savetxt_writer_oracle(tmp_path / "old.csv", columns, data, precision)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_large_table_peaks_far_below_a_whole_array_tuple(self, tmp_path):
+        # One `%` call over all 540,000 floats peaks at about 27 MB.
+        data = np.random.default_rng(0).standard_normal((90_000, 6))
+        tracemalloc.start()
+        try:
+            csvfile.write_numeric_csv(tmp_path / "big.csv", tuple("abcdef"), data, 9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5_000_000
