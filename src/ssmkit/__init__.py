@@ -13,7 +13,6 @@ from .dynamics import (
     is_self_locking,
     nrmsd,
     payload_curve,
-    transmission_efficiency,
 )
 from .identification import (
     FitReport,
@@ -37,15 +36,9 @@ from .screws import (
     JointKind,
     Pose,
     Twist,
-    identity_pose,
     normalize_angle,
-    pose_apply,
-    pose_compose,
-    pose_inverse,
-    prismatic_twist,
     revolute_twist,
     rodrigues,
-    twist_exp,
 )
 from .subproblems import (
     SubproblemSolutions,
@@ -55,11 +48,9 @@ from .subproblems import (
 )
 from .workspace import (
     TiltExtremes,
-    WorkspaceSample,
     critical_directions,
     dot_profile,
     dot_profile_derivatives,
-    sample_workspace,
     tilt_extremes,
 )
 

@@ -4,8 +4,8 @@ kinematics, friction identification, torque simulation, and payload-curve
 emission.
 
 Angles cross the CLI boundary in degrees (radians internally); joint 4
-values are meters. Relative output paths are resolved against the
-SSMKIT_OUTPUT_DIR environment variable when it is set. Exit codes: 0 on
+values are meters. Relative output paths go under the project's
+output_dir, else under SSMKIT_OUTPUT_DIR when it is set. Exit codes: 0 on
 success, 2 for input or config errors, 3 when a target is unreachable.
 """
 
@@ -22,7 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import csvfile, dynamics, identification, kinematics, workspace
-from .configfile import format_float, parse_float, parse_floats, read_kv
+from .configfile import (DEFAULT_PRECISION, MAX_PRECISION, format_float, parse_float,
+                         parse_floats, parse_precision, read_kv)
 from .errors import DomainError, SsmKitError, TrajectoryOverflowError, UnreachableError
 from .screws import Pose, ensure_rotation
 
@@ -36,14 +37,14 @@ class ProjectConfig:
     geometry: kinematics.MechanismGeometry | None = None
     drives: dict = field(default_factory=dict)  # joint id -> (spec, params)
     output_dir: Path | None = None
-    precision: int = 9
+    precision: int = DEFAULT_PRECISION
 
 
 def load_project_config(path) -> ProjectConfig:
     """
     Read a project file with optional keys mechanism, joint1..joint4
     (paths to configs, validated by parsing them now), output_dir, and
-    precision.
+    precision. Relative paths are taken from the project file's directory.
     """
     kv = read_kv(path)
     base = Path(path).parent
@@ -66,10 +67,10 @@ def load_project_config(path) -> ProjectConfig:
             if not drive_path.exists():
                 raise DomainError(f"project {path}: {key} file {drive_path} not found")
             drives[jid] = dynamics.load_transmission_config(drive_path)
-    output_dir = Path(kv.pop("output_dir")) if "output_dir" in kv else None
-    precision = int(parse_float(kv.pop("precision"), "precision")) if "precision" in kv else 9
-    if precision < 1:
-        raise DomainError("precision must be at least 1")
+    output_dir = resolve(kv.pop("output_dir")) if "output_dir" in kv else None
+    precision = DEFAULT_PRECISION
+    if "precision" in kv:
+        precision = parse_precision(kv.pop("precision"), "precision")
     if kv:
         raise DomainError(f"project {path}: unknown keys {sorted(kv)}")
     return ProjectConfig(geometry, drives, output_dir, precision)
@@ -120,7 +121,7 @@ def _precision(args, project) -> int:
         return args.precision
     if project is not None:
         return project.precision
-    return 9
+    return DEFAULT_PRECISION
 
 
 # ---------------------------------------------------------------------------
@@ -292,10 +293,11 @@ def _finite_float(raw) -> float:
 
 
 def _precision_arg(raw) -> int:
-    value = int(raw) if raw.strip().isdecimal() else 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {raw!r}")
-    return value
+    try:
+        return parse_precision(raw, "--precision")
+    except DomainError as exc:
+        # argparse names the option: keep the message after the key.
+        raise argparse.ArgumentTypeError(str(exc).split(": ", 1)[1]) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -310,7 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--project", help="project config supplying defaults")
         p.add_argument(
             "--precision", type=_precision_arg, default=None,
-            help="significant digits for emitted numbers, at least 1 (default 9)",
+            help=f"significant digits for emitted numbers, 1 to {MAX_PRECISION} "
+            f"(default {DEFAULT_PRECISION})",
         )
 
     p = sub.add_parser("workspace", help="tilt band from the axis angles")

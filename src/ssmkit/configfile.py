@@ -11,8 +11,13 @@ from pathlib import Path
 
 from .errors import DomainError
 
+# Significant digits of every emitted number, unless --precision or a
+# project `precision` says otherwise; 17 digits round-trip every float64.
+DEFAULT_PRECISION = 9
+MAX_PRECISION = 17
 
-def format_float(x: float, precision: int = 9) -> str:
+
+def format_float(x: float, precision: int = DEFAULT_PRECISION) -> str:
     return "%.*g" % (precision, x)
 
 
@@ -50,6 +55,23 @@ def parse_float(raw: str, key: str) -> float:
     if not math.isfinite(value):
         raise DomainError(f"key {key!r}: expected a finite number, got {raw!r}")
     return value
+
+
+def parse_precision(raw: str, key: str) -> int:
+    """An integer from 1 to MAX_PRECISION, or DomainError naming the key."""
+    try:
+        value = float(raw)
+    except ValueError:
+        value = 0.0  # not a number: reported as below the minimum
+    if not math.isfinite(value):
+        raise DomainError(f"key {key!r}: expected a finite number, got {raw!r}")
+    if value < 1 or not value.is_integer():
+        bound = "at least 1"
+    elif value > MAX_PRECISION:
+        bound = f"at most {MAX_PRECISION}"
+    else:
+        return int(value)
+    raise DomainError(f"key {key!r}: expected an integer of {bound}, got {raw!r}")
 
 
 def parse_floats(raw: str, key: str, count: int) -> list[float]:

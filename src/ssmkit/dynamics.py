@@ -164,11 +164,6 @@ def efficiency(lead_angle: float, mu: float, direction: Direction) -> float:
     return max(0.0, math.tan(lead_angle - rho) / math.tan(lead_angle))
 
 
-def transmission_efficiency(spec: TransmissionSpec, params: FrictionParams,
-                            direction: Direction) -> float:
-    return efficiency(spec.lead_angle, params.mu_c, direction)
-
-
 def reflect_load(spec: TransmissionSpec, mu: float, load, motion_sign):
     """
     Joint-side load reflected onto the motor shaft through friction mu:
@@ -258,17 +253,25 @@ def nrmsd(simulated: TorqueTrace, measured: TorqueTrace) -> float:
         raise DomainError("measured torque range is not finite")
     if spread < 1e-12:
         raise DegenerateRangeError("measured torque range is numerically zero")
+    value = _range_rms(simulated.torque, measured.torque, spread)
+    if not math.isfinite(value):
+        raise DomainError("nrmsd exceeds the float range")
+    return value
+
+
+def _range_rms(predicted: np.ndarray, observed: np.ndarray, spread: float) -> float:
+    """
+    rms(predicted - observed) / spread, the formula of `nrmsd`, without
+    numpy warnings. When the squares overflow, both arrays are scaled into
+    [-1, 1] first; inf only when the result itself exceeds the float range.
+    """
     with np.errstate(over="ignore"):
-        diff = simulated.torque - measured.torque
+        diff = predicted - observed
         value = float(math.sqrt(np.mean(diff * diff)) / spread)
     if not math.isfinite(value):
-        # Squares overflowed: scale both traces into [-1, 1] first.
-        scale = max(float(np.max(np.abs(simulated.torque))),
-                    float(np.max(np.abs(measured.torque))))
-        diff = simulated.torque / scale - measured.torque / scale
+        scale = max(float(np.max(np.abs(predicted))), float(np.max(np.abs(observed))))
+        diff = predicted / scale - observed / scale
         value = math.sqrt(np.mean(diff * diff)) * (scale / spread)
-        if not math.isfinite(value):
-            raise DomainError("nrmsd exceeds the float range")
     return value
 
 
@@ -281,7 +284,8 @@ def read_trace_csv(path):
     return data[:, 0], data[:, 1]
 
 
-def write_trace_csv(path, time, value, precision: int = 9) -> None:
+def write_trace_csv(path, time, value,
+                    precision: int = configfile.DEFAULT_PRECISION) -> None:
     """Write (time, value) arrays as a `time_s,value` CSV."""
     csvfile.write_numeric_csv(path, ("time_s", "value"),
                               np.column_stack([time, value]), precision)
@@ -334,7 +338,8 @@ def _bad_kind(path, raw):
 
 
 def save_transmission_config(path, spec: TransmissionSpec, params: FrictionParams,
-                             comments=(), precision: int = 9) -> None:
+                             comments=(),
+                             precision: int = configfile.DEFAULT_PRECISION) -> None:
     """Write a config that load_transmission_config reads back unchanged."""
     ff = lambda x: configfile.format_float(x, precision)
     items = [

@@ -48,6 +48,12 @@ from .errors import (
 
 VALID_JOINT_IDS = (1, 2, 3, 4)
 
+# Fewest samples a plateau keeps after its transient is discarded.
+_MIN_SAMPLES = 5
+
+# Standard-normal quantile of the two-sided 95% parameter intervals.
+_Z95 = NormalDist().inv_cdf(0.975)
+
 
 @dataclass(frozen=True, eq=False)
 class TelemetryLog:
@@ -185,14 +191,13 @@ def _joint_runs(log: TelemetryLog, joint_id: int, tol: float):
 
 def extract_steady_segments(log: TelemetryLog, velocity_tolerance: float,
                             min_duration_s: float, *, joint_id=None,
-                            discard_s: float = 0.25,
-                            min_samples: int = 5) -> TorqueVelocityMap:
+                            discard_s: float = 0.25) -> TorqueVelocityMap:
     """
     Average constant-velocity plateaus into map points. A plateau is a
     contiguous run whose velocity stays within `velocity_tolerance` of its
     running mean; the first `discard_s` seconds of each run are dropped as
     transients, and runs shorter than `min_duration_s` (after trimming),
-    with fewer than `min_samples` samples, or centered within tolerance of
+    with fewer than `_MIN_SAMPLES` samples, or centered within tolerance of
     zero velocity (rest periods) are discarded. Plateaus whose mean
     velocities agree within tolerance are merged count-weighted.
     """
@@ -204,10 +209,10 @@ def extract_steady_segments(log: TelemetryLog, velocity_tolerance: float,
     # without a warning; fit_friction rejects such a map.
     with np.errstate(over="ignore", invalid="ignore"):
         for i0, i1 in runs:
-            if i1 - i0 < min_samples:
+            if i1 - i0 < _MIN_SAMPLES:
                 continue  # cannot keep enough samples after trimming
             keep = i0 + int(np.searchsorted(t[i0:i1], t[i0] + discard_s, side="left"))
-            if i1 - keep < min_samples:
+            if i1 - keep < _MIN_SAMPLES:
                 continue
             if t[i1 - 1] - t[keep] < min_duration_s:
                 continue
@@ -343,8 +348,7 @@ def _solve_mu_c(intercept_sum, spec, test_load, flags):
 
 
 def fit_friction(tv_map: TorqueVelocityMap, spec: TransmissionSpec,
-                 test_load: float = 0.0, breakaway=None,
-                 confidence: float = 0.95) -> FitReport:
+                 test_load: float = 0.0, breakaway=None) -> FitReport:
     """
     Fit (mu_c, b_c, b_v) to a torque-velocity map recorded under a
     constant joint-side `test_load`, plus mu_s from optional breakaway
@@ -418,9 +422,7 @@ def fit_friction(tv_map: TorqueVelocityMap, spec: TransmissionSpec,
         if mask.any():
             by_dir[name] = _range_nrmsd(predicted[mask], y[mask], flags)
 
-    half_widths = _half_widths(
-        xw, yw, coef, both, spec, test_load, confidence, flags
-    )
+    half_widths = _half_widths(xw, yw, coef, both, spec, test_load, flags)
     return FitReport(params, residual, half_widths, by_dir, tuple(flags))
 
 
@@ -432,12 +434,11 @@ def _predict_map_torque(params, spec, test_load, w):
 
 def _range_nrmsd(predicted, observed, flags):
     spread = float(observed.max() - observed.min())
-    rms = float(np.sqrt(np.mean((predicted - observed) ** 2)))
     if spread < 1e-12:
         if "degenerate torque range in residual" not in flags:
             flags.append("degenerate torque range in residual")
-        return 0.0 if rms < 1e-12 else math.inf
-    return rms / spread
+        return 0.0 if dynamics._range_rms(predicted, observed, 1.0) < 1e-12 else math.inf
+    return dynamics._range_rms(predicted, observed, spread)
 
 
 def _fit_mu_s(breakaway, spec, test_load, mu_c, b_c, flags):
@@ -479,7 +480,7 @@ def _fit_mu_s(breakaway, spec, test_load, mu_c, b_c, flags):
     return mu_s
 
 
-def _half_widths(xw, yw, coef, both, spec, test_load, confidence, flags):
+def _half_widths(xw, yw, coef, both, spec, test_load, flags):
     n, k = xw.shape
     dof = n - k
     resid = yw - xw @ coef
@@ -519,16 +520,10 @@ def _half_widths(xw, yw, coef, both, spec, test_load, confidence, flags):
         cov = jac @ cov_lin @ jac.T
         names = ("b_c", "b_v")
 
-    z = _two_sided_z(confidence)
-    halves = {nm: z * math.sqrt(max(0.0, cov[i, i])) for i, nm in enumerate(names)}
+    halves = {nm: _Z95 * math.sqrt(max(0.0, cov[i, i])) for i, nm in enumerate(names)}
     if "mu_c" not in halves:
         halves["mu_c"] = math.inf
     return halves
-
-
-def _two_sided_z(confidence: float) -> float:
-    """Standard-normal quantile whose two-sided interval holds `confidence`."""
-    return NormalDist().inv_cdf(0.5 * (1.0 + confidence))
 
 
 def evaluate_model(report: FitReport, spec: TransmissionSpec,
@@ -541,7 +536,7 @@ def evaluate_model(report: FitReport, spec: TransmissionSpec,
 
 
 def save_fit_report(path, report: FitReport, spec: TransmissionSpec,
-                    precision: int = 9) -> None:
+                    precision: int = configfile.DEFAULT_PRECISION) -> None:
     """
     Emit the fit as a transmission/friction config (feedable back to the
     dynamics loaders unchanged) with the fit diagnostics as comments.

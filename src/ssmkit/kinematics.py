@@ -57,14 +57,6 @@ class JointState:
     theta3: float
     theta4: float
 
-    def normalized(self) -> "JointState":
-        return JointState(
-            normalize_angle(self.theta1),
-            normalize_angle(self.theta2),
-            normalize_angle(self.theta3),
-            self.theta4,
-        )
-
 
 @dataclass(frozen=True)
 class IkSolutionSet:
@@ -133,8 +125,7 @@ def _matmul(a, b):
     ]
 
 
-def inverse_kinematics(geom: MechanismGeometry, target: Pose,
-                       tol: float = _FIT_TOL) -> IkSolutionSet:
+def inverse_kinematics(geom: MechanismGeometry, target: Pose) -> IkSolutionSet:
     """
     All closed-form joint-space branches reaching `target`. The spin about
     the tool axis leaves it in place, so the target fixes the tool axis
@@ -142,7 +133,7 @@ def inverse_kinematics(geom: MechanismGeometry, target: Pose,
     two-axis rotation solve takes v4 onto u (theta1, theta2), and theta3 is
     the angle of (R1 R2)^T R r0^T about omega3. Candidate branches are
     verified against forward kinematics and kept only when both the
-    position and rotation errors fall below `tol`.
+    position and rotation errors fall below `_FIT_TOL`.
     Scalar arithmetic throughout: the target is read into floats once.
     """
     _check_tool_axis(geom)
@@ -174,14 +165,14 @@ def inverse_kinematics(geom: MechanismGeometry, target: Pose,
     pairs = []
     if singular:
         try:
-            pairs.append((0.0, _rotation_angle(w2, v4, u, tol)))
+            pairs.append((0.0, _rotation_angle(w2, v4, u, _FIT_TOL)))
         except (NoSolutionError, DegenerateInputError):
             pass
     else:
-        for c in _two_axis_points(w1, w2, v4, u, tol):
+        for c in _two_axis_points(w1, w2, v4, u, _FIT_TOL):
             try:
-                pairs.append((_rotation_angle(w1, c, u, tol),
-                              _rotation_angle(w2, v4, c, tol)))
+                pairs.append((_rotation_angle(w1, c, u, _FIT_TOL),
+                              _rotation_angle(w2, v4, c, _FIT_TOL)))
             except (NoSolutionError, DegenerateInputError):
                 continue
 
@@ -197,7 +188,7 @@ def inverse_kinematics(geom: MechanismGeometry, target: Pose,
               m1 * yx + n1 * yy + o1 * yz,
               m2 * yx + n2 * yy + o2 * yz)
         try:
-            theta3 = _rotation_angle(w3, (0.0, 1.0, 0.0), q3, tol)
+            theta3 = _rotation_angle(w3, (0.0, 1.0, 0.0), q3, _FIT_TOL)
         except (NoSolutionError, DegenerateInputError):
             continue
 
@@ -212,7 +203,7 @@ def inverse_kinematics(geom: MechanismGeometry, target: Pose,
             d0, d1, d2 = f0 - g0, f1 - g1, f2 - g2
             rot_sq += d0 * d0 + d1 * d1 + d2 * d2
         rot_err = math.sqrt(rot_sq)
-        if pos_err < tol and rot_err < tol:
+        if pos_err < _FIT_TOL and rot_err < _FIT_TOL:
             branches.append(
                 JointState(
                     normalize_angle(theta1),

@@ -1,6 +1,7 @@
 """
-Minimal rigid-body and screw algebra: rotation matrices, zero-pitch twists,
-their exponentials, and pose composition.
+Minimal rigid-body and screw algebra: Rodrigues rotation matrices, the
+zero-pitch twist record of a joint, and the pose record that forward and
+inverse kinematics exchange.
 
 Conventions used throughout the package:
 - rotations are explicit 3x3 numpy arrays, positions are numpy 3-vectors
@@ -44,12 +45,6 @@ def unit(v) -> np.ndarray:
     return v / n
 
 
-def hat(w) -> np.ndarray:
-    """Skew-symmetric cross-product matrix of a 3-vector."""
-    x, y, z = w
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
-
-
 def _rotation_rows(axis, angle: float):
     """
     Rodrigues rotation by `angle` about an axis already known to be unit,
@@ -76,7 +71,7 @@ def rodrigues(axis, angle: float) -> np.ndarray:
     return np.array(_rotation_rows((x / n, y / n, z / n), angle))
 
 
-def ensure_rotation(r, tol: float = UNIT_TOL) -> np.ndarray:
+def ensure_rotation(r) -> np.ndarray:
     """
     Validate a 3x3 rotation matrix and return its nearest orthonormal
     representative (so downstream code sees orthonormality at 1e-12).
@@ -85,7 +80,7 @@ def ensure_rotation(r, tol: float = UNIT_TOL) -> np.ndarray:
     if r.shape != (3, 3):
         raise DomainError(f"rotation must be 3x3, got shape {r.shape}")
     defect = np.abs(r.T @ r - np.eye(3)).max()
-    if defect > tol:
+    if defect > UNIT_TOL:
         raise DomainError(f"matrix is not orthonormal (defect {defect:.3e})")
     u, _, vt = np.linalg.svd(r)
     out = u @ vt
@@ -113,43 +108,9 @@ def revolute_twist(omega) -> Twist:
     return Twist(np.zeros(3), unit(omega), JointKind.REVOLUTE)
 
 
-def prismatic_twist(v) -> Twist:
-    """Twist of a prismatic joint translating along the unit direction v."""
-    return Twist(unit(v), np.zeros(3), JointKind.PRISMATIC)
-
-
 @dataclass(frozen=True, eq=False)
 class Pose:
     """Rigid-body transform: rotation matrix plus position vector."""
 
     rotation: np.ndarray
     position: np.ndarray
-
-
-def identity_pose() -> Pose:
-    return Pose(np.eye(3), np.zeros(3))
-
-
-def twist_exp(xi: Twist, theta: float) -> Pose:
-    """
-    Exponential of a unit twist scaled by theta (radians for revolute
-    joints, meters for prismatic ones).
-    """
-    if xi.kind is JointKind.REVOLUTE:
-        return Pose(rodrigues(xi.angular, theta), np.zeros(3))
-    return Pose(np.eye(3), xi.linear * theta)
-
-
-def pose_apply(g: Pose, p) -> np.ndarray:
-    """Apply a rigid transform to a point: R p + t."""
-    return g.rotation @ np.asarray(p, dtype=float) + g.position
-
-
-def pose_compose(a: Pose, b: Pose) -> Pose:
-    """Composition a * b (apply b first, then a)."""
-    return Pose(a.rotation @ b.rotation, a.rotation @ b.position + a.position)
-
-
-def pose_inverse(g: Pose) -> Pose:
-    rt = g.rotation.T
-    return Pose(rt, -(rt @ g.position))

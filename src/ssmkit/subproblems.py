@@ -89,7 +89,7 @@ def _rotation_angle(omega, p, q, tol: float) -> float:
     return normalize_angle(math.atan2(triple, dot))
 
 
-def subproblem1(xi: Twist, p, q, tol: float = _MATCH_TOL) -> SubproblemSolutions:
+def subproblem1(xi: Twist, p, q) -> SubproblemSolutions:
     """
     Rotate p onto q about the axis of a revolute twist through the origin.
     Returns the single angle solution.
@@ -97,7 +97,7 @@ def subproblem1(xi: Twist, p, q, tol: float = _MATCH_TOL) -> SubproblemSolutions
     omega = _require_revolute(xi)
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    return SubproblemSolutions((_rotation_angle(omega, p, q, tol),))
+    return SubproblemSolutions((_rotation_angle(omega, p, q, _MATCH_TOL),))
 
 
 def _two_axis_points(w1, w2, p, q, tol: float) -> list:
@@ -141,8 +141,7 @@ def _two_axis_points(w1, w2, p, q, tol: float) -> list:
     return points
 
 
-def subproblem2(xi1: Twist, xi2: Twist, p, q,
-                tol: float = _MATCH_TOL) -> SubproblemSolutions:
+def subproblem2(xi1: Twist, xi2: Twist, p, q) -> SubproblemSolutions:
     """
     Solve e^(hat(w1) t1) e^(hat(w2) t2) p = q for two revolute axes meeting
     at the origin. Returns up to two (t1, t2) pairs, sorted lexicographically.
@@ -152,13 +151,13 @@ def subproblem2(xi1: Twist, xi2: Twist, p, q,
     cr = np.cross(w1, w2)
     if float(cr @ cr) < 1e-18:
         raise DegenerateAxesError("rotation axes are parallel")
-    points = _two_axis_points(w1, w2, p, q, tol)
+    points = _two_axis_points(w1, w2, p, q, _MATCH_TOL)
     if not points:
         raise NoSolutionError(
             "no rotation pair maps p onto q (|p| != |q| or the circles miss)"
         )
     return SubproblemSolutions(tuple(sorted(
-        (_rotation_angle(w1, c, q, tol), _rotation_angle(w2, p, c, tol))
+        (_rotation_angle(w1, c, q, _MATCH_TOL), _rotation_angle(w2, p, c, _MATCH_TOL))
         for c in points
     )))
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import csvfile
+from .configfile import DEFAULT_PRECISION
 from .errors import DegenerateGeometryError, DomainError
 from .kinematics import MechanismGeometry
 
@@ -33,16 +34,6 @@ class TiltExtremes:
     tilt_min: float
     tilt_max: float
     span: float
-
-
-@dataclass(frozen=True)
-class WorkspaceSample:
-    """One sampled tip direction on the unit sphere."""
-
-    theta1: float
-    theta2: float
-    point: np.ndarray
-    polar_angle: float
 
 
 def rotate_about(axis: np.ndarray, theta, vec: np.ndarray) -> np.ndarray:
@@ -136,19 +127,8 @@ def sample_workspace_grid(geom: MechanismGeometry, n1: int, n2: int):
     return theta1, theta2, points, polar
 
 
-def sample_workspace(geom: MechanismGeometry, n1: int, n2: int):
-    """Grid samples as WorkspaceSample records (theta2 varies fastest)."""
-    theta1, theta2, points, polar = sample_workspace_grid(geom, n1, n2)
-    t1 = np.repeat(theta1, len(theta2))
-    t2 = np.tile(theta2, len(theta1))
-    return [
-        WorkspaceSample(float(a), float(b), pt, float(ph))
-        for a, b, pt, ph in zip(t1, t2, points, polar)
-    ]
-
-
 def write_workspace_csv(path, geom: MechanismGeometry, n1: int, n2: int,
-                        precision: int = 9) -> None:
+                        precision: int = DEFAULT_PRECISION) -> None:
     """Emit grid samples as CSV: theta1_rad, theta2_rad, x, y, z, polar_deg."""
     theta1, theta2, points, polar = sample_workspace_grid(geom, n1, n2)
     t1 = np.repeat(theta1, len(theta2))

@@ -1,0 +1,50 @@
+"""The library surface the benchmark in `ssmbench/` reads: every attribute
+it takes from an ssmkit module, and every attribute it wraps with
+`tracer.wrap(module, "name", ...)`, must exist, so that trimming the
+library cannot break the traced run."""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parents[1] / "ssmbench"
+
+
+def _surface():
+    """(module, attribute, where) for each use in ssmbench/*.py."""
+    uses = set()
+    for path in sorted(BENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "ssmkit":
+                modules.update({a.asname or a.name: f"ssmkit.{a.name}" for a in node.names})
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("ssmkit."):
+                uses.update((node.module, a.name, path.name) for a in node.names)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in modules):
+                uses.add((modules[node.value.id], node.attr, path.name))
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "wrap" and len(node.args) >= 2
+                  and isinstance(node.args[0], ast.Name) and node.args[0].id in modules
+                  and isinstance(node.args[1], ast.Constant)):
+                uses.add((modules[node.args[0].id], node.args[1].value, path.name))
+    return sorted(uses)
+
+
+SURFACE = _surface()
+
+
+def test_surface_found():
+    names = {(module, attr) for module, attr, _ in SURFACE}
+    assert ("ssmkit.kinematics", "inverse_kinematics") in names
+    assert ("ssmkit.workspace", "sample_workspace_grid") in names
+    assert ("ssmkit.cli", "main") in names
+
+
+@pytest.mark.parametrize("module, attr, where", SURFACE)
+def test_benchmark_attribute_exists(module, attr, where):
+    assert hasattr(importlib.import_module(module), attr), f"{where} uses {module}.{attr}"

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -612,6 +613,26 @@ class TestProjectConfig:
         assert cli.main(["fk", "--project", str(project), "--theta", "0,0,0,0"]) == 2
         assert "'precision': expected a finite number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["1e300", "2.7", "18", "0"])
+    def test_precision_outside_1_to_17_rejected(self, tmp_path, mech_cfg, value):
+        project = tmp_path / "project.cfg"
+        project.write_text(f"mechanism = {mech_cfg.name}\nprecision = {value}\n",
+                           encoding="utf-8")
+        assert cli.main(["fk", "--project", str(project), "--theta", "0,0,0,0"]) == 2
+
+    def test_relative_output_dir_is_project_relative(self, tmp_path, monkeypatch,
+                                                     drive_cfg):
+        sub = tmp_path / "sub"
+        sub.mkdir()
+        project = sub / "project.cfg"
+        project.write_text(f"joint1 = {drive_cfg}\noutput_dir = out\n", encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        code = cli.main(["payload", "--project", "sub/project.cfg", "--joint", "1",
+                         "--vmax", "10", "--points", "3", "--out", "c.csv"])
+        assert code == 0
+        assert (sub / "out" / "c.csv").is_file()
+        assert not (tmp_path / "out").exists()
+
 
 class TestOptionValues:
     @pytest.mark.parametrize("value", ["0", "-3", "abc"])
@@ -621,6 +642,22 @@ class TestOptionValues:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert f"--precision: expected an integer of at least 1, got '{value}'" in err
+
+    @pytest.mark.parametrize("value", ["99999999999", "18", "2.7", "nan"])
+    def test_precision_outside_1_to_17_rejected(self, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["fk", "--theta", "0,0,0,0", "--precision", value])
+        assert exc.value.code == 2
+        assert "--precision: expected " in capsys.readouterr().err
+
+    def test_precision_17_round_trips(self, mech_cfg, capsys):
+        theta = "10,20,30,0.1"
+        assert cli.main(["fk", "--config", str(mech_cfg), "--theta", theta,
+                         "--precision", "17"]) == 0
+        pose = forward_kinematics(build_geometry(DEG(30), DEG(110)),
+                                  JointState(DEG(10), DEG(20), DEG(30), 0.1))
+        printed = capsys.readouterr().out.splitlines()[1].split(" = ")[1]
+        assert [float(tok) for tok in printed.split()] == pose.position.tolist()
 
     @pytest.mark.parametrize("argv", [
         ["workspace", "nan", "110"],
@@ -691,6 +728,23 @@ def _telemetry_text(draw):
     return "\n".join(lines)
 
 
+# Project values: precision in and out of 1..17; output_dir relative,
+# absolute (ABS, replaced by a folder of the test) or an existing file.
+_PRECISIONS = ("1", "9", "17", "9.0", "1e300", "2.7", "18", "0", "-1", "nan", "abc", "")
+_OUTPUT_DIRS = ("out", "sub/out", ".", "", "drive.cfg", "ABS")
+
+
+@st.composite
+def _project_text(draw):
+    """A project on the J1 drive with drawn precision and output_dir, a key
+    sometimes dropped."""
+    lines = ["joint1 = drive.cfg", f"precision = {draw(st.sampled_from(_PRECISIONS))}",
+             f"output_dir = {draw(st.sampled_from(_OUTPUT_DIRS))}"]
+    if draw(st.integers(0, 3)) == 0:
+        del lines[draw(st.integers(0, len(lines) - 1))]
+    return "\n".join(lines)
+
+
 def _bytes_of(text_strategy):
     """Arbitrary bytes, or encoded text with at most one byte set to 0xff."""
     @st.composite
@@ -702,7 +756,8 @@ def _bytes_of(text_strategy):
     return st.binary(max_size=200) | build()
 
 
-_FUZZ_TEXT = {"drive": _drive_text(), "trace": _trace_text(), "telemetry": _telemetry_text()}
+_FUZZ_TEXT = {"drive": _drive_text(), "trace": _trace_text(), "telemetry": _telemetry_text(),
+              "project": _project_text()}
 
 
 class TestArbitraryInputFiles:
@@ -710,22 +765,34 @@ class TestArbitraryInputFiles:
     @given(st.sampled_from(sorted(_FUZZ_TEXT)).flatmap(
         lambda kind: st.tuples(st.just(kind), _bytes_of(_FUZZ_TEXT[kind]))))
     def test_exit_code_is_0_2_or_3(self, tmp_path_factory, case):
-        """Whatever bytes a config, trace or telemetry file holds, the CLI
-        ends with exit code 0, 2 or 3 and lets no exception escape."""
+        """Whatever bytes a config, trace, telemetry or project file holds,
+        the CLI ends with exit code 0, 2 or 3 and lets no exception escape;
+        a payload run from a project writes inside the test's folder."""
         kind, data = case
         work = tmp_path_factory.mktemp("fuzz")
         files = {"drive": work / "drive.cfg", "trace": work / "traj.csv",
-                 "telemetry": work / "telemetry.csv"}
+                 "telemetry": work / "telemetry.csv", "project": work / "project.cfg"}
         save_transmission_config(files["drive"], J1_SPEC, J1_PARAMS, precision=17)
         write_trace_csv(files["trace"], np.linspace(0.0, 1.0, 21), np.linspace(-0.2, 0.2, 21))
+        if kind == "project":
+            data = data.replace(b"ABS", str(work / "abs").encode())
         files[kind].write_bytes(data)
         if kind == "telemetry":
             argv = ["identify", str(files["telemetry"]), "--joint", "1", "--breakaway"]
+        elif kind == "project":
+            argv = ["payload", "--project", str(files["project"]), "--joint", "1",
+                    "--vmax", "10", "--points", "3"]
         else:
             argv = ["simulate", str(files["trace"]), "--measured", str(files["trace"])]
-        argv += ["--transmission", str(files["drive"]), "--load", "1",
-                 "--out", str(work / "out")]
-        assert cli.main(argv) in (0, 2, 3)
+        if kind != "project":
+            argv += ["--transmission", str(files["drive"])]
+        argv += ["--load", "1", "--out", "c.csv" if kind == "project" else str(work / "out")]
+        # A project without output_dir writes c.csv under the variable's folder.
+        with mock.patch.dict(os.environ, {cli.OUTPUT_DIR_ENV: str(work / "env")}):
+            code = cli.main(argv)
+        assert code in (0, 2, 3)
+        if kind == "project" and code == 0:
+            assert list(work.rglob("c.csv"))
 
 
 class TestImports:

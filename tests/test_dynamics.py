@@ -20,7 +20,6 @@ from ssmkit.dynamics import (
     read_trace_csv,
     read_trajectory_csv,
     save_transmission_config,
-    transmission_efficiency,
     write_trace_csv,
 )
 from ssmkit.errors import (
@@ -80,8 +79,8 @@ class TestParamsValidation:
 class TestEfficiency:
     def test_frictionless_is_lossless(self):
         params = FrictionParams(mu_s=0.0, mu_c=0.0, b_c=0.0, b_v=0.0)
-        assert transmission_efficiency(J1_SPEC, params, Direction.DRIVING) == 1.0
-        assert transmission_efficiency(J1_SPEC, params, Direction.OVERHAULING) == 1.0
+        assert efficiency(J1_SPEC.lead_angle, params.mu_c, Direction.DRIVING) == 1.0
+        assert efficiency(J1_SPEC.lead_angle, params.mu_c, Direction.OVERHAULING) == 1.0
 
     def test_self_locking_boundary_kills_overhauling(self):
         mu = 0.13
@@ -89,7 +88,7 @@ class TestEfficiency:
             TransmissionKind.WORM_GEAR, 10.0, math.atan(mu), 1e-6
         )
         params = FrictionParams(mu_s=mu, mu_c=mu, b_c=0.0, b_v=0.0)
-        assert transmission_efficiency(spec, params, Direction.OVERHAULING) == 0.0
+        assert efficiency(spec.lead_angle, params.mu_c, Direction.OVERHAULING) == 0.0
 
     def test_against_inclined_plane_force_balance(self):
         # independent oracle: tangential force balance on the thread incline
@@ -254,7 +253,7 @@ class TestPayloadCurve:
     def test_load_shifts_curve_linearly(self):
         grid = np.linspace(1.0, 50.0, 10)
         base = payload_curve(J1_SPEC, J1_PARAMS, 0.0, grid)
-        eta_d = transmission_efficiency(J1_SPEC, J1_PARAMS, Direction.DRIVING)
+        eta_d = efficiency(J1_SPEC.lead_angle, J1_PARAMS.mu_c, Direction.DRIVING)
         for load in (1.0, 2.0, 4.0):
             curve = payload_curve(J1_SPEC, J1_PARAMS, load, grid)
             shift = load / (J1_SPEC.ratio * eta_d)

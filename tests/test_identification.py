@@ -13,6 +13,7 @@ from ssmkit.dynamics import (
     TransmissionKind,
     TransmissionSpec,
     inverse_dynamics,
+    nrmsd,
 )
 from ssmkit.errors import (
     DomainError,
@@ -23,10 +24,11 @@ from ssmkit.errors import (
 from ssmkit.identification import (
     MapPoint,
     _fit_mu_s,
+    _range_nrmsd,
     _reflection_sum,
     _segment_indices,
     _solve_mu_c,
-    _two_sided_z,
+    _Z95,
     TelemetryLog,
     TorqueVelocityMap,
     evaluate_model,
@@ -320,6 +322,18 @@ class TestFitFriction:
         with pytest.raises(DomainError, match="too large to fit"):
             fit_friction(tv, spec, test_load=1.0, breakaway=[(1, 1.0)])
 
+    def test_residual_of_overflowing_squares_is_finite(self):
+        """The fit residual is the nrmsd formula: squares that overflow are
+        scaled away, without numpy warnings."""
+        observed = np.array([1e200, -1e200, 3e199, 1e160])
+        predicted = 1.1 * observed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = _range_nrmsd(predicted, observed, [])
+        t = np.arange(4.0)
+        assert value == nrmsd(TorqueTrace(t, predicted), TorqueTrace(t, observed))
+        assert 0.0 < value < 1.0
+
     def test_one_direction_fit_is_flagged(self):
         spec, params = JOINT_SPECS[1], JOINT_PARAMS[1]
         tv = make_map(spec, params, 0.0, MOTOR_SPEEDS)
@@ -511,7 +525,7 @@ class TestClosedFormInversions:
                          "mu_s defaulted to mu_c (no usable breakaway samples)"]
 
     def test_z_for_95_percent(self):
-        assert abs(_two_sided_z(0.95) - 1.959963984540054) < 1e-12
+        assert abs(_Z95 - 1.959963984540054) < 1e-12
 
 
 class TestBreakawayExtraction:

@@ -6,20 +6,7 @@ from hypothesis import given, settings
 
 from helpers import angles, expm_series, hat, random_rotation, unit_vectors
 from ssmkit.errors import DomainError
-from ssmkit.screws import (
-    JointKind,
-    Pose,
-    ensure_rotation,
-    identity_pose,
-    normalize_angle,
-    pose_apply,
-    pose_compose,
-    pose_inverse,
-    prismatic_twist,
-    revolute_twist,
-    rodrigues,
-    twist_exp,
-)
+from ssmkit.screws import JointKind, ensure_rotation, normalize_angle, revolute_twist, rodrigues
 
 X = np.array([1.0, 0.0, 0.0])
 Y = np.array([0.0, 1.0, 0.0])
@@ -67,71 +54,36 @@ class TestRodrigues:
 
 
 class TestTwistExp:
-    def test_revolute_zero_angle(self):
-        g = twist_exp(revolute_twist(Z), 0.0)
-        assert np.allclose(g.rotation, np.eye(3), atol=1e-15)
-        assert np.allclose(g.position, 0.0)
+    """The exponential of a revolute twist through the origin is the
+    Rodrigues rotation about its angular part, as forward kinematics
+    composes it."""
 
-    def test_prismatic_translation(self):
-        g = twist_exp(prismatic_twist(X), 0.03)
-        assert np.allclose(g.rotation, np.eye(3))
-        assert np.allclose(g.position, [0.03, 0.0, 0.0])
+    def test_revolute_zero_angle(self):
+        xi = revolute_twist(Z)
+        assert np.allclose(xi.linear, 0.0)
+        assert np.allclose(rodrigues(xi.angular, 0.0), np.eye(3), atol=1e-15)
 
     def test_half_turn_about_x(self):
-        g = twist_exp(revolute_twist(X), math.pi)
-        assert np.allclose(g.rotation, np.diag([1.0, -1.0, -1.0]), atol=1e-15)
-        assert np.allclose(g.position, 0.0)
+        r = rodrigues(revolute_twist(X).angular, math.pi)
+        assert np.allclose(r, np.diag([1.0, -1.0, -1.0]), atol=1e-15)
 
     def test_twist_kind_recorded(self):
         assert revolute_twist(Z).kind is JointKind.REVOLUTE
-        assert prismatic_twist(X).kind is JointKind.PRISMATIC
 
     def test_non_unit_direction_rejected(self):
         with pytest.raises(DomainError):
             revolute_twist([0.0, 0.0, 0.5])
         with pytest.raises(DomainError):
-            prismatic_twist([1.0, 1.0, 0.0])
+            revolute_twist([1.0, 1.0, 0.0])
 
     @settings(max_examples=75, deadline=None)
     @given(unit_vectors, angles, unit_vectors, unit_vectors)
     def test_distances_preserved(self, axis, t, p, q):
-        g = twist_exp(revolute_twist(axis), t)
+        r = rodrigues(revolute_twist(axis).angular, t)
         p2 = 2.0 * p
         d_before = np.linalg.norm(p2 - q)
-        d_after = np.linalg.norm(pose_apply(g, p2) - pose_apply(g, q))
+        d_after = np.linalg.norm(r @ p2 - r @ q)
         assert abs(d_before - d_after) < 1e-10
-
-
-class TestPoseOps:
-    def test_apply_identity(self):
-        assert np.allclose(pose_apply(identity_pose(), [1.0, 2.0, 3.0]), [1, 2, 3])
-
-    def test_apply_rotation(self):
-        g = Pose(rodrigues(Z, math.pi / 2), np.zeros(3))
-        assert np.allclose(pose_apply(g, X), Y, atol=1e-15)
-
-    def test_apply_translation(self):
-        g = Pose(np.eye(3), np.array([0.0, 0.0, 0.03]))
-        assert np.allclose(pose_apply(g, np.zeros(3)), [0.0, 0.0, 0.03])
-
-    def test_compose_with_identity(self):
-        g = Pose(rodrigues(Y, 0.4), np.array([0.1, -0.2, 0.3]))
-        h = pose_compose(identity_pose(), g)
-        assert np.allclose(h.rotation, g.rotation)
-        assert np.allclose(h.position, g.position)
-
-    def test_inverse_of_identity(self):
-        g = pose_inverse(identity_pose())
-        assert np.allclose(g.rotation, np.eye(3))
-        assert np.allclose(g.position, 0.0)
-
-    def test_compose_inverse_round_trip(self):
-        rng = np.random.default_rng(7)
-        for _ in range(1000):
-            g = Pose(random_rotation(rng), rng.normal(size=3))
-            gg = pose_compose(g, pose_inverse(g))
-            assert np.abs(gg.rotation - np.eye(3)).max() < 1e-12
-            assert np.abs(gg.position).max() < 1e-12
 
 
 class TestValidation:

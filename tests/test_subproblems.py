@@ -12,7 +12,7 @@ from ssmkit.errors import (
     DomainError,
     NoSolutionError,
 )
-from ssmkit.screws import normalize_angle, revolute_twist, rodrigues
+from ssmkit.screws import JointKind, Twist, normalize_angle, revolute_twist, rodrigues
 from ssmkit.subproblems import subproblem1, subproblem2, subproblem3prime
 
 X = np.array([1.0, 0.0, 0.0])
@@ -50,10 +50,8 @@ class TestSubproblem1:
             subproblem1(revolute_twist(Z), X + Z, X - Z)
 
     def test_prismatic_twist_rejected(self):
-        from ssmkit.screws import prismatic_twist
-
         with pytest.raises(DomainError):
-            subproblem1(prismatic_twist(X), X, Y)
+            subproblem1(Twist(X, np.zeros(3), JointKind.PRISMATIC), X, Y)
 
     @settings(max_examples=100, deadline=None)
     @given(unit_vectors, st.floats(-math.pi, math.pi))

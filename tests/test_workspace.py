@@ -12,7 +12,6 @@ from ssmkit.workspace import (
     dot_profile,
     dot_profile_derivatives,
     rotate_about,
-    sample_workspace,
     sample_workspace_grid,
     tilt_extremes,
     write_workspace_csv,
@@ -208,12 +207,10 @@ class TestSampling:
 
     def test_fixed_theta2_rows_share_polar_angle(self):
         g = design_geometry()
-        samples = sample_workspace(g, 8, 6)
-        by_theta2 = {}
-        for s in samples:
-            by_theta2.setdefault(round(s.theta2, 12), []).append(s.polar_angle)
-        for values in by_theta2.values():
-            assert np.ptp(values) < 1e-12
+        _, theta2, _, polar = sample_workspace_grid(g, 8, 6)
+        # theta2 varies fastest: column j of the (n1, n2) view holds theta2[j].
+        assert theta2.shape == (6,)
+        assert np.ptp(polar.reshape(8, 6), axis=0).max() < 1e-12
 
     def test_grid_extremes_match_formula(self):
         g = design_geometry()
@@ -224,9 +221,11 @@ class TestSampling:
 
     def test_sample_count_contract(self):
         g = design_geometry()
-        assert len(sample_workspace(g, 7, 9)) == 63
+        theta1, theta2, points, polar = sample_workspace_grid(g, 7, 9)
+        assert (theta1.shape, theta2.shape, points.shape, polar.shape) == (
+            (7,), (9,), (63, 3), (63,))
         with pytest.raises(DomainError):
-            sample_workspace(g, 1, 9)
+            sample_workspace_grid(g, 1, 9)
 
     def test_csv_emission(self, tmp_path):
         g = design_geometry()
