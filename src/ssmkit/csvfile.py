@@ -2,7 +2,13 @@
 Numeric CSV tables with one header line, shared by every CSV reader and
 writer of the toolkit.
 
-A valid file is parsed in one C-level `np.loadtxt` call. Only a file the
+The reader checks the header on its own handle, then parses the body in
+one `np.loadtxt` call. For a regular file named by a str or path-like
+argument, that call gets the file's absolute path and skips the header
+lines, so numpy's C reader pulls the text in chunks. Every other input
+keeps the open handle, which numpy reads one Python line at a time: a
+pipe (a FIFO, `/dev/stdin`, `<(...)`) cannot be opened twice, and a name ending in
+`.gz`, `.bz2`, `.xz` or `.lzma` would be decompressed. Only a file the
 fast parse rejects goes through the `csv.reader` row loop, which finds the
 first offending record and names it as `path:lineno`; the loop also
 accepts the few spellings `float()` reads and `loadtxt` does not (quoted
@@ -12,12 +18,17 @@ fields, digit separators such as `1_000`).
 from __future__ import annotations
 
 import csv
+import os
+import stat
 import warnings
 
 import numpy as np
 
 # Rows formatted per write call by `write_numeric_csv`.
 _WRITE_BLOCK_ROWS = 4096
+
+# Suffixes that numpy's `np.loadtxt` decompresses when it opens a path.
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
 
 def read_numeric_csv(path, columns, error, kind, integer_columns=()):
@@ -30,16 +41,22 @@ def read_numeric_csv(path, columns, error, kind, integer_columns=()):
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            header = next(csv.reader(fh), None)
+            reader = csv.reader(fh)
+            header = next(reader, None)
             if header is None:
                 raise error(f"{path}: empty {kind} file")
             if [h.strip() for h in header] != list(columns):
                 raise error(f"{path}: expected header '{','.join(columns)}'")
+            name = _reopenable_path(path, fh)
             try:
                 with warnings.catch_warnings():
                     # An empty body warns; the row loop reports it instead.
                     warnings.simplefilter("ignore", UserWarning)
-                    data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+                    if name is None:
+                        data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+                    else:
+                        data = np.loadtxt(name, delimiter=",", comments=None, ndmin=2,
+                                          skiprows=reader.line_num, encoding="utf-8")
             except ValueError:
                 # Also a UnicodeDecodeError, which the row loop raises again.
                 data = None
@@ -68,6 +85,24 @@ def write_numeric_csv(path, columns, data, precision: int) -> None:
         for start in range(0, data.shape[0], _WRITE_BLOCK_ROWS):
             block = data[start:start + _WRITE_BLOCK_ROWS]
             fh.write((row_fmt * block.shape[0]) % tuple(block.ravel().tolist()))
+
+
+def _reopenable_path(path, fh):
+    """
+    The absolute path under which `np.loadtxt` may open the file of `fh`
+    again, or None: a non-regular file must not be opened twice, and numpy
+    would decompress a name with a compression suffix. The absolute path
+    keeps numpy from taking a relative name such as `http://host/log.csv`
+    for a URL.
+    """
+    if not isinstance(path, (str, os.PathLike)):
+        return None
+    name = os.fspath(path)
+    if not isinstance(name, str) or os.path.splitext(name)[1] in _COMPRESSED_SUFFIXES:
+        return None
+    if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+        return None
+    return os.path.abspath(name)
 
 
 def _integral(values) -> bool:

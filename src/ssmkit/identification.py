@@ -77,12 +77,14 @@ class TelemetryLog:
         for name, arr in (("time", t), ("velocity", v), ("torque", tau)):
             if not np.all(np.isfinite(arr)):
                 raise InvalidLogError(f"telemetry {name} contains non-finite values")
-        ids = np.unique(jid)
-        bad = set(ids.tolist()) - set(VALID_JOINT_IDS)
-        if bad:
-            raise InvalidLogError(f"joint_id values outside 1..4: {sorted(bad)}")
-        for j in ids:
-            tj = t[jid == j]
+        lo, hi = min(VALID_JOINT_IDS), max(VALID_JOINT_IDS)
+        if jid.min() < lo or jid.max() > hi:
+            bad = np.unique(jid[(jid < lo) | (jid > hi)]).tolist()
+            raise InvalidLogError(f"joint_id values outside 1..4: {bad}")
+        index = {}
+        for j in np.flatnonzero(np.bincount(jid)).tolist():
+            index[j] = np.flatnonzero(jid == j)
+            tj = t[index[j]]
             if np.any(np.diff(tj) <= 0.0):
                 raise InvalidLogError(f"joint {j}: timestamps not strictly increasing")
             if tj.size >= 2:
@@ -96,16 +98,17 @@ class TelemetryLog:
         object.__setattr__(self, "joint_id", jid)
         object.__setattr__(self, "velocity", v)
         object.__setattr__(self, "torque", tau)
+        object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_runs", {})
 
     def joint_ids(self):
-        return sorted(int(j) for j in np.unique(self.joint_id))
+        return sorted(self._index)
 
     def joint(self, joint_id: int):
-        mask = self.joint_id == joint_id
-        if not mask.any():
+        idx = self._index.get(joint_id)
+        if idx is None:
             raise InvalidLogError(f"log has no records for joint {joint_id}")
-        return self.time[mask], self.velocity[mask], self.torque[mask]
+        return self.time[idx], self.velocity[idx], self.torque[idx]
 
 
 def load_telemetry_csv(path, nominal_rate_hz: float = 200.0) -> TelemetryLog:
@@ -219,10 +222,13 @@ def extract_steady_segments(log: TelemetryLog, velocity_tolerance: float,
             v_mean = float(np.mean(v[keep:i1]))
             if abs(v_mean) <= velocity_tolerance:
                 continue
-            raw_points.append(
-                (v_mean, float(np.mean(tau[keep:i1])), float(np.std(tau[keep:i1])),
-                 int(i1 - keep))
-            )
+            seg = tau[keep:i1]
+            tm = float(np.mean(seg))
+            ts = float(np.std(seg))
+            if not math.isfinite(ts):
+                # Overflowing squares: the rms about the mean, scaled as nrmsd does.
+                ts = dynamics._range_rms(seg, np.full_like(seg, tm), 1.0)
+            raw_points.append((v_mean, tm, ts, int(i1 - keep)))
 
     if not raw_points:
         raise InsufficientDataError("no steady segment satisfies the criteria")
@@ -235,12 +241,28 @@ def extract_steady_segments(log: TelemetryLog, velocity_tolerance: float,
             nt = n0 + n
             vm_new = (v0 * n0 + vm * n) / nt
             tm_new = (t0 * n0 + tm * n) / nt
-            msq = (n0 * (s0 * s0 + t0 * t0) + n * (ts * ts + tm * tm)) / nt
-            merged[-1] = [vm_new, tm_new, math.sqrt(max(0.0, msq - tm_new * tm_new)), nt]
+            merged[-1] = [vm_new, tm_new, _merged_std(t0, s0, n0, tm, ts, n, tm_new), nt]
         else:
             merged.append([vm, tm, ts, n])
 
     return TorqueVelocityMap(tuple(MapPoint(*m) for m in merged))
+
+
+def _merged_std(t0, s0, n0, t1, s1, n1, mean):
+    """
+    Std of two plateaus given as (mean, std, count), about their joint
+    `mean`. Squares that overflow are taken on values scaled into [-1, 1].
+    """
+    def var(scale):
+        a0, b0, a1, b1, m = (x / scale for x in (t0, s0, t1, s1, mean))
+        return (n0 * (b0 * b0 + a0 * a0) + n1 * (b1 * b1 + a1 * a1)) / (n0 + n1) - m * m
+
+    scale = 1.0
+    value = var(scale)
+    if not math.isfinite(value):
+        scale = max(abs(t0), s0, abs(t1), s1)
+        value = var(scale)
+    return scale * math.sqrt(max(0.0, value))
 
 
 def extract_breakaway_samples(log: TelemetryLog, velocity_tolerance: float,
@@ -483,13 +505,8 @@ def _fit_mu_s(breakaway, spec, test_load, mu_c, b_c, flags):
 def _half_widths(xw, yw, coef, both, spec, test_load, flags):
     n, k = xw.shape
     dof = n - k
-    resid = yw - xw @ coef
     if dof <= 0:
         flags.append("no degrees of freedom for confidence intervals")
-        sigma2 = 0.0
-    else:
-        sigma2 = float(resid @ resid) / dof
-    cov_lin = sigma2 * np.linalg.inv(xw.T @ xw)
 
     if both and test_load != 0.0:
         def transform(c):
@@ -508,22 +525,37 @@ def _half_widths(xw, yw, coef, both, spec, test_load, flags):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 jac[:, j] = (transform(up) - transform(dn)) / (2.0 * step)
-        cov = jac @ cov_lin @ jac.T
         names = ("mu_c", "b_c", "b_v")
     elif both:
         # test_load == 0: mu_c pinned at 0, b_c = (A+ - A-)/2, b_v direct.
         jac = np.array([[0.0, 0.0, 0.0], [0.5, -0.5, 0.0], [0.0, 0.0, 1.0]])
-        cov = jac @ cov_lin @ jac.T
         names = ("mu_c", "b_c", "b_v")
     else:
         jac = np.array([[1.0, 0.0], [0.0, 1.0]])
-        cov = jac @ cov_lin @ jac.T
         names = ("b_c", "b_v")
 
-    halves = {nm: _Z95 * math.sqrt(max(0.0, cov[i, i])) for i, nm in enumerate(names)}
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = yw - xw @ coef
+        scale = 1.0
+        var = _param_variances(resid, dof, xw, jac)
+        if not np.all(np.isfinite(var)):
+            # Overflowing squares: the variances of resid / scale, rescaled below.
+            scale = float(np.max(np.abs(resid)))
+            var = _param_variances(resid / scale, dof, xw, jac)
+    halves = {}
+    for nm, v in zip(names, var.tolist()):
+        # inf where the half-width itself exceeds the float range.
+        halves[nm] = _Z95 * math.sqrt(max(0.0, v)) * scale if math.isfinite(v) else math.inf
     if "mu_c" not in halves:
         halves["mu_c"] = math.inf
     return halves
+
+
+def _param_variances(resid, dof, xw, jac):
+    """Diagonal of jac cov jac^T, cov the least-squares covariance of `resid`."""
+    sigma2 = float(resid @ resid) / dof if dof > 0 else 0.0
+    cov_lin = sigma2 * np.linalg.inv(xw.T @ xw)
+    return np.diag(jac @ cov_lin @ jac.T)
 
 
 def evaluate_model(report: FitReport, spec: TransmissionSpec,

@@ -290,6 +290,38 @@ class TestIdentifyCommand:
         assert result.returncode == 2
         assert result.stderr == "error: map velocities or torques are too large to fit\n"
 
+    def test_near_overflow_torques_give_finite_stds_without_warnings(self, tmp_path,
+                                                                     drive_cfg):
+        # Torques near 1e197 and 1e157: finite means, overflowing squares.
+        log_path = tmp_path / "telemetry.csv"
+        self._write_log(log_path, load=1.0, noise=0.05)
+        lines = log_path.read_text(encoding="utf-8").splitlines()
+        for i, line in enumerate(lines[1:], start=1):
+            t, j, v, tau = line.split(",")
+            scale = 1e200 if float(v) > 0.0 else 1e160
+            lines[i] = f"{t},{j},{v},{float(tau) * scale!r}"
+        log_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        fit = tmp_path / "fit.cfg"
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        result = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "ssmkit", "identify",
+             str(log_path), "--transmission", str(drive_cfg), "--joint", "1",
+             "--load", "1.0", "--breakaway", "--out", str(fit)],
+            env=env, capture_output=True, text=True,
+        )
+        assert result.returncode == 0
+        assert result.stderr == ""
+        out = result.stdout.splitlines()
+        points = out[1:out.index(next(x for x in out if x.startswith("mu_s")))]
+        assert len(points) == 12
+        for point in points:
+            velocity, mean, std, count = point.split()
+            assert math.isfinite(float(std)) and 0.0 < float(std) < abs(float(mean))
+        widths = [line.split("=")[1] for line in fit.read_text(encoding="utf-8").splitlines()
+                  if line.startswith("# fit half_width_")]
+        assert len(widths) == 3 and all(math.isfinite(float(x)) for x in widths)
+
     def test_report_is_deterministic(self, tmp_path, drive_cfg):
         log_path = tmp_path / "telemetry.csv"
         self._write_log(log_path, load=1.0, noise=0.05)

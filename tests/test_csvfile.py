@@ -1,5 +1,8 @@
 import math
+import os
+import threading
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -36,7 +39,7 @@ def _tables(draw):
         lines.append(",".join(fields))
         if draw(st.integers(0, 9)) == 0:
             lines.append("")
-    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     return newline.join(lines) + draw(st.sampled_from(["", newline])), lines
 
 
@@ -120,6 +123,126 @@ class TestRowLoopFallback:
         path.write_text("time_s,joint_id,velocity,torque\n\n", encoding="utf-8")
         with pytest.raises(InvalidLogError, match="no data rows"):
             _read(path)
+
+
+_LOG = "time_s,joint_id,velocity,torque\n0,1,0.5,1e-3\n0.005,2,-0.25,2.5\n0.01,1,3,-4\n"
+
+
+def _loadtxt_sources():
+    """Patch `np.loadtxt` as the reader calls it; the list collects what
+    each call was handed as its file."""
+    sources = []
+    real = np.loadtxt
+
+    def spy(fname, *args, **kwargs):
+        sources.append(fname)
+        if isinstance(fname, str) and not os.path.isfile(fname):
+            # Opening a pipe a second time would wait for a writer forever.
+            raise AssertionError(f"loadtxt would open {fname} again")
+        return real(fname, *args, **kwargs)
+
+    return mock.patch.object(csvfile.np, "loadtxt", side_effect=spy), sources
+
+
+class TestReaderRoute:
+    """Each route gives the row loop's array bits or its error text."""
+
+    def _same_as_row_loop(self, path, fast):
+        slow = _row_loop(path)
+        assert fast.shape == slow.shape
+        assert np.array_equal(_bits(fast), _bits(slow))
+
+    def test_regular_csv_reaches_loadtxt_as_a_str_path(self, tmp_path):
+        # A file handle makes numpy build one Python str per line.
+        path = tmp_path / "log.csv"
+        path.write_text(_LOG, encoding="utf-8")
+        patch, sources = _loadtxt_sources()
+        with patch:
+            fast = _read(path)
+        assert sources == [os.path.abspath(path)]
+        self._same_as_row_loop(path, fast)
+
+    @pytest.mark.parametrize("as_type", [str, Path], ids=["str", "Path"])
+    def test_str_and_pathlib_arguments(self, tmp_path, monkeypatch, as_type):
+        path = tmp_path / "log.csv"
+        path.write_text(_LOG, encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        for arg in (as_type(path), as_type(path.relative_to(tmp_path))):
+            with mock.patch.object(csvfile, "_read_rows", side_effect=AssertionError):
+                fast = _read(arg)
+            self._same_as_row_loop(path, fast)
+
+    def test_relative_name_that_parses_as_a_url(self, tmp_path, monkeypatch):
+        # `http://localhost/log.csv` is also the relative path http:/localhost/log.csv.
+        (tmp_path / "http:" / "localhost").mkdir(parents=True)
+        path = tmp_path / "http:" / "localhost" / "log.csv"
+        path.write_text(_LOG, encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        fetch = mock.patch("urllib.request.urlopen", side_effect=AssertionError("fetched"))
+        with fetch, mock.patch.object(csvfile, "_read_rows", side_effect=AssertionError):
+            fast = _read("http://localhost/log.csv")
+        self._same_as_row_loop(path, fast)
+
+    def test_named_pipe_is_read_once_through_its_handle(self, tmp_path):
+        fifo = tmp_path / "log.csv"
+        os.mkfifo(fifo)
+
+        def feed():
+            with open(fifo, "w", encoding="utf-8") as fh:
+                fh.write(_LOG)
+
+        writer = threading.Thread(target=feed)
+        writer.start()
+        patch, sources = _loadtxt_sources()
+        try:
+            with patch:
+                fast = _read(fifo)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert len(sources) == 1 and not isinstance(sources[0], str)
+        plain = tmp_path / "plain.csv"
+        plain.write_text(_LOG, encoding="utf-8")
+        self._same_as_row_loop(plain, fast)
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_compressed_suffix_is_read_as_plain_text(self, tmp_path, suffix):
+        path = tmp_path / f"log.csv{suffix}"
+        path.write_text(_LOG, encoding="utf-8")
+        patch, sources = _loadtxt_sources()
+        with patch:
+            fast = _read(path)
+        assert len(sources) == 1 and not isinstance(sources[0], str)
+        self._same_as_row_loop(path, fast)
+
+    def test_compressed_suffix_errors_name_the_line(self, tmp_path):
+        path = tmp_path / "log.csv.gz"
+        path.write_text(_LOG.replace("-0.25", "x"), encoding="utf-8")
+        with pytest.raises(InvalidLogError) as fast:
+            _read(path)
+        with pytest.raises(InvalidLogError) as slow:
+            _row_loop(path)
+        assert str(fast.value) == str(slow.value) == f"{path}:3: malformed record"
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_header_quoted_across_two_lines(self, tmp_path, newline):
+        path = tmp_path / "log.csv"
+        body = _LOG.split("\n", 1)[1].replace("\n", newline)
+        path.write_bytes(f'time_s,joint_id,velocity,"torque{newline}"{newline}{body}'.encode())
+        with mock.patch.object(csvfile, "_read_rows", side_effect=AssertionError):
+            fast = _read(path)
+        self._same_as_row_loop(path, fast)
+        assert fast.shape == (3, 4)
+
+    def test_invalid_utf8_body_on_the_path_route(self, tmp_path):
+        # Past the first read buffer, so the header is decoded without error.
+        path = tmp_path / "log.csv"
+        path.write_bytes(_LOG.encode() + b"0.02,1,0,0\n" * 5000 + b"0.03,1,0.\xff,1\n")
+        patch, sources = _loadtxt_sources()
+        with patch, pytest.raises(InvalidLogError) as exc:
+            _read(path)
+        assert sources == [os.path.abspath(path)]
+        assert str(exc.value) == f"{path}: telemetry file is not valid UTF-8"
 
 
 _BLOCK = csvfile._WRITE_BLOCK_ROWS

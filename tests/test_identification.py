@@ -29,6 +29,7 @@ from ssmkit.identification import (
     _segment_indices,
     _solve_mu_c,
     _Z95,
+    VALID_JOINT_IDS,
     TelemetryLog,
     TorqueVelocityMap,
     evaluate_model,
@@ -124,6 +125,32 @@ class TestTelemetryLog:
         with pytest.raises(InvalidLogError):
             TelemetryLog(t, np.full(10, 7), np.zeros(10), np.zeros(10))
 
+    def test_out_of_range_ids_named_once_and_sorted(self):
+        t = np.arange(6) / 200.0
+        with pytest.raises(InvalidLogError) as exc:
+            TelemetryLog(t, [7, 1, 0, 7, -3, 5], np.zeros(6), np.zeros(6))
+        assert str(exc.value) == "joint_id values outside 1..4: [-3, 0, 5, 7]"
+
+    @settings(max_examples=60, deadline=None)
+    @given(ids=st.lists(st.sampled_from(VALID_JOINT_IDS), min_size=1, max_size=40),
+           seed=st.integers(0, 2**32 - 1))
+    def test_joint_streams_match_a_mask(self, ids, seed):
+        jid = np.array(ids)
+        # Each joint samples at the nominal 200 Hz, interleaved with the others.
+        t = np.array([ids[:i].count(j) for i, j in enumerate(ids)]) / 200.0
+        v, tau = np.random.default_rng(seed).standard_normal((2, jid.size))
+        log = TelemetryLog(t, jid, v, tau)
+        assert log.joint_ids() == np.unique(jid).tolist()
+        for j in VALID_JOINT_IDS:
+            mask = jid == j
+            for key in (j, float(j), np.int64(j)):
+                if mask.any():
+                    for got, column in zip(log.joint(key), (t, v, tau)):
+                        assert np.array_equal(got, column[mask])
+                else:
+                    with pytest.raises(InvalidLogError, match=f"no records for joint {j}"):
+                        log.joint(key)
+
     def test_per_joint_streams(self):
         t = np.repeat(np.arange(10) / 200.0, 2)
         jid = np.tile([1, 2], 10)
@@ -216,6 +243,25 @@ class TestExtractSteadySegments:
             expected = kinetic_torque(JOINT_SPECS[1], JOINT_PARAMS[1], 0.0, level)
             assert abs(point.torque_mean - expected) < 1e-12
             assert point.torque_std < 1e-15
+
+    def test_overflowing_squares_give_a_finite_torque_std(self):
+        rng = np.random.default_rng(5)
+        per = 400
+        # The first and last plateaus lie within tolerance and merge.
+        v = np.repeat([1.0, 2.0, 1.004], per)
+        tau = np.repeat([1e200, 1e160, 1e200], per) * (1.0 + 0.1 * rng.standard_normal(v.size))
+        log = TelemetryLog(np.arange(v.size) / 200.0, np.ones(v.size, int), v, tau)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tv = extract_steady_segments(log, 0.01, 0.5)
+        # discard_s = 0.25 drops the first 50 samples of each plateau.
+        kept = [np.concatenate([tau[50:400], tau[850:1200]]), tau[450:800]]
+        assert [p.count for p in tv.points] == [700, 350]
+        for point, samples in zip(tv.points, kept):
+            scale = float(np.max(np.abs(samples)))
+            expected = float(np.std(samples / scale)) * scale
+            assert math.isfinite(point.torque_std)
+            assert abs(point.torque_std - expected) <= 1e-9 * expected
 
     def test_short_plateau_excluded(self):
         rate = 200.0
@@ -333,6 +379,24 @@ class TestFitFriction:
         t = np.arange(4.0)
         assert value == nrmsd(TorqueTrace(t, predicted), TorqueTrace(t, observed))
         assert 0.0 < value < 1.0
+
+    def test_half_widths_of_overflowing_residuals(self):
+        """Variances whose squares overflow are scaled: a representable
+        half-width stays finite and one past the float range is inf, both
+        without numpy warnings."""
+        w = [1e-10, 2e-10, 3e-10, 4e-10, 5e-10]
+        # Orthogonal to 1 and w, so the fit is ~0 and these are the residuals.
+        torque = [1e300, -2e300, 0.0, 2e300, -1e300]
+        tv = TorqueVelocityMap(tuple(MapPoint(a, b, 0.0, 1) for a, b in zip(w, torque)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            warnings.simplefilter("error", RuntimeWarning)
+            report = fit_friction(tv, JOINT_SPECS[1])
+        # sigma^2 = 1e600 * 10 / 3 and (X^T X)^-1 has diagonal 1.1, 1e19.
+        sigma = 1e300 * math.sqrt(10.0 / 3.0)
+        assert abs(report.half_widths["b_c"] - _Z95 * sigma * math.sqrt(1.1)) <= (
+            1e-9 * report.half_widths["b_c"])
+        assert report.half_widths["b_v"] == math.inf
 
     def test_one_direction_fit_is_flagged(self):
         spec, params = JOINT_SPECS[1], JOINT_PARAMS[1]
