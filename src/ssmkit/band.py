@@ -1,0 +1,51 @@
+"""
+Closed-form tilt band of the RCM mechanism, in plain `math`.
+
+With the tool extended one unit through the remote center, the reachable
+tip directions form a band on the unit sphere that is rotationally
+symmetric about the roll axis. Its polar-angle extremes relative to
+omega1 are the four values +/-(alpha +/- beta), folded into [0, pi].
+This module imports no numpy, so `ssmkit workspace A B` answers without
+loading it; `workspace` re-exports these names next to the sampled
+counterpart.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+from .errors import DomainError
+
+
+@dataclass(frozen=True)
+class TiltExtremes:
+    """Closed-form polar-angle extremes of the tilt band.
+
+    phi_values are the four raw extremes folded to [0, pi]; the attained
+    band is [tilt_min, tilt_max] and span is its width. All radians.
+    """
+
+    phi_values: tuple[float, float, float, float]
+    tilt_min: float
+    tilt_max: float
+    span: float
+
+
+def _fold_polar(phi: float) -> float:
+    """Fold an angle to the equivalent polar angle in [0, pi]."""
+    m = abs(phi) % (2.0 * math.pi)
+    return 2.0 * math.pi - m if m > math.pi else m
+
+
+def tilt_extremes(alpha: float, beta: float) -> TiltExtremes:
+    """Closed-form tilt band for axis angles alpha, beta (radians)."""
+    if not 0.0 < alpha < math.pi:
+        raise DomainError(f"alpha must lie in (0, pi), got {alpha}")
+    if not 0.0 < beta < math.pi:
+        raise DomainError(f"beta must lie in (0, pi), got {beta}")
+    raw = (alpha + beta, alpha - beta, -alpha + beta, -alpha - beta)
+    folded = tuple(_fold_polar(phi) for phi in raw)
+    tilt_min = min(folded)
+    tilt_max = max(folded)
+    return TiltExtremes(folded, tilt_min, tilt_max, tilt_max - tilt_min)

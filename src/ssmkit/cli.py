@@ -7,6 +7,11 @@ Angles cross the CLI boundary in degrees (radians internally); joint 4
 values are meters. Relative output paths go under the project's
 output_dir, else under SSMKIT_OUTPUT_DIR when it is set. Exit codes: 0 on
 success, 2 for input or config errors, 3 when a target is unreachable.
+
+numpy and the modules built on it are imported inside the subcommands
+that use them, so `workspace A B` and `--help` run without numpy. Each
+call goes through its module (`dynamics.read_trace_csv(...)`), so a
+module attribute replaced at run time is the one called.
 """
 
 from __future__ import annotations
@@ -18,14 +23,15 @@ import sys
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import csvfile, dynamics, identification, kinematics, workspace
+from . import band
 from .configfile import (DEFAULT_PRECISION, MAX_PRECISION, format_float, parse_float,
                          parse_floats, parse_precision, read_kv)
 from .errors import DomainError, SsmKitError, TrajectoryOverflowError, UnreachableError
-from .screws import Pose, ensure_rotation
+
+if TYPE_CHECKING:
+    from . import kinematics
 
 OUTPUT_DIR_ENV = "SSMKIT_OUTPUT_DIR"
 
@@ -46,6 +52,8 @@ def load_project_config(path) -> ProjectConfig:
     (paths to configs, validated by parsing them now), output_dir, and
     precision. Relative paths are taken from the project file's directory.
     """
+    from . import dynamics, kinematics
+
     kv = read_kv(path)
     base = Path(path).parent
 
@@ -98,6 +106,8 @@ def _load_project(args) -> ProjectConfig | None:
 
 
 def _geometry_for(args, project):
+    from . import kinematics
+
     if getattr(args, "config", None):
         return kinematics.load_mechanism_config(args.config)
     if project is not None and project.geometry is not None:
@@ -106,6 +116,8 @@ def _geometry_for(args, project):
 
 
 def _drive_for(args, project):
+    from . import dynamics
+
     if getattr(args, "transmission", None):
         return dynamics.load_transmission_config(args.transmission)
     joint = getattr(args, "joint", None)
@@ -132,10 +144,12 @@ def cmd_workspace(args) -> int:
     prec = _precision(args, project)
     ff = lambda x: format_float(x, prec)
     if args.csv:
+        from . import kinematics, workspace
+
         workspace.check_grid_samples(args.samples, args.samples)
     alpha = math.radians(args.alpha_deg)
     beta = math.radians(args.beta_deg)
-    ext = workspace.tilt_extremes(alpha, beta)
+    ext = band.tilt_extremes(alpha, beta)
     lo = math.degrees(ext.tilt_min)
     hi = math.degrees(ext.tilt_max)
     print("extremes_deg =", " ".join(ff(math.degrees(p)) for p in ext.phi_values))
@@ -154,20 +168,30 @@ def cmd_workspace(args) -> int:
     return 0
 
 
-def _parse_theta(raw) -> kinematics.JointState:
+def _parse_theta(raw):
+    from . import kinematics
+
     vals = parse_floats(raw, "--theta", 4)
     return kinematics.JointState(
         math.radians(vals[0]), math.radians(vals[1]), math.radians(vals[2]), vals[3]
     )
 
 
-def _parse_pose(raw) -> Pose:
+def _parse_pose(raw):
+    import numpy as np
+
+    from . import screws
+
     vals = parse_floats(raw, "--pose", 12)
-    rot = ensure_rotation(np.array(vals[:9]).reshape(3, 3))
-    return Pose(rot, np.array(vals[9:]))
+    rot = screws.ensure_rotation(np.array(vals[:9]).reshape(3, 3))
+    return screws.Pose(rot, np.array(vals[9:]))
 
 
 def cmd_fk(args) -> int:
+    import numpy as np
+
+    from . import kinematics
+
     project = _load_project(args)
     prec = _precision(args, project)
     ff = lambda x: format_float(x, prec)
@@ -180,6 +204,8 @@ def cmd_fk(args) -> int:
 
 
 def cmd_ik(args) -> int:
+    from . import kinematics
+
     project = _load_project(args)
     prec = _precision(args, project)
     ff = lambda x: format_float(x, prec)
@@ -204,6 +230,8 @@ def cmd_ik(args) -> int:
 
 
 def cmd_identify(args) -> int:
+    from . import identification
+
     project = _load_project(args)
     prec = _precision(args, project)
     ff = lambda x: format_float(x, prec)
@@ -248,6 +276,8 @@ def cmd_identify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from . import dynamics
+
     project = _load_project(args)
     prec = _precision(args, project)
     spec, params = _drive_for(args, project)
@@ -268,6 +298,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_payload(args) -> int:
+    import numpy as np
+
+    from . import csvfile, dynamics
+
     project = _load_project(args)
     prec = _precision(args, project)
     spec, params = _drive_for(args, project)

@@ -6,18 +6,21 @@ The reader checks the header on its own handle, then parses the body in
 one `np.loadtxt` call. For a regular file named by a str or path-like
 argument, that call gets the file's absolute path and skips the header
 lines, so numpy's C reader pulls the text in chunks. Every other input
-keeps the open handle, which numpy reads one Python line at a time: a
-pipe (a FIFO, `/dev/stdin`, `<(...)`) cannot be opened twice, and a name ending in
-`.gz`, `.bz2`, `.xz` or `.lzma` would be decompressed. Only a file the
-fast parse rejects goes through the `csv.reader` row loop, which finds the
-first offending record and names it as `path:lineno`; the loop also
-accepts the few spellings `float()` reads and `loadtxt` does not (quoted
-fields, digit separators such as `1_000`).
+keeps an open handle, which numpy reads one Python line at a time: a
+pipe (a FIFO, `/dev/stdin`, `<(...)`) cannot be opened twice, and a name
+ending in `.gz`, `.bz2`, `.xz` or `.lzma` would be decompressed. A pipe
+cannot rewind either, so its text is read once into a buffer that both
+parses share. Only a file the fast parse rejects goes through the
+`csv.reader` row loop, which finds the first offending record and names
+it as `path:lineno`; the loop also accepts the few spellings `float()`
+reads and `loadtxt` does not (quoted fields, digit separators such as
+`1_000`).
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import os
 import stat
 import warnings
@@ -41,19 +44,22 @@ def read_numeric_csv(path, columns, error, kind, integer_columns=()):
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
+            regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+            # A pipe cannot rewind for the row loop: read its text once.
+            src = fh if regular else io.StringIO(fh.read(), newline="")
+            reader = csv.reader(src)
             header = next(reader, None)
             if header is None:
                 raise error(f"{path}: empty {kind} file")
             if [h.strip() for h in header] != list(columns):
                 raise error(f"{path}: expected header '{','.join(columns)}'")
-            name = _reopenable_path(path, fh)
+            name = _reopenable_path(path) if regular else None
             try:
                 with warnings.catch_warnings():
                     # An empty body warns; the row loop reports it instead.
                     warnings.simplefilter("ignore", UserWarning)
                     if name is None:
-                        data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+                        data = np.loadtxt(src, delimiter=",", comments=None, ndmin=2)
                     else:
                         data = np.loadtxt(name, delimiter=",", comments=None, ndmin=2,
                                           skiprows=reader.line_num, encoding="utf-8")
@@ -62,8 +68,8 @@ def read_numeric_csv(path, columns, error, kind, integer_columns=()):
                 data = None
             if (data is None or data.shape[0] == 0 or data.shape[1] != len(columns)
                     or not all(_integral(data[:, c]) for c in integer_columns)):
-                fh.seek(0)
-                data = _read_rows(fh, path, columns, error, integer_columns)
+                src.seek(0)
+                data = _read_rows(src, path, columns, error, integer_columns)
     except UnicodeDecodeError:
         raise error(f"{path}: {kind} file is not valid UTF-8") from None
     return data
@@ -87,20 +93,17 @@ def write_numeric_csv(path, columns, data, precision: int) -> None:
             fh.write((row_fmt * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
-def _reopenable_path(path, fh):
+def _reopenable_path(path):
     """
-    The absolute path under which `np.loadtxt` may open the file of `fh`
-    again, or None: a non-regular file must not be opened twice, and numpy
-    would decompress a name with a compression suffix. The absolute path
-    keeps numpy from taking a relative name such as `http://host/log.csv`
-    for a URL.
+    The absolute path under which `np.loadtxt` may open a regular file
+    again, or None: numpy would decompress a name with a compression
+    suffix. The absolute path keeps numpy from taking a relative name
+    such as `http://host/log.csv` for a URL.
     """
     if not isinstance(path, (str, os.PathLike)):
         return None
     name = os.fspath(path)
     if not isinstance(name, str) or os.path.splitext(name)[1] in _COMPRESSED_SUFFIXES:
-        return None
-    if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
         return None
     return os.path.abspath(name)
 

@@ -66,7 +66,8 @@ class TelemetryLog:
     nominal_rate_hz: float = 200.0
 
     def __post_init__(self):
-        t = np.asarray(self.time, dtype=float)
+        # Contiguous, so the per-joint gathers below read packed memory.
+        t = np.asarray(self.time, dtype=float, order="C")
         jid = np.asarray(self.joint_id, dtype=int)
         v = np.asarray(self.velocity, dtype=float)
         tau = np.asarray(self.torque, dtype=float)
@@ -84,11 +85,11 @@ class TelemetryLog:
         index = {}
         for j in np.flatnonzero(np.bincount(jid)).tolist():
             index[j] = np.flatnonzero(jid == j)
-            tj = t[index[j]]
-            if np.any(np.diff(tj) <= 0.0):
+            dt = np.diff(t[index[j]])
+            if np.any(dt <= 0.0):
                 raise InvalidLogError(f"joint {j}: timestamps not strictly increasing")
-            if tj.size >= 2:
-                rate = 1.0 / float(np.median(np.diff(tj)))
+            if dt.size:
+                rate = 1.0 / float(np.median(dt))
                 if abs(rate - self.nominal_rate_hz) > 0.10 * self.nominal_rate_hz:
                     raise InvalidLogError(
                         f"joint {j}: sample rate {rate:.1f} Hz is more than 10% "

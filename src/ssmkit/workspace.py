@@ -4,36 +4,22 @@ Analytical workspace characterization of the RCM mechanism.
 With the tool extended one unit through the remote center, the reachable
 tip directions form a band on the unit sphere that is rotationally
 symmetric about the roll axis. The band edges follow in closed form from
-the axis angles: the polar-angle extremes relative to omega1 are the four
-values +/-(alpha +/- beta), folded into [0, pi]. A dense sampling routine
-provides the brute-force counterpart used to cross-check the formulas.
+the axis angles (`band.tilt_extremes`, re-exported here). A dense
+sampling routine provides the brute-force counterpart used to
+cross-check the formulas.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import csvfile
+from .band import TiltExtremes, _fold_polar, tilt_extremes  # noqa: F401 (re-exported)
 from .configfile import DEFAULT_PRECISION
 from .errors import DegenerateGeometryError, DomainError
 from .kinematics import MechanismGeometry
-
-
-@dataclass(frozen=True)
-class TiltExtremes:
-    """Closed-form polar-angle extremes of the tilt band.
-
-    phi_values are the four raw extremes folded to [0, pi]; the attained
-    band is [tilt_min, tilt_max] and span is its width. All radians.
-    """
-
-    phi_values: tuple[float, float, float, float]
-    tilt_min: float
-    tilt_max: float
-    span: float
 
 
 def rotate_about(axis: np.ndarray, theta, vec: np.ndarray) -> np.ndarray:
@@ -85,25 +71,6 @@ def critical_directions(geom: MechanismGeometry):
     d_plus = (sb / sa) * geom.omega1 + (math.sin(geom.alpha - geom.beta) / sa) * geom.omega2
     d_minus = (-sb / sa) * geom.omega1 + (math.sin(geom.alpha + geom.beta) / sa) * geom.omega2
     return d_plus, d_minus
-
-
-def _fold_polar(phi: float) -> float:
-    """Fold an angle to the equivalent polar angle in [0, pi]."""
-    m = abs(phi) % (2.0 * math.pi)
-    return 2.0 * math.pi - m if m > math.pi else m
-
-
-def tilt_extremes(alpha: float, beta: float) -> TiltExtremes:
-    """Closed-form tilt band for axis angles alpha, beta (radians)."""
-    if not 0.0 < alpha < math.pi:
-        raise DomainError(f"alpha must lie in (0, pi), got {alpha}")
-    if not 0.0 < beta < math.pi:
-        raise DomainError(f"beta must lie in (0, pi), got {beta}")
-    raw = (alpha + beta, alpha - beta, -alpha + beta, -alpha - beta)
-    folded = tuple(_fold_polar(phi) for phi in raw)
-    tilt_min = min(folded)
-    tilt_max = max(folded)
-    return TiltExtremes(folded, tilt_min, tilt_max, tilt_max - tilt_min)
 
 
 def check_grid_samples(n1: int, n2: int) -> None:

@@ -1,3 +1,4 @@
+import importlib
 import math
 import os
 import subprocess
@@ -827,18 +828,109 @@ class TestArbitraryInputFiles:
             assert list(work.rglob("c.csv"))
 
 
+def _fresh_python(code):
+    """Run `code` in a fresh interpreter that imports ssmkit from src/."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+
+
+# Names `ssmkit` exported when it imported every submodule eagerly.
+_PACKAGE_EXPORTS = {
+    "Direction", "FrictionParams", "JointTrajectory", "TorqueTrace", "TransmissionKind",
+    "TransmissionSpec", "inverse_dynamics", "is_self_locking", "nrmsd", "payload_curve",
+    "FitReport", "TelemetryLog", "TorqueVelocityMap", "evaluate_model",
+    "extract_steady_segments", "fit_friction", "load_telemetry_csv", "IkSolutionSet",
+    "JointState", "MechanismGeometry", "build_geometry", "forward_kinematics",
+    "inverse_kinematics", "probe_point_defaults", "JointKind", "Pose", "Twist",
+    "normalize_angle", "revolute_twist", "rodrigues", "SubproblemSolutions",
+    "subproblem1", "subproblem2", "subproblem3prime", "TiltExtremes",
+    "critical_directions", "dot_profile", "dot_profile_derivatives", "tilt_extremes",
+}
+
+_NUMPY_LOADED = "print(any(m == 'numpy' or m.startswith('numpy.') for m in sys.modules))"
+
+
 class TestImports:
     def test_cli_import_loads_no_scipy(self):
         """The runtime depends on numpy alone; scipy is a test-only oracle."""
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = dict(os.environ, PYTHONPATH=str(src))
         probe = (
             "import sys, ssmkit.cli; print(sorted(m for m in sys.modules "
             "if m == 'scipy' or m.startswith('scipy.')))"
         )
-        result = subprocess.run([sys.executable, "-c", probe], env=env,
-                                capture_output=True, text=True, check=True)
+        result = _fresh_python(probe)
+        assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"
+
+    def test_band_query_loads_no_numpy(self):
+        # `python -m ssmkit workspace 30 110`, then a look at sys.modules.
+        probe = (
+            "import runpy, sys\n"
+            "sys.argv = ['ssmkit', 'workspace', '30', '110']\n"
+            "try:\n"
+            "    runpy.run_module('ssmkit', run_name='__main__', alter_sys=True)\n"
+            "finally:\n"
+            f"    {_NUMPY_LOADED}\n"
+        )
+        result = _fresh_python(probe)
+        assert result.returncode == 0, result.stderr
+        lines = result.stdout.splitlines()
+        assert "band_deg = 80 to 140" in lines
+        assert lines[-1] == "False"
+
+    def test_help_loads_no_numpy(self):
+        probe = (
+            "import sys\nfrom ssmkit import cli\n"
+            "try:\n    cli.main(['workspace', '--help'])\n"
+            f"finally:\n    {_NUMPY_LOADED}\n"
+        )
+        result = _fresh_python(probe)
+        assert result.returncode == 0, result.stderr
+        assert "usage" in result.stdout
+        assert result.stdout.splitlines()[-1] == "False"
+
+    def test_package_import_loads_no_numpy(self):
+        result = _fresh_python(f"import sys, ssmkit; {_NUMPY_LOADED}")
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
+
+    def test_lazy_exports_are_the_submodule_objects(self):
+        import ssmkit
+
+        assert set(ssmkit._EXPORTS) == _PACKAGE_EXPORTS
+        for name, module in ssmkit._EXPORTS.items():
+            owner = importlib.import_module(f"ssmkit.{module}")
+            assert getattr(ssmkit, name) is getattr(owner, name), name
+        workspace = importlib.import_module("ssmkit.workspace")
+        assert ssmkit.tilt_extremes is workspace.tilt_extremes
+        assert ssmkit.TiltExtremes is workspace.TiltExtremes
+
+    def test_dir_lists_the_exports(self):
+        import ssmkit
+
+        listed = dir(ssmkit)
+        assert set(ssmkit._EXPORTS) <= set(listed)
+        assert "__version__" in listed
+        assert listed == sorted(listed)
+
+    def test_unknown_name_raises_attribute_error(self):
+        import ssmkit
+
+        with pytest.raises(AttributeError, match="no_such_name"):
+            ssmkit.no_such_name  # noqa: B018
+        assert not hasattr(ssmkit, "no_such_name")
+
+    def test_fresh_workspace_csv_with_one_sample_exits_2_before_any_output(self, tmp_path):
+        out_csv = tmp_path / "w.csv"
+        result = _fresh_python(
+            "import sys; from ssmkit.cli import main; sys.exit(main(["
+            f"'workspace', '30', '110', '--csv', {str(out_csv)!r}, '--samples', '1']))"
+        )
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == "error: grid needs at least 2 samples per joint\n"
+        assert not out_csv.exists()
 
 
 class TestHelp:

@@ -144,6 +144,23 @@ def _loadtxt_sources():
     return mock.patch.object(csvfile.np, "loadtxt", side_effect=spy), sources
 
 
+def _read_fifo(fifo, text):
+    """`_read` on a named pipe made at `fifo` that one writer thread feeds `text`."""
+    os.mkfifo(fifo)
+
+    def feed():
+        with open(fifo, "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        return _read(fifo)
+    finally:
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+
+
 class TestReaderRoute:
     """Each route gives the row loop's array bits or its error text."""
 
@@ -184,26 +201,29 @@ class TestReaderRoute:
         self._same_as_row_loop(path, fast)
 
     def test_named_pipe_is_read_once_through_its_handle(self, tmp_path):
-        fifo = tmp_path / "log.csv"
-        os.mkfifo(fifo)
-
-        def feed():
-            with open(fifo, "w", encoding="utf-8") as fh:
-                fh.write(_LOG)
-
-        writer = threading.Thread(target=feed)
-        writer.start()
         patch, sources = _loadtxt_sources()
-        try:
-            with patch:
-                fast = _read(fifo)
-        finally:
-            writer.join(timeout=10)
-        assert not writer.is_alive()
+        with patch:
+            fast = _read_fifo(tmp_path / "log.csv", _LOG)
         assert len(sources) == 1 and not isinstance(sources[0], str)
         plain = tmp_path / "plain.csv"
         plain.write_text(_LOG, encoding="utf-8")
         self._same_as_row_loop(plain, fast)
+
+    def test_named_pipe_error_names_the_line(self, tmp_path):
+        # The row loop cannot rewind a pipe; it reads the buffered text.
+        fifo = tmp_path / "log.csv"
+        with pytest.raises(InvalidLogError) as exc:
+            _read_fifo(fifo, "time_s,joint_id,velocity,torque\n0,1,x,0\n")
+        assert str(exc.value) == f"{fifo}:2: malformed record"
+
+    def test_named_pipe_quoted_field_reads_as_from_a_regular_file(self, tmp_path):
+        # Only the row loop reads a quoted field.
+        text = _LOG.replace("0.005,2", '0.005,"2"')
+        plain = tmp_path / "plain.csv"
+        plain.write_text(text, encoding="utf-8")
+        piped = _read_fifo(tmp_path / "log.csv", text)
+        assert np.array_equal(_bits(piped), _bits(_read(plain)))
+        self._same_as_row_loop(plain, piped)
 
     @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
     def test_compressed_suffix_is_read_as_plain_text(self, tmp_path, suffix):

@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ssmkit.errors import DegenerateGeometryError, DomainError
-from ssmkit.kinematics import build_geometry
-from ssmkit.screws import revolute_twist, rodrigues
+from helpers import angles
+from ssmkit import band
+from ssmkit.errors import DegenerateGeometryError, DomainError, UnreachableError
+from ssmkit.kinematics import build_geometry, inverse_kinematics
+from ssmkit.screws import Pose, revolute_twist, rodrigues
 from ssmkit.subproblems import subproblem1
 from ssmkit.workspace import (
     critical_directions,
@@ -195,6 +199,75 @@ class TestTiltExtremes:
             ext = tilt_extremes(alpha, beta)
             assert abs(math.degrees(polar.min() - ext.tilt_min)) < 0.05
             assert abs(math.degrees(polar.max() - ext.tilt_max)) < 0.05
+
+
+# Tool axes this close to a band edge are left unclassified.
+_EDGE_MARGIN = 1e-6
+# Within this angle of the roll axis, IK rejects some tool axes inside the
+# band (see `test_reachable_axis_near_the_roll_axis`), so there only the
+# unreachable half of the property is checked.
+_ROLL_AXIS_ZONE = 1e-4
+
+
+@st.composite
+def _band_cases(draw):
+    """A build, a tool-axis polar angle (anywhere, or within 1e-3 rad of a
+    band edge), its azimuth, the spin about the axis and the insertion."""
+    alpha = draw(st.floats(0.05, math.pi - 0.05))
+    beta = draw(st.floats(0.05, math.pi - 0.05))
+    ext = band.tilt_extremes(alpha, beta)
+    edge = draw(st.sampled_from([ext.tilt_min, ext.tilt_max]))
+    near_edge = st.floats(-1e-3, 1e-3).map(lambda d: min(max(edge + d, 0.0), math.pi))
+    polar = draw(st.one_of(st.floats(0.0, math.pi), near_edge))
+    return (alpha, beta, polar, draw(st.floats(0.0, 2.0 * math.pi)), draw(angles),
+            draw(st.floats(-0.1, 0.1)))
+
+
+def _rotation_onto(a, b):
+    """A rotation taking unit vector a onto unit vector b."""
+    axis = np.cross(a, b)
+    sin = float(np.linalg.norm(axis))
+    cos = float(a @ b)
+    if sin < 1e-12:
+        # a lies in the xz-plane here, so +y is perpendicular to it.
+        return np.eye(3) if cos > 0.0 else rodrigues(np.array([0.0, 1.0, 0.0]), math.pi)
+    return rodrigues(axis / sin, math.atan2(sin, cos))
+
+
+class TestBandMatchesIkReachability:
+    """The closed-form band and the closed-form IK agree: a tool axis is
+    unreachable exactly when its polar angle lies outside the band."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_band_cases())
+    def test_unreachable_exactly_outside_the_band(self, case):
+        alpha, beta, polar, azimuth, spin, t4 = case
+        geom = build_geometry(alpha, beta)
+        u = np.array([math.sin(polar) * math.cos(azimuth),
+                      math.sin(polar) * math.sin(azimuth), math.cos(polar)])
+        rot = rodrigues(u, spin) @ _rotation_onto(geom.v4, u)
+        axis = rot @ geom.v4
+        phi = math.atan2(float(np.linalg.norm(np.cross(geom.omega1, axis))),
+                         float(axis @ geom.omega1))
+        ext = band.tilt_extremes(alpha, beta)
+        target = Pose(rot, axis * t4)
+        if phi < ext.tilt_min - _EDGE_MARGIN or phi > ext.tilt_max + _EDGE_MARGIN:
+            with pytest.raises(UnreachableError):
+                inverse_kinematics(geom, target)
+        elif (ext.tilt_min + _EDGE_MARGIN < phi < ext.tilt_max - _EDGE_MARGIN
+              and _ROLL_AXIS_ZONE < phi < math.pi - _ROLL_AXIS_ZONE):
+            assert inverse_kinematics(geom, target).branches
+
+    @pytest.mark.xfail(strict=True, raises=UnreachableError, reason=(
+        "the two-axis solve finds the point near the pole from its height on "
+        "the roll axis, so a 1e-16 error there moves it 1e-16/polar sideways "
+        "and the 1e-9 checks reject it"))
+    def test_reachable_axis_near_the_roll_axis(self):
+        # alpha == beta puts the roll axis inside the band, at its lower edge.
+        geom = build_geometry(DEG(45), DEG(45))
+        polar = 1e-7
+        u = np.array([math.sin(polar), 0.0, math.cos(polar)])
+        inverse_kinematics(geom, Pose(_rotation_onto(geom.v4, u), u * 0.01))
 
 
 class TestSampling:
