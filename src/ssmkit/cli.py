@@ -6,7 +6,8 @@ emission.
 Angles cross the CLI boundary in degrees (radians internally); joint 4
 values are meters. Relative output paths go under the project's
 output_dir, else under SSMKIT_OUTPUT_DIR when it is set. Exit codes: 0 on
-success, 2 for input or config errors, 3 when a target is unreachable.
+success, 2 for input or config errors and requests too large for memory,
+3 when a target is unreachable.
 
 numpy and the modules built on it are imported inside the subcommands
 that use them, so `workspace A B` and `--help` run without numpy. Each
@@ -435,6 +436,11 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # A grid or point count too large to hold, such as `--samples 10000000`.
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory",
+              file=sys.stderr)
         return 2
 
 

@@ -15,6 +15,10 @@ parses share. Only a file the fast parse rejects goes through the
 it as `path:lineno`; the loop also accepts the few spellings `float()`
 reads and `loadtxt` does not (quoted fields, digit separators such as
 `1_000`).
+
+The writer formats a block of rows per `%` call. In a block where a
+column repeats its values, such as a grid angle, each distinct value is
+formatted once and its text reused; the bytes are those of `np.savetxt`.
 """
 
 from __future__ import annotations
@@ -29,6 +33,10 @@ import numpy as np
 
 # Rows formatted per write call by `write_numeric_csv`.
 _WRITE_BLOCK_ROWS = 4096
+
+# A block of a column is written from the text of its distinct values when
+# it holds at most this many distinct values per row.
+_TEXT_COLUMN_MAX_DISTINCT_SHARE = 0.5
 
 # Suffixes that numpy's `np.loadtxt` decompresses when it opens a path.
 _COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
@@ -80,17 +88,58 @@ def write_numeric_csv(path, columns, data, precision: int) -> None:
     number with `precision` significant digits. A 1-D `data` is one column.
 
     Each block of `_WRITE_BLOCK_ROWS` rows is formatted by one `%` call on
-    a row format repeated per row; the blocks keep the tuple of Python
-    floats a few thousand rows long."""
-    data = np.asarray(data)
+    a row format repeated per row; the blocks keep the tuple of arguments
+    a few thousand rows long. A column whose first block repeats its
+    values is passed as text in every block where it still does: each
+    distinct value of the block is formatted once, and the rows holding
+    it reuse the text. The bytes are those of formatting every number."""
+    data = np.asarray(data, dtype=np.float64)
     if data.ndim == 1:
         data = data[:, None]
-    row_fmt = ",".join(["%.{}g".format(precision)] * data.shape[1]) + "\n"
+    num = "%.{}g".format(precision)
+    repeating = range(data.shape[1])
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(columns) + "\n")
         for start in range(0, data.shape[0], _WRITE_BLOCK_ROWS):
             block = data[start:start + _WRITE_BLOCK_ROWS]
-            fh.write((row_fmt * block.shape[0]) % tuple(block.ravel().tolist()))
+            texts = {j: _repeated_text(block[:, j], num) for j in repeating}
+            texts = {j: text for j, text in texts.items() if text is not None}
+            if start == 0:
+                # Later blocks try only the columns that repeat in the first.
+                repeating = list(texts)
+            row_fmt = ",".join("%s" if j in texts else num
+                               for j in range(data.shape[1])) + "\n"
+            # Without text columns the floats go straight to `%`: an object
+            # array would slow those blocks by about 10%.
+            args = block
+            if texts:
+                args = np.empty(block.shape, dtype=object)
+                numeric = [j for j in range(data.shape[1]) if j not in texts]
+                args[:, numeric] = block[:, numeric]
+                for j, text in texts.items():
+                    args[:, j] = text
+            fh.write((row_fmt * block.shape[0]) % tuple(args.ravel().tolist()))
+
+
+def _repeated_text(values, num):
+    """The text of each of the float64 `values`, as an object array, or None
+    when more than `_TEXT_COLUMN_MAX_DISTINCT_SHARE` of them are distinct.
+    Each distinct value is formatted once, with `num`.
+
+    Values are told apart by their bit patterns: -0.0 == 0.0, but the two
+    print differently. `np.unique` is not used: its first call imports
+    `numpy.ma`."""
+    keys = values.view(np.int64)
+    ordered = np.sort(keys)
+    first = np.empty(ordered.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    distinct = ordered[first]
+    if distinct.size > _TEXT_COLUMN_MAX_DISTINCT_SHARE * keys.size:
+        return None
+    floats = distinct.view(np.float64).tolist()
+    text = ((num + "\n") * len(floats) % tuple(floats)).split("\n")[:-1]
+    return np.array(text, dtype=object)[np.searchsorted(distinct, keys)]
 
 
 def _reopenable_path(path):

@@ -33,7 +33,6 @@ import bisect
 import math
 import warnings
 from dataclasses import dataclass
-from statistics import NormalDist
 
 import numpy as np
 
@@ -51,8 +50,10 @@ VALID_JOINT_IDS = (1, 2, 3, 4)
 # Fewest samples a plateau keeps after its transient is discarded.
 _MIN_SAMPLES = 5
 
-# Standard-normal quantile of the two-sided 95% parameter intervals.
-_Z95 = NormalDist().inv_cdf(0.975)
+# Standard-normal quantile of the two-sided 95% parameter intervals:
+# `statistics.NormalDist().inv_cdf(0.975)`, written out so that importing
+# this module does not load `statistics` (and `fractions`, `decimal`).
+_Z95 = 1.9599639845400536
 
 
 @dataclass(frozen=True, eq=False)

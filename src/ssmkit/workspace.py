@@ -36,7 +36,12 @@ def rotate_about(axis: np.ndarray, theta, vec: np.ndarray) -> np.ndarray:
     s = np.sin(theta).reshape(lift)
     axv = np.cross(axis, vec)
     axial = (vec @ axis)[..., None] * axis
-    return c * vec + s * axv + (1.0 - c) * axial
+    # c * vec + s * axv + (1 - c) * axial, summed in place in that order:
+    # the same bits, with one full-size temporary fewer.
+    out = c * vec
+    out += s * axv
+    out += (1.0 - c) * axial
+    return out
 
 
 def dot_profile(geom: MechanismGeometry, theta2):
@@ -90,7 +95,8 @@ def sample_workspace_grid(geom: MechanismGeometry, n1: int, n2: int):
     theta2 = np.linspace(-math.pi, math.pi, n2, endpoint=False)
     ring = rotate_about(geom.omega2, theta2, geom.v4)
     points = rotate_about(geom.omega1, theta1, ring).reshape(-1, 3)
-    polar = np.arccos(np.clip(points @ geom.omega1, -1.0, 1.0))
+    polar = points @ geom.omega1
+    np.arccos(np.clip(polar, -1.0, 1.0, out=polar), out=polar)
     return theta1, theta2, points, polar
 
 
@@ -98,9 +104,14 @@ def write_workspace_csv(path, geom: MechanismGeometry, n1: int, n2: int,
                         precision: int = DEFAULT_PRECISION) -> None:
     """Emit grid samples as CSV: theta1_rad, theta2_rad, x, y, z, polar_deg."""
     theta1, theta2, points, polar = sample_workspace_grid(geom, n1, n2)
-    t1 = np.repeat(theta1, len(theta2))
-    t2 = np.tile(theta2, len(theta1))
-    data = np.column_stack([t1, t2, points, np.degrees(polar)])
+    data = np.empty((len(points), 6))
+    grid = data.reshape(len(theta1), len(theta2), 6)
+    grid[:, :, 0] = theta1[:, None]
+    grid[:, :, 1] = theta2
+    data[:, 2:5] = points
+    np.degrees(polar, out=data[:, 5])
+    # The table holds the grid now; freeing it keeps it out of the write's peak.
+    del points, polar
     csvfile.write_numeric_csv(
         path, ("theta1_rad", "theta2_rad", "x", "y", "z", "polar_deg"), data, precision
     )

@@ -103,6 +103,19 @@ class TestWorkspaceCommand:
         assert "grid needs at least 2 samples per joint" in captured.err
         assert not out_csv.exists()
 
+    def test_grid_too_large_for_memory_exits_2(self, tmp_path, capsys):
+        # 10**14 samples per joint: the first linspace asks for 727 TiB, more
+        # than any address space, so the allocation fails at once.
+        out_csv = tmp_path / "w.csv"
+        code = cli.main(
+            ["workspace", "30", "110", "--samples", str(10**14), "--csv", str(out_csv)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not out_csv.exists()
+
     def test_csv_emission_is_deterministic(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
@@ -598,6 +611,20 @@ class TestPayloadCommand:
         assert abs(fitted[1] - J1_PARAMS.b_c) < 1e-12
         assert abs(fitted[0] - J1_PARAMS.b_v) < 1e-12
 
+    def test_point_count_too_large_for_memory_exits_2(self, tmp_path, drive_cfg, capsys):
+        # 10**14 points ask for 727 TiB, more than any address space.
+        out = tmp_path / "curve.csv"
+        code = cli.main(
+            ["payload", "--transmission", str(drive_cfg), "--vmax", "1",
+             "--points", str(10**14), "--out", str(out)]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: out of memory")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert not out.exists()
+
     def test_point_count_doubles_rows(self, tmp_path, drive_cfg):
         for points, name in ((30, "a.csv"), (60, "b.csv")):
             cli.main(
@@ -920,6 +947,30 @@ class TestImports:
         with pytest.raises(AttributeError, match="no_such_name"):
             ssmkit.no_such_name  # noqa: B018
         assert not hasattr(ssmkit, "no_such_name")
+
+    def test_workspace_csv_loads_no_numpy_ma(self, tmp_path):
+        # The writer finds distinct values without `np.unique`, whose first
+        # call imports `numpy.ma` and raises peak memory.
+        out_csv = tmp_path / "w.csv"
+        probe = (
+            "import runpy, sys\n"
+            "sys.argv = ['ssmkit', 'workspace', '30', '110', '--csv', "
+            f"{str(out_csv)!r}, '--samples', '50']\n"
+            "try:\n"
+            "    runpy.run_module('ssmkit', run_name='__main__', alter_sys=True)\n"
+            "finally:\n"
+            "    print('numpy.ma' in sys.modules)\n"
+        )
+        result = _fresh_python(probe)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "False"
+        assert len(out_csv.read_text(encoding="utf-8").splitlines()) == 50 * 50 + 1
+
+    def test_identification_import_loads_no_statistics(self):
+        result = _fresh_python(
+            "import sys, ssmkit.identification; print('statistics' in sys.modules)")
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
 
     def test_fresh_workspace_csv_with_one_sample_exits_2_before_any_output(self, tmp_path):
         out_csv = tmp_path / "w.csv"

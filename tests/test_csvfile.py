@@ -313,3 +313,94 @@ class TestWriterMatchesSavetxt:
         finally:
             tracemalloc.stop()
         assert peak < 5_000_000
+
+
+# Float64 bit patterns of NaNs of either sign and of different payloads.
+_NANS = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+                  0xFFF0000000000ABC, 0x7FFFFFFFFFFFFFFF], dtype=np.uint64).view(np.float64)
+_SPECIALS = np.concatenate(
+    [[0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 1e308, -1e308, 1.5, -2.25], _NANS])
+
+
+def _is_text(values):
+    return csvfile._repeated_text(values, "%.9g") is not None
+
+
+def _write_both(tmp_path, data, precision):
+    columns = tuple(f"c{j}" for j in range(data.shape[1]))
+    csvfile.write_numeric_csv(tmp_path / "new.csv", columns, data, precision)
+    savetxt_writer_oracle(tmp_path / "old.csv", columns, data, precision)
+    return (tmp_path / "new.csv").read_bytes(), (tmp_path / "old.csv").read_bytes()
+
+
+class TestRepeatedValueText:
+    """A block of a column that repeats its values is written from the text
+    of its distinct float64 bit patterns; the bytes stay savetxt's."""
+
+    @pytest.mark.parametrize("precision", [1, 9, 17])
+    def test_low_cardinality_special_values(self, tmp_path, precision):
+        rng = np.random.default_rng(12)
+        n = 2 * _BLOCK + 3
+        special = _SPECIALS[rng.integers(0, _SPECIALS.size, n)]
+        data = np.column_stack([special, rng.standard_normal(n), special[::-1]])
+        assert _is_text(data[:_BLOCK, 0]) and not _is_text(data[:_BLOCK, 1])
+        new, old = _write_both(tmp_path, data, precision)
+        assert new == old
+        assert b"-0" in new and b"nan" in new and b"-inf" in new
+
+    @pytest.mark.parametrize("precision", [1, 9, 17])
+    def test_column_that_stops_repeating_after_the_first_block(self, tmp_path, precision):
+        rng = np.random.default_rng(13)
+        n = 3 * _BLOCK + 5
+        col = rng.standard_normal(n)
+        col[:_BLOCK] = np.repeat(rng.standard_normal(8), _BLOCK // 8)
+        data = np.column_stack([col, rng.standard_normal(n)])
+        assert _is_text(data[:_BLOCK, 0])
+        new, old = _write_both(tmp_path, data, precision)
+        assert new == old
+
+    def test_column_that_stops_repeating_keeps_a_one_block_peak(self, tmp_path):
+        # A trace that starts at rest: no table of every later value builds up.
+        data = np.column_stack([np.arange(100_000) / 1000.0,
+                                np.random.default_rng(16).standard_normal(100_000)])
+        data[:_BLOCK, 1] = 0.0
+        tracemalloc.start()
+        try:
+            csvfile.write_numeric_csv(tmp_path / "rest.csv", ("time_s", "value"), data, 9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+
+    @pytest.mark.parametrize("precision", [1, 9, 17])
+    def test_column_that_starts_repeating_after_the_first_block(self, tmp_path, precision):
+        rng = np.random.default_rng(14)
+        n = 3 * _BLOCK + 5
+        col = rng.standard_normal(n)
+        col[_BLOCK - 3:] = rng.choice([0.5, -0.0, 1e-300, 7.0], n - _BLOCK + 3)
+        data = np.column_stack([rng.standard_normal(n), col])
+        assert not _is_text(data[:_BLOCK, 1])
+        new, old = _write_both(tmp_path, data, precision)
+        assert new == old
+
+    def test_workspace_like_table_peaks_far_below_a_whole_array_tuple(self, tmp_path):
+        # 300 x 300 grid: two angle columns of 300 values, two of about a
+        # thousand, two all distinct; the same bound as the all-distinct table.
+        rng = np.random.default_rng(15)
+        angles = np.linspace(-math.pi, math.pi, 300, endpoint=False)
+        data = np.empty((90_000, 6))
+        grid = data.reshape(300, 300, 6)
+        grid[:, :, 0] = angles[:, None]
+        grid[:, :, 1] = angles
+        data[:, 2:4] = rng.standard_normal((90_000, 2))
+        data[:, 4] = rng.standard_normal(1032)[rng.integers(0, 1032, 90_000)]
+        data[:, 5] = rng.standard_normal(321)[rng.integers(0, 321, 90_000)]
+        assert [_is_text(data[:_BLOCK, j]) for j in range(6)] == [True] * 2 + [
+            False] * 2 + [True] * 2
+        tracemalloc.start()
+        try:
+            csvfile.write_numeric_csv(tmp_path / "big.csv", tuple("abcdef"), data, 9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5_000_000

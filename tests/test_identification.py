@@ -1,5 +1,6 @@
 import math
 import warnings
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -589,7 +590,7 @@ class TestClosedFormInversions:
                          "mu_s defaulted to mu_c (no usable breakaway samples)"]
 
     def test_z_for_95_percent(self):
-        assert abs(_Z95 - 1.959963984540054) < 1e-12
+        assert _Z95 == NormalDist().inv_cdf(0.975)
 
 
 class TestBreakawayExtraction:
