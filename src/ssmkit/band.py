@@ -38,12 +38,17 @@ def _fold_polar(phi: float) -> float:
     return 2.0 * math.pi - m if m > math.pi else m
 
 
-def tilt_extremes(alpha: float, beta: float) -> TiltExtremes:
-    """Closed-form tilt band for axis angles alpha, beta (radians)."""
+def check_axis_angles(alpha: float, beta: float) -> None:
+    """DomainError unless both axis angles (radians) lie in (0, pi)."""
     if not 0.0 < alpha < math.pi:
         raise DomainError(f"alpha must lie in (0, pi), got {alpha}")
     if not 0.0 < beta < math.pi:
         raise DomainError(f"beta must lie in (0, pi), got {beta}")
+
+
+def tilt_extremes(alpha: float, beta: float) -> TiltExtremes:
+    """Closed-form tilt band for axis angles alpha, beta (radians)."""
+    check_axis_angles(alpha, beta)
     raw = (alpha + beta, alpha - beta, -alpha + beta, -alpha - beta)
     folded = tuple(_fold_polar(phi) for phi in raw)
     tilt_min = min(folded)

@@ -4,10 +4,14 @@ kinematics, friction identification, torque simulation, and payload-curve
 emission.
 
 Angles cross the CLI boundary in degrees (radians internally); joint 4
-values are meters. Relative output paths go under the project's
-output_dir, else under SSMKIT_OUTPUT_DIR when it is set. Exit codes: 0 on
-success, 2 for input or config errors and requests too large for memory,
-3 when a target is unreachable.
+values are meters. `main` reads the `--project` file once, or takes an
+empty `ProjectConfig` without one, and hands it to the subcommand; an
+absent `--precision` becomes the project's `precision` (default 9).
+`--config` and `--transmission` win over the project's mechanism and
+joint files. Relative output paths go under the project's output_dir,
+else under SSMKIT_OUTPUT_DIR when it is set. Exit codes: 0 on success, 2
+for input or config errors and requests too large for memory, 3 when a
+target is unreachable.
 
 numpy and the modules built on it are imported inside the subcommands
 that use them, so `workspace A B` and `--help` run without numpy. Each
@@ -28,7 +32,7 @@ from typing import TYPE_CHECKING
 
 from . import band
 from .configfile import (DEFAULT_PRECISION, MAX_PRECISION, format_float, parse_float,
-                         parse_floats, parse_precision, read_kv)
+                         parse_floats, parse_precision, read_config)
 from .errors import DomainError, SsmKitError, TrajectoryOverflowError, UnreachableError
 
 if TYPE_CHECKING:
@@ -55,63 +59,43 @@ def load_project_config(path) -> ProjectConfig:
     """
     from . import dynamics, kinematics
 
-    kv = read_kv(path)
+    joints = {f"joint{jid}": jid for jid in (1, 2, 3, 4)}
+    kv = read_config(path, "project",
+                     optional=("mechanism", *joints, "output_dir", "precision"))
     base = Path(path).parent
 
-    def resolve(raw):
-        p = Path(raw)
-        return p if p.is_absolute() else base / p
+    def load(key, loader):
+        # `base / value` keeps an absolute value as it is.
+        file = base / kv[key]
+        if not file.exists():
+            raise DomainError(f"project {path}: {key} file {file} not found")
+        return loader(file)
 
-    geometry = None
-    if "mechanism" in kv:
-        mech_path = resolve(kv.pop("mechanism"))
-        if not mech_path.exists():
-            raise DomainError(f"project {path}: mechanism file {mech_path} not found")
-        geometry = kinematics.load_mechanism_config(mech_path)
-    drives = {}
-    for jid in (1, 2, 3, 4):
-        key = f"joint{jid}"
-        if key in kv:
-            drive_path = resolve(kv.pop(key))
-            if not drive_path.exists():
-                raise DomainError(f"project {path}: {key} file {drive_path} not found")
-            drives[jid] = dynamics.load_transmission_config(drive_path)
-    output_dir = resolve(kv.pop("output_dir")) if "output_dir" in kv else None
-    precision = DEFAULT_PRECISION
-    if "precision" in kv:
-        precision = parse_precision(kv.pop("precision"), "precision")
-    if kv:
-        raise DomainError(f"project {path}: unknown keys {sorted(kv)}")
+    geometry = load("mechanism", kinematics.load_mechanism_config) if "mechanism" in kv else None
+    drives = {jid: load(key, dynamics.load_transmission_config)
+              for key, jid in joints.items() if key in kv}
+    output_dir = base / kv["output_dir"] if "output_dir" in kv else None
+    precision = (parse_precision(kv["precision"], "precision") if "precision" in kv
+                 else DEFAULT_PRECISION)
     return ProjectConfig(geometry, drives, output_dir, precision)
 
 
-def _out_path(raw, project: ProjectConfig | None) -> Path:
+def _out_path(raw, project: ProjectConfig) -> Path:
     p = Path(raw)
-    if p.is_absolute():
-        return p
-    root = None
-    if project is not None and project.output_dir is not None:
-        root = project.output_dir
-    elif os.environ.get(OUTPUT_DIR_ENV):
-        root = Path(os.environ[OUTPUT_DIR_ENV])
-    if root is None:
+    env = os.environ.get(OUTPUT_DIR_ENV)
+    root = project.output_dir or (Path(env) if env else None)
+    if p.is_absolute() or root is None:
         return p
     root.mkdir(parents=True, exist_ok=True)
     return root / p
 
 
-def _load_project(args) -> ProjectConfig | None:
-    if getattr(args, "project", None):
-        return load_project_config(args.project)
-    return None
-
-
 def _geometry_for(args, project):
     from . import kinematics
 
-    if getattr(args, "config", None):
+    if args.config:
         return kinematics.load_mechanism_config(args.config)
-    if project is not None and project.geometry is not None:
+    if project.geometry is not None:
         return project.geometry
     raise DomainError("no mechanism config: pass --config or a --project with one")
 
@@ -119,31 +103,20 @@ def _geometry_for(args, project):
 def _drive_for(args, project):
     from . import dynamics
 
-    if getattr(args, "transmission", None):
+    if args.transmission:
         return dynamics.load_transmission_config(args.transmission)
-    joint = getattr(args, "joint", None)
-    if project is not None and joint is not None and joint in project.drives:
-        return project.drives[joint]
+    if args.joint in project.drives:
+        return project.drives[args.joint]
     raise DomainError(
         "no transmission config: pass --transmission or a --project defining the joint"
     )
 
 
-def _precision(args, project) -> int:
-    if getattr(args, "precision", None) is not None:
-        return args.precision
-    if project is not None:
-        return project.precision
-    return DEFAULT_PRECISION
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_workspace(args) -> int:
-    project = _load_project(args)
-    prec = _precision(args, project)
-    ff = lambda x: format_float(x, prec)
+def cmd_workspace(args, project) -> int:
+    ff = lambda x: format_float(x, args.precision)
     if args.csv:
         from . import kinematics, workspace
 
@@ -164,7 +137,7 @@ def cmd_workspace(args) -> int:
     if args.csv:
         geom = kinematics.build_geometry(alpha, beta)
         path = _out_path(args.csv, project)
-        workspace.write_workspace_csv(path, geom, args.samples, args.samples, prec)
+        workspace.write_workspace_csv(path, geom, args.samples, args.samples, args.precision)
         print(f"workspace samples written to {path}")
     return 0
 
@@ -188,14 +161,12 @@ def _parse_pose(raw):
     return screws.Pose(rot, np.array(vals[9:]))
 
 
-def cmd_fk(args) -> int:
+def cmd_fk(args, project) -> int:
     import numpy as np
 
     from . import kinematics
 
-    project = _load_project(args)
-    prec = _precision(args, project)
-    ff = lambda x: format_float(x, prec)
+    ff = lambda x: format_float(x, args.precision)
     geom = _geometry_for(args, project)
     pose = kinematics.forward_kinematics(geom, _parse_theta(args.theta))
     print("rotation =", " ".join(ff(v) for v in pose.rotation.ravel()))
@@ -204,12 +175,10 @@ def cmd_fk(args) -> int:
     return 0
 
 
-def cmd_ik(args) -> int:
+def cmd_ik(args, project) -> int:
     from . import kinematics
 
-    project = _load_project(args)
-    prec = _precision(args, project)
-    ff = lambda x: format_float(x, prec)
+    ff = lambda x: format_float(x, args.precision)
     geom = _geometry_for(args, project)
     result = kinematics.inverse_kinematics(geom, _parse_pose(args.pose))
     print(f"singular = {'yes' if result.singular else 'no'}")
@@ -230,12 +199,10 @@ def cmd_ik(args) -> int:
     return 0
 
 
-def cmd_identify(args) -> int:
+def cmd_identify(args, project) -> int:
     from . import identification
 
-    project = _load_project(args)
-    prec = _precision(args, project)
-    ff = lambda x: format_float(x, prec)
+    ff = lambda x: format_float(x, args.precision)
     spec, _ = _drive_for(args, project)
     log = identification.load_telemetry_csv(args.telemetry, args.rate)
     tv_map = identification.extract_steady_segments(
@@ -271,16 +238,14 @@ def cmd_identify(args) -> int:
         print(f"flag: {flag}")
     if args.out:
         path = _out_path(args.out, project)
-        identification.save_fit_report(path, report, spec, prec)
+        identification.save_fit_report(path, report, spec, args.precision)
         print(f"fit report written to {path}")
     return 0
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args, project) -> int:
     from . import dynamics
 
-    project = _load_project(args)
-    prec = _precision(args, project)
     spec, params = _drive_for(args, project)
     traj = dynamics.read_trajectory_csv(args.trajectory)
     load_fn = None if args.load == 0.0 else (lambda t: args.load)
@@ -289,22 +254,20 @@ def cmd_simulate(args) -> int:
     except TrajectoryOverflowError as exc:
         raise DomainError(f"{args.trajectory}: {exc}") from None
     path = _out_path(args.out, project)
-    dynamics.write_trace_csv(path, trace.time, trace.torque, prec)
+    dynamics.write_trace_csv(path, trace.time, trace.torque, args.precision)
     print(f"simulated torque written to {path}")
     if args.measured:
         mt, mv = dynamics.read_trace_csv(args.measured)
         value = dynamics.nrmsd(trace, dynamics.TorqueTrace(mt, mv))
-        print(f"nrmsd = {format_float(value, prec)}")
+        print(f"nrmsd = {format_float(value, args.precision)}")
     return 0
 
 
-def cmd_payload(args) -> int:
+def cmd_payload(args, project) -> int:
     import numpy as np
 
     from . import csvfile, dynamics
 
-    project = _load_project(args)
-    prec = _precision(args, project)
     spec, params = _drive_for(args, project)
     if args.points < 1:
         raise DomainError("--points must be at least 1")
@@ -313,7 +276,7 @@ def cmd_payload(args) -> int:
     grid = np.linspace(args.vmax / args.points, args.vmax, args.points)
     curve = dynamics.payload_curve(spec, params, args.load, grid)
     path = _out_path(args.out, project)
-    csvfile.write_numeric_csv(path, ("velocity_rad_s", "torque_Nm"), curve, prec)
+    csvfile.write_numeric_csv(path, ("velocity_rad_s", "torque_Nm"), curve, args.precision)
     print(f"payload curve written to {path}")
     return 0
 
@@ -427,7 +390,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        project = load_project_config(args.project) if args.project else ProjectConfig()
+        if args.precision is None:
+            args.precision = project.precision
+        return args.func(args, project)
     except UnreachableError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

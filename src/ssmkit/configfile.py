@@ -1,7 +1,8 @@
 """
 Tiny `key = value` config format shared by the mechanism, transmission,
-and fit-report files. Lines starting with '#' are comments; values keep
-whatever whitespace-separated tokens follow the '='.
+project and fit-report files. Lines starting with '#' are comments; values
+keep whatever whitespace-separated tokens follow the '='. `read_config`
+is the one reader: it checks a file's keys before any value is parsed.
 """
 
 from __future__ import annotations
@@ -37,6 +38,22 @@ def read_kv(path) -> dict[str, str]:
         key, value = line.split("=", 1)
         out[key.strip()] = value.strip()
     return out
+
+
+def read_config(path, kind: str, required=(), optional=()) -> dict[str, str]:
+    """
+    The key = value pairs of a `kind` config file. A required key that is
+    absent (the first in `required` order), then any key in neither list,
+    raises DomainError naming the file.
+    """
+    kv = read_kv(path)
+    for key in required:
+        if key not in kv:
+            raise DomainError(f"{kind} {path}: missing key {key!r}")
+    unknown = set(kv).difference(required, optional)
+    if unknown:
+        raise DomainError(f"{kind} {path}: unknown keys {sorted(unknown)}")
+    return kv
 
 
 def write_kv(path, items, comments=()) -> None:

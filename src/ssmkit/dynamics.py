@@ -230,15 +230,19 @@ def payload_curve(spec: TransmissionSpec, params: FrictionParams,
     """
     Steady-state motor torque demand over a grid of motor velocities
     (positive, ascending), as an (n, 2) array of (velocity, torque) rows
-    ready to overlay on a motor torque-speed limit curve.
+    ready to overlay on a motor torque-speed limit curve. Raises
+    DomainError, without numpy warnings, when a torque overflows.
     """
     grid = np.asarray(velocity_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise DomainError("velocity grid must be a non-empty 1-d array")
     if grid[0] <= 0.0 or np.any(np.diff(grid) <= 0.0):
         raise DomainError("velocity grid must be positive and ascending")
-    reflected = reflect_load(spec, params.mu_c, load_torque, 1.0)
-    torque = params.b_c + params.b_v * grid + reflected
+    with np.errstate(over="ignore", invalid="ignore"):
+        reflected = reflect_load(spec, params.mu_c, load_torque, 1.0)
+        torque = params.b_c + params.b_v * grid + reflected
+    if not np.isfinite(torque).all():
+        raise DomainError("motor torque of the payload curve overflows")
     return np.column_stack([grid, torque])
 
 
@@ -298,6 +302,10 @@ def read_trajectory_csv(path) -> JointTrajectory:
 
 
 _KIND_NAMES = {k.value: k for k in TransmissionKind}
+# Keys of a transmission config, in the order they are written; the last
+# four are the FrictionParams fields.
+_TRANSMISSION_KEYS = ("kind", "ratio", "lead_angle_deg", "reflected_inertia",
+                      "mu_s", "mu_c", "b_c", "b_v")
 
 
 def load_transmission_config(path):
@@ -306,35 +314,15 @@ def load_transmission_config(path):
     lead_angle_deg, reflected_inertia, mu_s, mu_c, b_c, b_v. Returns
     (TransmissionSpec, FrictionParams). Unknown keys are rejected.
     """
-    kv = configfile.read_kv(path)
-    try:
-        kind_raw = kv.pop("kind").lower()
-        spec = TransmissionSpec(
-            kind=_KIND_NAMES.get(kind_raw) or _bad_kind(path, kind_raw),
-            ratio=configfile.parse_float(kv.pop("ratio"), "ratio"),
-            lead_angle=math.radians(
-                configfile.parse_float(kv.pop("lead_angle_deg"), "lead_angle_deg")
-            ),
-            reflected_inertia=configfile.parse_float(
-                kv.pop("reflected_inertia"), "reflected_inertia"
-            ),
-        )
-        params = FrictionParams(
-            mu_s=configfile.parse_float(kv.pop("mu_s"), "mu_s"),
-            mu_c=configfile.parse_float(kv.pop("mu_c"), "mu_c"),
-            b_c=configfile.parse_float(kv.pop("b_c"), "b_c"),
-            b_v=configfile.parse_float(kv.pop("b_v"), "b_v"),
-        )
-    except KeyError as exc:
-        raise DomainError(f"transmission config {path}: missing key {exc}") from None
-    if kv:
-        raise DomainError(f"transmission config {path}: unknown keys {sorted(kv)}")
-    return spec, params
-
-
-def _bad_kind(path, raw):
-    names = sorted(_KIND_NAMES)
-    raise DomainError(f"transmission config {path}: kind must be one of {names}, got {raw!r}")
+    kv = configfile.read_config(path, "transmission config", _TRANSMISSION_KEYS)
+    num = lambda key: configfile.parse_float(kv[key], key)
+    kind = kv["kind"].lower()
+    if kind not in _KIND_NAMES:
+        raise DomainError(f"transmission config {path}: kind must be one of "
+                          f"{sorted(_KIND_NAMES)}, got {kind!r}")
+    spec = TransmissionSpec(_KIND_NAMES[kind], num("ratio"),
+                            math.radians(num("lead_angle_deg")), num("reflected_inertia"))
+    return spec, FrictionParams(*(num(key) for key in _TRANSMISSION_KEYS[4:]))
 
 
 def save_transmission_config(path, spec: TransmissionSpec, params: FrictionParams,
@@ -342,14 +330,7 @@ def save_transmission_config(path, spec: TransmissionSpec, params: FrictionParam
                              precision: int = configfile.DEFAULT_PRECISION) -> None:
     """Write a config that load_transmission_config reads back unchanged."""
     ff = lambda x: configfile.format_float(x, precision)
-    items = [
-        ("kind", spec.kind.value),
-        ("ratio", ff(spec.ratio)),
-        ("lead_angle_deg", ff(math.degrees(spec.lead_angle))),
-        ("reflected_inertia", ff(spec.reflected_inertia)),
-        ("mu_s", ff(params.mu_s)),
-        ("mu_c", ff(params.mu_c)),
-        ("b_c", ff(params.b_c)),
-        ("b_v", ff(params.b_v)),
-    ]
-    configfile.write_kv(path, items, comments)
+    values = [spec.kind.value, ff(spec.ratio), ff(math.degrees(spec.lead_angle)),
+              ff(spec.reflected_inertia)]
+    values += [ff(getattr(params, key)) for key in _TRANSMISSION_KEYS[4:]]
+    configfile.write_kv(path, zip(_TRANSMISSION_KEYS, values), comments)

@@ -18,10 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import configfile
+from .band import check_axis_angles
 from .errors import (
     DegenerateGeometryError,
     DegenerateInputError,
-    DomainError,
     NoSolutionError,
     UnreachableError,
 )
@@ -74,10 +74,7 @@ class IkSolutionSet:
 
 def build_geometry(alpha: float, beta: float, r0=None) -> MechanismGeometry:
     """Construct the canonical geometry for axis angles alpha and beta."""
-    if not 0.0 < alpha < math.pi:
-        raise DomainError(f"alpha must lie in (0, pi), got {alpha}")
-    if not 0.0 < beta < math.pi:
-        raise DomainError(f"beta must lie in (0, pi), got {beta}")
+    check_axis_angles(alpha, beta)
     r0 = np.eye(3) if r0 is None else ensure_rotation(r0)
     omega1 = np.array([0.0, 0.0, 1.0])
     omega2 = np.array([math.sin(alpha), 0.0, math.cos(alpha)])
@@ -233,15 +230,10 @@ def load_mechanism_config(path) -> MechanismGeometry:
     Read a mechanism config: keys alpha_deg, beta_deg, and optionally r0
     (nine numbers, row-major reference orientation, default identity).
     """
-    kv = configfile.read_kv(path)
-    try:
-        alpha = math.radians(configfile.parse_float(kv.pop("alpha_deg"), "alpha_deg"))
-        beta = math.radians(configfile.parse_float(kv.pop("beta_deg"), "beta_deg"))
-    except KeyError as exc:
-        raise DomainError(f"mechanism config {path}: missing key {exc}") from None
+    kv = configfile.read_config(path, "mechanism config", ("alpha_deg", "beta_deg"), ("r0",))
+    alpha = math.radians(configfile.parse_float(kv["alpha_deg"], "alpha_deg"))
+    beta = math.radians(configfile.parse_float(kv["beta_deg"], "beta_deg"))
     r0 = None
     if "r0" in kv:
-        r0 = np.array(configfile.parse_floats(kv.pop("r0"), "r0", 9)).reshape(3, 3)
-    if kv:
-        raise DomainError(f"mechanism config {path}: unknown keys {sorted(kv)}")
+        r0 = np.array(configfile.parse_floats(kv["r0"], "r0", 9)).reshape(3, 3)
     return build_geometry(alpha, beta, r0)

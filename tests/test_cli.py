@@ -625,6 +625,27 @@ class TestPayloadCommand:
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
         assert not out.exists()
 
+    @pytest.mark.parametrize("ratio, b_v, vmax", [(1e-308, 7.18e-5, "1"),
+                                                  (120.0, 10.0, "1e308")])
+    def test_overflowing_torque_exits_2_without_warnings(self, tmp_path, capsys, ratio,
+                                                         b_v, vmax):
+        """A reflected load (ratio 1e-308) or a viscous term (b_v * 1e308)
+        beyond the float range."""
+        drive = tmp_path / "drive.cfg"
+        spec = TransmissionSpec(TransmissionKind.WORM_GEAR, ratio, DEG(5.0), 1.0e-5)
+        params = FrictionParams(mu_s=0.15, mu_c=0.13, b_c=3.82e-3, b_v=b_v)
+        save_transmission_config(drive, spec, params, precision=17)
+        out = tmp_path / "curve.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["payload", "--transmission", str(drive), "--load", "100",
+                             "--vmax", vmax, "--points", "3", "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: motor torque of the payload curve overflows\n"
+        assert not out.exists()
+
     def test_point_count_doubles_rows(self, tmp_path, drive_cfg):
         for points, name in ((30, "a.csv"), (60, "b.csv")):
             cli.main(
@@ -692,6 +713,108 @@ class TestProjectConfig:
         assert code == 0
         assert (sub / "out" / "c.csv").is_file()
         assert not (tmp_path / "out").exists()
+
+
+_DRIVE_LINES = ("kind = wormgear", "ratio = 120", "lead_angle_deg = 5",
+                "reflected_inertia = 1e-05", "mu_s = 0.15", "mu_c = 0.13",
+                "b_c = 0.00382", "b_v = 7.18e-05")
+
+
+def _j1_drive(drop=None, *extra):
+    """The J1 drive config without the `drop` key, plus `extra` lines."""
+    lines = [line for line in _DRIVE_LINES if line.partition(" = ")[0] != drop]
+    return "\n".join(lines + list(extra)) + "\n"
+
+
+class TestConfigMessages:
+    """The one `error:` line and exit 2 of each config loader for a file
+    with one fault; nothing on stdout and no file written."""
+
+    def _fails(self, capsys, argv, out=None):
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert out is None or not out.exists()
+        return captured.err
+
+    def _mechanism(self, tmp_path, capsys, text):
+        cfg = tmp_path / "mech.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        return self._fails(capsys, ["fk", "--config", str(cfg), "--theta", "0,0,0,0"]), cfg
+
+    def _payload(self, tmp_path, capsys, name, text, source):
+        cfg = tmp_path / name
+        cfg.write_text(text, encoding="utf-8")
+        out = tmp_path / "out.csv"
+        argv = ["payload", *source(cfg), "--vmax", "10", "--points", "3", "--out", str(out)]
+        return self._fails(capsys, argv, out), cfg
+
+    def _drive(self, tmp_path, capsys, text):
+        return self._payload(tmp_path, capsys, "drive.cfg", text,
+                             lambda cfg: ["--transmission", str(cfg)])
+
+    def _project(self, tmp_path, capsys, text):
+        return self._payload(tmp_path, capsys, "project.cfg", text,
+                             lambda cfg: ["--project", str(cfg), "--joint", "1"])
+
+    @pytest.mark.parametrize("text, key", [("alpha_deg = 30\n", "beta_deg"),
+                                           ("beta_deg = 110\nr0 = 1 0 0 0 1 0 0 0 1\n",
+                                            "alpha_deg")])
+    def test_mechanism_missing_key(self, tmp_path, capsys, text, key):
+        err, cfg = self._mechanism(tmp_path, capsys, text)
+        assert err == f"error: mechanism config {cfg}: missing key {key!r}\n"
+
+    def test_mechanism_unknown_keys(self, tmp_path, capsys):
+        err, cfg = self._mechanism(tmp_path, capsys,
+                                   "alpha_deg = 30\nbeta_deg = 110\ngamma = 1\nbeta = 2\n")
+        assert err == f"error: mechanism config {cfg}: unknown keys ['beta', 'gamma']\n"
+
+    @pytest.mark.parametrize("key", ["kind", "ratio", "mu_c", "b_v"])
+    def test_transmission_missing_key(self, tmp_path, capsys, key):
+        err, cfg = self._drive(tmp_path, capsys, _j1_drive(key))
+        assert err == f"error: transmission config {cfg}: missing key {key!r}\n"
+
+    def test_transmission_unknown_keys(self, tmp_path, capsys):
+        err, cfg = self._drive(tmp_path, capsys, _j1_drive(None, "gear = 1"))
+        assert err == f"error: transmission config {cfg}: unknown keys ['gear']\n"
+
+    def test_transmission_bad_kind(self, tmp_path, capsys):
+        err, cfg = self._drive(tmp_path, capsys, _j1_drive("kind", "kind = Spur"))
+        assert err == (f"error: transmission config {cfg}: kind must be one of "
+                       "['leadscrew', 'wormgear'], got 'spur'\n")
+
+    def test_transmission_bad_number(self, tmp_path, capsys):
+        err, _ = self._drive(tmp_path, capsys, _j1_drive("ratio", "ratio = x"))
+        assert err == "error: key 'ratio': expected a number, got 'x'\n"
+
+    def test_project_unknown_keys(self, tmp_path, capsys):
+        err, cfg = self._project(tmp_path, capsys, "joint5 = drive.cfg\nprecision = 9\n")
+        assert err == f"error: project {cfg}: unknown keys ['joint5']\n"
+
+    @pytest.mark.parametrize("key", ["mechanism", "joint1", "joint4"])
+    @pytest.mark.parametrize("absolute", [False, True])
+    def test_project_file_not_found(self, tmp_path, capsys, key, absolute):
+        missing = tmp_path / "nowhere" / "missing.cfg"
+        raw = str(missing) if absolute else "nowhere/missing.cfg"
+        err, cfg = self._project(tmp_path, capsys, f"{key} = {raw}\n")
+        assert err == f"error: project {cfg}: {key} file {missing} not found\n"
+
+    def test_project_names_a_faulty_drive_file(self, tmp_path, capsys):
+        (tmp_path / "drive.cfg").write_text(_j1_drive("b_c"), encoding="utf-8")
+        err, _ = self._project(tmp_path, capsys, "joint1 = drive.cfg\n")
+        assert err == f"error: transmission config {tmp_path / 'drive.cfg'}: missing key 'b_c'\n"
+
+    def test_keys_are_checked_before_values(self, tmp_path, capsys):
+        """A file with a bad value and an unknown key names the unknown key;
+        a missing key is named before an unknown one."""
+        err, cfg = self._drive(tmp_path, capsys,
+                               _j1_drive("ratio", "ratio = x", "foo = 1"))
+        assert err == f"error: transmission config {cfg}: unknown keys ['foo']\n"
+        err, cfg = self._mechanism(tmp_path, capsys, "alpha_deg = x\ngamma = 1\n")
+        assert err == f"error: mechanism config {cfg}: missing key 'beta_deg'\n"
+        err, cfg = self._project(tmp_path, capsys, "precision = 0\nfoo = 1\n")
+        assert err == f"error: project {cfg}: unknown keys ['foo']\n"
 
 
 class TestOptionValues:

@@ -1,11 +1,16 @@
 """
-Byte-level conformance of the CSV-emitting commands across commits.
+Byte-level conformance of the CLI across commits.
 
 `workspace --csv`, `simulate --measured --out` and `payload --out` run
 through `cli.main` at precisions 1, 9 and 17 on small inputs that numpy
-alone builds from a fixed seed. The sha256 of stdout and of each emitted
-file must equal the committed table `golden_digests.json`; a short digest
-per line locates the first line that differs.
+alone builds from a fixed seed. `identify --breakaway --out` (back-to-back
+plateaus, and plateaus after rests), `fk`, and `ik` on generic, elbow
+tangency, roll-axis and unreachable poses run at the default precision;
+a project file alone (mechanism, a joint, a relative `output_dir` and a
+`precision` key) drives five more runs. The sha256 of stdout, of stderr
+for the default-precision runs and of each emitted file must equal the
+committed table `golden_digests.json`; a short digest per line locates
+the first line that differs.
 
 The table records the host it was made on: numpy's SIMD `sin`/`cos` can
 differ by an ulp between CPUs, which can flip a digit of the workspace
@@ -40,14 +45,97 @@ b_v = 7.18e-05
 """
 
 
+# alpha = beta puts the roll axis inside the tilt band.
+ROLL_MECHANISM = "alpha_deg = 45\nbeta_deg = 45\n"
+MECHANISM = "alpha_deg = 30\nbeta_deg = 110\n"
+PROJECT = """mechanism = mechanism.cfg
+joint1 = drive.cfg
+output_dir = out
+precision = 12
+"""
+RATE_HZ = 200.0
+# Motor-side torque model of DRIVE at a +1 N*m test load, written out as
+# literals: driving (+w) and overhauling (-w) offsets, and the static
+# breakaway offset for +w.
+B_C, B_V = 0.00382, 7.18e-05
+DRIVING, OVERHAULING, BREAKAWAY = 0.0209533, 0.0, 0.0229227
+
+# sqrt(3)/2 and sqrt(3)/4, the entries of rotations about omega2 of the
+# 30/110 build (sqrt is correctly rounded, so the repr is host-independent).
+S3_2, S3_4 = "0.8660254037844386", "0.4330127018922193"
+POSES = {
+    # theta2 = pi/2 about omega2: two branches.
+    "generic": f"0.25,-{S3_2},{S3_4},{S3_2},0,-0.5,{S3_4},0.5,0.75,0,0,0",
+    # theta = 0: the tool axis on the 140 deg band edge, one tangent branch.
+    "tangent0": "1,0,0,0,1,0,0,0,1,0,0,0",
+    # theta2 = pi about omega2: the 80 deg band edge.
+    "tangentpi": f"-0.5,0,{S3_2},0,-1,0,{S3_2},0,0.5,0,0,0",
+    # The tool axis tilted 90 deg off the band.
+    "unreachable": "0,0,-1,0,1,0,1,0,0,0,0,0",
+}
+# On the 45/45 build: +x (the tool axis) turned onto +z, 5 cm along it.
+ROLL_POSE = "0,0,-1,0,1,0,1,0,0,0,0,0.05"
+
+
 def _write_series(path, time, value):
     lines = ["time_s,value"] + [f"{t!r},{v!r}" for t, v in zip(time.tolist(), value.tolist())]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _ramp(a, b):
+    """Four samples strictly between a and b."""
+    return a + (b - a) * np.arange(1, 5) / 5.0
+
+
+def _joint_velocity(rng, rests):
+    """Motor velocity of one joint: four speeds, each held 1 s in both
+    directions, +w then -w, joined by a ramp through zero. Back to back,
+    or with a 0.5 s rest before each +w and a ramp down after each -w.
+    Returns the velocity and the onset indices (first samples after a rest)."""
+    per = int(RATE_HZ)
+    parts, onsets, n = [], [], 0
+    last = None
+    for w in rng.uniform(4.0, 40.0, 4).tolist():
+        block = []
+        if rests:
+            block += [np.zeros(per // 2), _ramp(0.0, w)]
+            onsets.append(n + per // 2)
+        elif last is not None:
+            block.append(_ramp(last, w))
+        block += [w + rng.uniform(-2e-3, 2e-3, per), _ramp(w, -w),
+                  -w + rng.uniform(-2e-3, 2e-3, per)]
+        if rests:
+            block.append(_ramp(-w, 0.0))
+        parts += block
+        n += sum(b.size for b in block)
+        last = -w
+    return np.concatenate(parts), onsets
+
+
+def _write_telemetry(path, rng):
+    """Joint 1 back to back, joint 4 with rests; torque from the literal
+    model plus uniform noise, each onset sample at the breakaway level."""
+    rows = []
+    for joint, rests in ((1, False), (4, True)):
+        v, onsets = _joint_velocity(rng, rests)
+        s = np.sign(v)
+        tau = B_C * s + B_V * v + np.where(v > 0.0, DRIVING, OVERHAULING)
+        tau = tau + rng.uniform(-2e-4, 2e-4, v.size)
+        for i in onsets:
+            tau[i] = B_C + BREAKAWAY
+        t = np.arange(v.size) / RATE_HZ
+        rows += [(ti, joint, vi, taui)
+                 for ti, vi, taui in zip(t.tolist(), v.tolist(), tau.tolist())]
+    rows.sort(key=lambda r: (r[0], r[1]))
+    lines = ["time_s,joint_id,velocity,torque"]
+    lines += [f"{t!r},{j},{v!r},{tau!r}" for t, j, v, tau in rows]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 def build_inputs(root):
     """A drive config, a 400-sample joint trajectory of eight noisy plateaus
-    of either sign, and a measured torque trace on the same time grid. Only
+    of either sign, a measured torque trace on the same time grid, a
+    two-joint telemetry log, two mechanism configs and a project. Only
     uniform draws and arithmetic, so every host writes the same bytes."""
     rng = np.random.default_rng(SEED)
     (root / "drive.cfg").write_text(DRIVE, encoding="utf-8")
@@ -57,6 +145,10 @@ def build_inputs(root):
     torque = 0.004 * np.sign(velocity) + rng.uniform(-5e-4, 5e-4, 400)
     _write_series(root / "trajectory.csv", time, velocity)
     _write_series(root / "measured.csv", time, torque)
+    _write_telemetry(root / "telemetry.csv", rng)
+    (root / "mechanism.cfg").write_text(MECHANISM, encoding="utf-8")
+    (root / "roll.cfg").write_text(ROLL_MECHANISM, encoding="utf-8")
+    (root / "project.cfg").write_text(PROJECT, encoding="utf-8")
 
 
 def commands(root, precision):
@@ -76,6 +168,40 @@ def commands(root, precision):
     }
 
 
+def default_commands(root):
+    """Command name -> (argv, emitted file or None, exit code), each run at
+    the default precision or at the project's."""
+    log = str(root / "telemetry.csv")
+    drive = ["--transmission", str(root / "drive.cfg")]
+    mech = ["--config", str(root / "mechanism.cfg")]
+    project = ["--project", str(root / "project.cfg")]
+    out = root / "out"
+    runs = {
+        "identify_backtoback": (["identify", log, "--joint", "1", "--load", "1", "--breakaway",
+                                 "--out", str(root / "fit1.cfg")] + drive, root / "fit1.cfg", 0),
+        "identify_rests": (["identify", log, "--joint", "4", "--load", "1", "--breakaway",
+                            "--out", str(root / "fit4.cfg")] + drive, root / "fit4.cfg", 0),
+        "fk": (["fk", "--theta", "10,-35,120,0.07"] + mech, None, 0),
+        "ik_roll": (["ik", "--config", str(root / "roll.cfg"), f"--pose={ROLL_POSE}"], None, 0),
+        "project_workspace": (["workspace", "30", "110", "--samples", "8",
+                               "--csv", "workspace.csv"] + project, out / "workspace.csv", 0),
+        "project_fk": (["fk", "--theta", "10,-35,120,0.07"] + project, None, 0),
+        "project_ik": (["ik", f"--pose={POSES['tangentpi']}"] + project, None, 0),
+        "project_identify": (["identify", log, "--joint", "1", "--load", "1", "--breakaway",
+                              "--out", "fit.cfg"] + project, out / "fit.cfg", 0),
+        "project_simulate": (["simulate", str(root / "trajectory.csv"), "--joint", "1",
+                              "--load", "0.75", "--measured", str(root / "measured.csv"),
+                              "--out", "simulate.csv"] + project, out / "simulate.csv", 0),
+        "project_payload": (["payload", "--joint", "1", "--load", "0.75", "--vmax", "120",
+                             "--points", "20", "--out", "payload.csv"] + project,
+                            out / "payload.csv", 0),
+    }
+    for name, pose in POSES.items():
+        runs[f"ik_{name}"] = (["ik", f"--pose={pose}"] + mech, None,
+                              3 if name == "unreachable" else 0)
+    return runs
+
+
 def _record(data):
     lines = data.splitlines(keepends=True)
     return {"sha256": hashlib.sha256(data).hexdigest(),
@@ -84,7 +210,7 @@ def _record(data):
 
 def run_all(root):
     """Output name -> (bytes, digest record) for every command and precision.
-    stdout names the work directory as `ROOT`."""
+    stdout and stderr name the work directory as `ROOT`."""
     build_inputs(root)
     outputs = {}
     for precision in PRECISIONS:
@@ -94,6 +220,16 @@ def run_all(root):
             stdout = out.getvalue().replace(str(root), "ROOT").encode("utf-8")
             for part, data in (("stdout", stdout), ("file", emitted.read_bytes())):
                 outputs[f"{name}/p{precision}/{part}"] = (data, _record(data))
+    for name, (argv, emitted, code) in default_commands(root).items():
+        with contextlib.redirect_stdout(io.StringIO()) as out, \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            assert cli.main(argv) == code, name
+        parts = [(part, stream.getvalue().replace(str(root), "ROOT").encode("utf-8"))
+                 for part, stream in (("stdout", out), ("stderr", err))]
+        if emitted is not None:
+            parts.append(("file", emitted.read_bytes()))
+        for part, data in parts:
+            outputs[f"{name}/{part}"] = (data, _record(data))
     return outputs
 
 
