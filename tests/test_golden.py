@@ -5,12 +5,17 @@ Byte-level conformance of the CLI across commits.
 through `cli.main` at precisions 1, 9 and 17 on small inputs that numpy
 alone builds from a fixed seed. `identify --breakaway --out` (back-to-back
 plateaus, and plateaus after rests), `fk`, and `ik` on generic, elbow
-tangency, roll-axis and unreachable poses run at the default precision;
+tangency, roll-axis and unreachable poses run at the default precision
+and at 17 digits, and so does `ik` on a build with a non-identity `r0`;
 a project file alone (mechanism, a joint, a relative `output_dir` and a
-`precision` key) drives five more runs. The sha256 of stdout, of stderr
-for the default-precision runs and of each emitted file must equal the
-committed table `golden_digests.json`; a short digest per line locates
-the first line that differs.
+`precision` key) drives five more runs. `ik_sweep` holds the 17-digit
+text of `inverse_kinematics` results on about 2,000 seeded cases: random
+axis angles and `r0`, reachable poses from a Rodrigues product written
+out here, elbow-tangency, roll-axis, off-band and unreachable poses, and
+degenerate builds. The sha256 of stdout, of stderr for the
+default-precision runs, of each emitted file and of the sweep text must
+equal the committed table `golden_digests.json`; a short digest per line
+locates the first line that differs.
 
 The table records the host it was made on: numpy's SIMD `sin`/`cos` can
 differ by an ulp between CPUs, which can flip a digit of the workspace
@@ -22,12 +27,15 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import platform
 from pathlib import Path
 
 import numpy as np
 
 from ssmkit import cli
+from ssmkit.kinematics import build_geometry, inverse_kinematics
+from ssmkit.screws import Pose
 
 TABLE = Path(__file__).with_name("golden_digests.json")
 PRECISIONS = (1, 9, 17)
@@ -75,6 +83,98 @@ POSES = {
 }
 # On the 45/45 build: +x (the tool axis) turned onto +z, 5 cm along it.
 ROLL_POSE = "0,0,-1,0,1,0,1,0,0,0,0,0.05"
+# A reference orientation with exact decimal entries: a turn about z by
+# atan(4/3) after a turn about x by atan(3/4).
+R0 = ((0.6, -0.64, 0.48), (0.8, 0.48, -0.36), (0.0, 0.6, 0.8))
+R0_MECHANISM = MECHANISM + "r0 = " + " ".join(repr(x) for row in R0 for x in row) + "\n"
+SWEEP_BUILDS = 200
+
+
+def _generic_pose_on_r0():
+    """The generic pose's rotation times R0: the same tool axis on the R0
+    build. Python float arithmetic only, so the text is host-independent."""
+    vals = [float(v) for v in POSES["generic"].split(",")]
+    q = [vals[0:3], vals[3:6], vals[6:9]]
+    rot = _matmul(q, R0)
+    return ",".join(repr(x) for row in rot for x in row) + ",0,0,0"
+
+
+def _rot(axis, angle):
+    """Rodrigues rotation about a unit axis, as rows of floats."""
+    x, y, z = axis
+    c, s = math.cos(angle), math.sin(angle)
+    k = 1.0 - c
+    return ((c + k * x * x, k * x * y - s * z, k * x * z + s * y),
+            (k * x * y + s * z, c + k * y * y, k * y * z - s * x),
+            (k * x * z - s * y, k * y * z + s * x, c + k * z * z))
+
+
+def _matmul(a, b):
+    return tuple(tuple(r[0] * b[0][j] + r[1] * b[1][j] + r[2] * b[2][j] for j in range(3))
+                 for r in a)
+
+
+def _apply(a, v):
+    return tuple(r[0] * v[0] + r[1] * v[1] + r[2] * v[2] for r in a)
+
+
+def _random_rotation(rng):
+    x, y, z = rng.normal(size=3).tolist()
+    n = math.sqrt(x * x + y * y + z * z)
+    return _rot((x / n, y / n, z / n), rng.uniform(-math.pi, math.pi))
+
+
+def _sweep_cases(rng):
+    """(alpha, beta, r0 or None, rotation, position) tuples. Every fifth
+    build has alpha = beta (the roll axis on the band's lower edge, reached
+    at theta2 = pi) and every fifth alpha + beta = pi (-omega1 reached at
+    theta2 = 0). Per build: six random joint states, the two elbow
+    tangencies theta2 = 0 and pi, a random rotation with the tip on its
+    tool axis (in the band or not), and one with the tip off it."""
+    for i in range(SWEEP_BUILDS):
+        alpha = rng.uniform(0.05, math.pi - 0.05)
+        beta = (alpha if i % 5 == 0 else math.pi - alpha if i % 5 == 1
+                else rng.uniform(0.05, math.pi - 0.05))
+        r0 = None if i % 4 == 0 else _random_rotation(rng)
+        ref = r0 if r0 is not None else ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+        w1 = (0.0, 0.0, 1.0)
+        w2 = (math.sin(alpha), 0.0, math.cos(alpha))
+        v4 = (math.sin(alpha + beta), 0.0, math.cos(alpha + beta))
+        states = [rng.uniform(-math.pi, math.pi, 4).tolist() for _ in range(8)]
+        states[6][1], states[7][1] = 0.0, math.pi
+        for t1, t2, t3, t4 in states:
+            t4 *= 0.1
+            r12 = _matmul(_rot(w1, t1), _rot(w2, t2))
+            rot = _matmul(_matmul(r12, _rot(v4, t3)), ref)
+            yield alpha, beta, r0, rot, _apply(r12, tuple(x * t4 for x in v4))
+        rot = _matmul(_random_rotation(rng), ref)
+        ux, uy, uz = _apply(rot, tuple(sum(ref[k][j] * v4[k] for k in range(3))
+                                       for j in range(3)))
+        yield alpha, beta, r0, rot, (0.05 * ux, 0.05 * uy, 0.05 * uz)
+        yield alpha, beta, r0, rot, tuple(rng.uniform(-0.1, 0.1, 3).tolist())
+    for beta in (1e-10, math.pi - 1e-10):
+        yield 0.5, beta, None, ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)), (0.0, 0.0, 0.0)
+
+
+def ik_sweep():
+    """One line per sweep case: the exception type, or `singular` and per
+    branch the four joint values and two residuals, all at 17 digits."""
+    lines = []
+    geom_key, geom = None, None
+    for alpha, beta, r0, rot, pos in _sweep_cases(np.random.default_rng(SEED + 1)):
+        if (alpha, beta, r0) != geom_key:
+            geom_key, geom = (alpha, beta, r0), build_geometry(alpha, beta, r0)
+        try:
+            result = inverse_kinematics(geom, Pose(np.array(rot), np.array(pos)))
+        except Exception as exc:  # the type is part of the record
+            lines.append(type(exc).__name__)
+            continue
+        parts = ["singular" if result.singular else "regular"]
+        for state, (pos_err, rot_err) in zip(result.branches, result.residuals):
+            parts.append(" ".join(f"{x:.17g}" for x in (
+                state.theta1, state.theta2, state.theta3, state.theta4, pos_err, rot_err)))
+        lines.append(" | ".join(parts))
+    return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def _write_series(path, time, value):
@@ -148,6 +248,7 @@ def build_inputs(root):
     _write_telemetry(root / "telemetry.csv", rng)
     (root / "mechanism.cfg").write_text(MECHANISM, encoding="utf-8")
     (root / "roll.cfg").write_text(ROLL_MECHANISM, encoding="utf-8")
+    (root / "r0.cfg").write_text(R0_MECHANISM, encoding="utf-8")
     (root / "project.cfg").write_text(PROJECT, encoding="utf-8")
 
 
@@ -182,7 +283,6 @@ def default_commands(root):
         "identify_rests": (["identify", log, "--joint", "4", "--load", "1", "--breakaway",
                             "--out", str(root / "fit4.cfg")] + drive, root / "fit4.cfg", 0),
         "fk": (["fk", "--theta", "10,-35,120,0.07"] + mech, None, 0),
-        "ik_roll": (["ik", "--config", str(root / "roll.cfg"), f"--pose={ROLL_POSE}"], None, 0),
         "project_workspace": (["workspace", "30", "110", "--samples", "8",
                                "--csv", "workspace.csv"] + project, out / "workspace.csv", 0),
         "project_fk": (["fk", "--theta", "10,-35,120,0.07"] + project, None, 0),
@@ -196,9 +296,13 @@ def default_commands(root):
                              "--points", "20", "--out", "payload.csv"] + project,
                             out / "payload.csv", 0),
     }
-    for name, pose in POSES.items():
-        runs[f"ik_{name}"] = (["ik", f"--pose={pose}"] + mech, None,
-                              3 if name == "unreachable" else 0)
+    poses = {name: (pose, mech) for name, pose in POSES.items()}
+    poses["roll"] = (ROLL_POSE, ["--config", str(root / "roll.cfg")])
+    poses["r0"] = (_generic_pose_on_r0(), ["--config", str(root / "r0.cfg")])
+    for name, (pose, config) in poses.items():
+        code = 3 if name == "unreachable" else 0
+        for suffix, p in (("", []), ("_p17", ["--precision", "17"])):
+            runs[f"ik_{name}{suffix}"] = (["ik", f"--pose={pose}"] + config + p, None, code)
     return runs
 
 
@@ -230,6 +334,8 @@ def run_all(root):
             parts.append(("file", emitted.read_bytes()))
         for part, data in parts:
             outputs[f"{name}/{part}"] = (data, _record(data))
+    sweep = ik_sweep()
+    outputs["ik_sweep/results"] = (sweep, _record(sweep))
     return outputs
 
 
