@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 import warnings
 from dataclasses import dataclass, field
@@ -386,9 +387,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# A value that starts like a negative number. argparse reads a token such as
+# `-0.5,0,0.866` as an option, because it is not one plain number.
+_NEGATIVE_VALUE = re.compile(r"-\.?\d")
+
+
+def _attach_negative_values(argv):
+    """`--pose -0.5,...` and `--theta -10,...` as `--pose=-0.5,...` and
+    `--theta=-10,...`; every other token is left as it is."""
+    out = []
+    for token in argv:
+        if out and out[-1] in ("--pose", "--theta") and _NEGATIVE_VALUE.match(token):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         project = load_project_config(args.project) if args.project else ProjectConfig()
         if args.precision is None:

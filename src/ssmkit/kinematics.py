@@ -8,6 +8,14 @@ angle alpha from omega1, omega3 (= the tool direction v4) lies in the same
 plane at angle beta from omega2, on the far side from omega1. Only the
 relative angles are physical; the fixed frame makes configs portable and
 tests deterministic.
+
+Inverse kinematics reads what depends only on the geometry from
+constants each `MechanismGeometry` computes once, at construction: the
+axes, v4 and r0 as float tuples, r0^T v4 and r0^T e_y, the
+geometry-only terms of the two-axis solve, and the fixed-point terms of
+the theta2 and theta3 angle solves. The geometry keeps read-only float
+copies of its arrays, so these constants cannot go stale; a changed
+build is a new geometry (`build_geometry` or `dataclasses.replace`).
 """
 
 from __future__ import annotations
@@ -26,7 +34,13 @@ from .errors import (
     UnreachableError,
 )
 from .screws import Pose, _rotation_rows, ensure_rotation, normalize_angle, rodrigues
-from .subproblems import _rotation_angle, _two_axis_points
+from .subproblems import (
+    _rotation_angle,
+    _rotation_angle_to,
+    _rotation_axis_terms,
+    _two_axis_points_to,
+    _two_axis_terms,
+)
 
 # Tool direction within this angle (radians) of the roll axis makes theta1
 # indeterminate; the solver then pins theta1 = 0 and flags the result.
@@ -37,7 +51,12 @@ _FIT_TOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class MechanismGeometry:
-    """Joint axes and reference tool orientation of one mechanism build."""
+    """Joint axes and reference tool orientation of one mechanism build.
+
+    The five arrays are kept as read-only float copies (the caller's arrays
+    stay as they were), and the constants `inverse_kinematics` needs are
+    computed from them here, once.
+    """
 
     alpha: float
     beta: float
@@ -46,6 +65,42 @@ class MechanismGeometry:
     omega3: np.ndarray
     v4: np.ndarray
     r0: np.ndarray
+
+    def __post_init__(self):
+        for name in ("omega1", "omega2", "omega3", "v4", "r0"):
+            array = np.array(getattr(self, name), dtype=float)
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+        object.__setattr__(self, "_ik", _IkConstants(self))
+
+
+class _IkConstants:
+    """What `inverse_kinematics` needs of a geometry, computed once: the
+    axes, v4 and the rows of r0 as float tuples, r0^T v4 and r0^T e_y, the
+    geometry-only terms of the two-axis solve (v4 onto the target axis about
+    omega1, omega2), the fixed-point terms of the theta2 solve (v4 about
+    omega2) and of the theta3 solve (e_y about omega3), and whether beta
+    puts the tool axis on the second joint axis."""
+
+    __slots__ = ("w1", "w2", "w3", "v4", "r0", "r0v4", "r0ey",
+                 "two_axis", "theta2", "theta3", "degenerate")
+
+    def __init__(self, geom: MechanismGeometry):
+        self.w1 = w1 = tuple(geom.omega1.tolist())
+        self.w2 = w2 = tuple(geom.omega2.tolist())
+        self.w3 = w3 = tuple(geom.omega3.tolist())
+        self.v4 = v4 = tuple(geom.v4.tolist())
+        self.r0 = r0 = tuple(tuple(row) for row in geom.r0.tolist())
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = r0
+        vx, vy, vz = v4
+        self.r0v4 = (a0 * vx + b0 * vy + c0 * vz,
+                     a1 * vx + b1 * vy + c1 * vz,
+                     a2 * vx + b2 * vy + c2 * vz)
+        self.r0ey = (b0, b1, b2)
+        self.two_axis = _two_axis_terms(w1, w2, v4)
+        self.theta2 = _rotation_axis_terms(w2, v4)
+        self.theta3 = _rotation_axis_terms(w3, (0.0, 1.0, 0.0))
+        self.degenerate = abs(math.sin(geom.beta)) < 1e-9
 
 
 @dataclass(frozen=True)
@@ -84,7 +139,7 @@ def build_geometry(alpha: float, beta: float, r0=None) -> MechanismGeometry:
 
 
 def _check_tool_axis(geom: MechanismGeometry) -> None:
-    if abs(math.sin(geom.beta)) < 1e-9:
+    if geom._ik.degenerate:
         raise DegenerateGeometryError(
             "beta ~ 0 or pi puts the tool axis on the second joint axis"
         )
@@ -111,17 +166,6 @@ def forward_kinematics(geom: MechanismGeometry, theta: JointState) -> Pose:
     return Pose(r12 @ r3 @ geom.r0, r12 @ (geom.v4 * theta.theta4))
 
 
-def _matmul(a, b):
-    """Product of two 3x3 matrices given as rows of floats."""
-    (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = b
-    return [
-        (x * b00 + y * b10 + z * b20,
-         x * b01 + y * b11 + z * b21,
-         x * b02 + y * b12 + z * b22)
-        for x, y, z in a
-    ]
-
-
 def inverse_kinematics(geom: MechanismGeometry, target: Pose) -> IkSolutionSet:
     """
     All closed-form joint-space branches reaching `target`. The spin about
@@ -131,28 +175,30 @@ def inverse_kinematics(geom: MechanismGeometry, target: Pose) -> IkSolutionSet:
     the angle of (R1 R2)^T R r0^T about omega3. Candidate branches are
     verified against forward kinematics and kept only when both the
     position and rotation errors fall below `_FIT_TOL`.
-    Scalar arithmetic throughout: the target is read into floats once.
+    Scalar arithmetic throughout: the target is read into floats once, and
+    the geometry-only terms (r0^T v4, r0^T e_y, the axis terms of the
+    two-axis solve and of the theta2 and theta3 solves) come from the
+    constants the read-only geometry computed at construction.
     """
     _check_tool_axis(geom)
+    k = geom._ik
     rot = target.rotation.tolist()
     px, py, pz = target.position.tolist()
-    r0 = geom.r0.tolist()
-    w1 = geom.omega1.tolist()
-    w2 = geom.omega2.tolist()
-    w3 = geom.omega3.tolist()
-    v4 = geom.v4.tolist()
+    (g00, g01, g02), (g10, g11, g12), (g20, g21, g22) = rot
 
     # The target's tool axis u = R (r0^T v4) and its +y column yt = R (r0^T e_y).
-    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = r0
-    vx, vy, vz = v4
-    bx = a0 * vx + b0 * vy + c0 * vz
-    by = a1 * vx + b1 * vy + c1 * vz
-    bz = a2 * vx + b2 * vy + c2 * vz
-    u = [rx * bx + ry * by + rz * bz for rx, ry, rz in rot]
-    yt = [rx * b0 + ry * b1 + rz * b2 for rx, ry, rz in rot]
-    ux, uy, uz = u
+    bx, by, bz = k.r0v4
+    b0, b1, b2 = k.r0ey
+    ux = g00 * bx + g01 * by + g02 * bz
+    uy = g10 * bx + g11 * by + g12 * bz
+    uz = g20 * bx + g21 * by + g22 * bz
+    u = (ux, uy, uz)
+    yx = g00 * b0 + g01 * b1 + g02 * b2
+    yy = g10 * b0 + g11 * b1 + g12 * b2
+    yz = g20 * b0 + g21 * b1 + g22 * b2
     theta4 = px * ux + py * uy + pz * uz
 
+    w1 = k.w1
     w1x, w1y, w1z = w1
     cx = uy * w1z - uz * w1y
     cy = uz * w1x - ux * w1z
@@ -162,30 +208,41 @@ def inverse_kinematics(geom: MechanismGeometry, target: Pose) -> IkSolutionSet:
     pairs = []
     if singular:
         try:
-            pairs.append((0.0, _rotation_angle(w2, v4, u, _FIT_TOL)))
+            pairs.append((0.0, _rotation_angle_to(k.theta2, u, _FIT_TOL)))
         except (NoSolutionError, DegenerateInputError):
             pass
     else:
-        for c in _two_axis_points(w1, w2, v4, u, _FIT_TOL):
+        for c in _two_axis_points_to(k.two_axis, u, _FIT_TOL):
             try:
                 pairs.append((_rotation_angle(w1, c, u, _FIT_TOL),
-                              _rotation_angle(w2, v4, c, _FIT_TOL)))
+                              _rotation_angle_to(k.theta2, c, _FIT_TOL)))
             except (NoSolutionError, DegenerateInputError):
                 continue
 
-    tx, ty, tz = (x * theta4 for x in v4)
-    yx, yy, yz = yt
+    w2, w3 = k.w2, k.w3
+    tx, ty, tz = (x * theta4 for x in k.v4)
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = k.r0
     branches: list[JointState] = []
     residuals: list[tuple[float, float]] = []
     for theta1, theta2 in pairs:
-        r12 = _matmul(_rotation_rows(w1, theta1), _rotation_rows(w2, theta2))
-        (m0, m1, m2), (n0, n1, n2), (o0, o1, o2) = r12
+        # R12 = R1 R2, with rows (m), (n), (o).
+        (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = _rotation_rows(w1, theta1)
+        (e00, e01, e02), (e10, e11, e12), (e20, e21, e22) = _rotation_rows(w2, theta2)
+        m0 = a00 * e00 + a01 * e10 + a02 * e20
+        m1 = a00 * e01 + a01 * e11 + a02 * e21
+        m2 = a00 * e02 + a01 * e12 + a02 * e22
+        n0 = a10 * e00 + a11 * e10 + a12 * e20
+        n1 = a10 * e01 + a11 * e11 + a12 * e21
+        n2 = a10 * e02 + a11 * e12 + a12 * e22
+        o0 = a20 * e00 + a21 * e10 + a22 * e20
+        o1 = a20 * e01 + a21 * e11 + a22 * e21
+        o2 = a20 * e02 + a21 * e12 + a22 * e22
         # +y column of (R1 R2)^T R r0^T, which is R3 e_y for the true theta3.
         q3 = (m0 * yx + n0 * yy + o0 * yz,
               m1 * yx + n1 * yy + o1 * yz,
               m2 * yx + n2 * yy + o2 * yz)
         try:
-            theta3 = _rotation_angle(w3, (0.0, 1.0, 0.0), q3, _FIT_TOL)
+            theta3 = _rotation_angle_to(k.theta3, q3, _FIT_TOL)
         except (NoSolutionError, DegenerateInputError):
             continue
 
@@ -193,12 +250,30 @@ def inverse_kinematics(geom: MechanismGeometry, target: Pose) -> IkSolutionSet:
         dy = n0 * tx + n1 * ty + n2 * tz - py
         dz = o0 * tx + o1 * ty + o2 * tz - pz
         pos_err = math.sqrt(dx * dx + dy * dy + dz * dz)
-        rot_sq = 0.0
-        for (f0, f1, f2), (g0, g1, g2) in zip(
-            _matmul(_matmul(r12, _rotation_rows(w3, theta3)), r0), rot
-        ):
-            d0, d1, d2 = f0 - g0, f1 - g1, f2 - g2
-            rot_sq += d0 * d0 + d1 * d1 + d2 * d2
+        # R12 R3 r0 minus the target rotation, row by row; the squared row
+        # norms add up from 0.0 in row order.
+        (e00, e01, e02), (e10, e11, e12), (e20, e21, e22) = _rotation_rows(w3, theta3)
+        f0 = m0 * e00 + m1 * e10 + m2 * e20
+        f1 = m0 * e01 + m1 * e11 + m2 * e21
+        f2 = m0 * e02 + m1 * e12 + m2 * e22
+        d0 = f0 * r00 + f1 * r10 + f2 * r20 - g00
+        d1 = f0 * r01 + f1 * r11 + f2 * r21 - g01
+        d2 = f0 * r02 + f1 * r12 + f2 * r22 - g02
+        rot_sq = 0.0 + (d0 * d0 + d1 * d1 + d2 * d2)
+        f0 = n0 * e00 + n1 * e10 + n2 * e20
+        f1 = n0 * e01 + n1 * e11 + n2 * e21
+        f2 = n0 * e02 + n1 * e12 + n2 * e22
+        d0 = f0 * r00 + f1 * r10 + f2 * r20 - g10
+        d1 = f0 * r01 + f1 * r11 + f2 * r21 - g11
+        d2 = f0 * r02 + f1 * r12 + f2 * r22 - g12
+        rot_sq += d0 * d0 + d1 * d1 + d2 * d2
+        f0 = o0 * e00 + o1 * e10 + o2 * e20
+        f1 = o0 * e01 + o1 * e11 + o2 * e21
+        f2 = o0 * e02 + o1 * e12 + o2 * e22
+        d0 = f0 * r00 + f1 * r10 + f2 * r20 - g20
+        d1 = f0 * r01 + f1 * r11 + f2 * r21 - g21
+        d2 = f0 * r02 + f1 * r12 + f2 * r22 - g22
+        rot_sq += d0 * d0 + d1 * d1 + d2 * d2
         rot_err = math.sqrt(rot_sq)
         if pos_err < _FIT_TOL and rot_err < _FIT_TOL:
             branches.append(

@@ -50,30 +50,33 @@ def _require_revolute(xi: Twist) -> np.ndarray:
     return xi.angular
 
 
-def _rotation_angle(omega, p, q, tol: float) -> float:
+def _rotation_axis_terms(omega, p):
     """
-    Angle theta with e^(hat(omega) theta) p = q for an origin-crossing axis.
-    Raises if p sits on the axis or if no rotation can map p onto q.
-    Scalar arithmetic throughout: this sits on the IK hot path.
+    The terms of `_rotation_angle` that depend only on the axis and the
+    point p: omega, p . omega, the part of p normal to omega, its norm and
+    |p|. Inverse kinematics computes them once per geometry for its fixed
+    points.
     """
     wx, wy, wz = omega
     px, py, pz = p
-    qx, qy, qz = q
     ap = wx * px + wy * py + wz * pz
-    aq = wx * qx + wy * qy + wz * qz
     ppx = px - ap * wx
     ppy = py - ap * wy
     ppz = pz - ap * wz
+    npp = math.sqrt(ppx * ppx + ppy * ppy + ppz * ppz)
+    return (wx, wy, wz), ap, (ppx, ppy, ppz), npp, math.sqrt(px * px + py * py + pz * pz)
+
+
+def _rotation_angle_to(terms, q, tol: float) -> float:
+    """`_rotation_angle` for the axis and point of `_rotation_axis_terms`."""
+    (wx, wy, wz), ap, (ppx, ppy, ppz), npp, pn = terms
+    qx, qy, qz = q
+    aq = wx * qx + wy * qy + wz * qz
     qpx = qx - aq * wx
     qpy = qy - aq * wy
     qpz = qz - aq * wz
-    npp = math.sqrt(ppx * ppx + ppy * ppy + ppz * ppz)
     nqq = math.sqrt(qpx * qpx + qpy * qpy + qpz * qpz)
-    scale = max(
-        1.0,
-        math.sqrt(px * px + py * py + pz * pz),
-        math.sqrt(qx * qx + qy * qy + qz * qz),
-    )
+    scale = max(1.0, pn, math.sqrt(qx * qx + qy * qy + qz * qz))
     if npp <= tol * scale or nqq <= tol * scale:
         raise DegenerateInputError("point lies on the rotation axis")
     if abs(ap - aq) > tol * scale or abs(npp - nqq) > tol * scale:
@@ -89,6 +92,15 @@ def _rotation_angle(omega, p, q, tol: float) -> float:
     return normalize_angle(math.atan2(triple, dot))
 
 
+def _rotation_angle(omega, p, q, tol: float) -> float:
+    """
+    Angle theta with e^(hat(omega) theta) p = q for an origin-crossing axis.
+    Raises if p sits on the axis or if no rotation can map p onto q.
+    Scalar arithmetic throughout: this sits on the IK hot path.
+    """
+    return _rotation_angle_to(_rotation_axis_terms(omega, p), q, tol)
+
+
 def subproblem1(xi: Twist, p, q) -> SubproblemSolutions:
     """
     Rotate p onto q about the axis of a revolute twist through the origin.
@@ -100,33 +112,36 @@ def subproblem1(xi: Twist, p, q) -> SubproblemSolutions:
     return SubproblemSolutions((_rotation_angle(omega, p, q, _MATCH_TOL),))
 
 
-def _two_axis_points(w1, w2, p, q, tol: float) -> list:
+def _two_axis_terms(w1, w2, p):
     """
-    Intersection points c of the circle p sweeps about w2 with the circle
-    q sweeps about w1, for non-parallel unit axes meeting at the origin:
-    e^(hat(w2) t2) p = c = e^(-hat(w1) t1) q. Returns one point at
-    tangency, two otherwise, and none when |p| != |q| or the circles miss.
-    Scalar arithmetic throughout: this sits on the IK hot path.
+    The terms of `_two_axis_points` that depend only on the axes and p:
+    |p|^2, |p|, d = w1 . w2, w1 x w2 and its squared norm, w2 . p,
+    d (w2 . p) and d^2 - 1. Inverse kinematics computes them once per
+    geometry.
     """
     px, py, pz = p
-    qx, qy, qz = q
-    pn2 = px * px + py * py + pz * pz
-    pn = math.sqrt(pn2)
-    qn = math.sqrt(qx * qx + qy * qy + qz * qz)
-    scale = max(1.0, pn, qn)
-    if abs(pn - qn) > tol * scale:
-        return []
     w1x, w1y, w1z = w1
     w2x, w2y, w2z = w2
+    pn2 = px * px + py * py + pz * pz
     d = w1x * w2x + w1y * w2y + w1z * w2z
     crx = w1y * w2z - w1z * w2y
     cry = w1z * w2x - w1x * w2z
     crz = w1x * w2y - w1y * w2x
-    crn2 = crx * crx + cry * cry + crz * crz
     w2p = w2x * px + w2y * py + w2z * pz
+    return ((w1x, w1y, w1z), (w2x, w2y, w2z), pn2, math.sqrt(pn2), d, (crx, cry, crz),
+            crx * crx + cry * cry + crz * crz, w2p, d * w2p, d * d - 1.0)
+
+
+def _two_axis_points_to(terms, q, tol: float) -> list:
+    """`_two_axis_points` for the axes and point of `_two_axis_terms`."""
+    (w1x, w1y, w1z), (w2x, w2y, w2z), pn2, pn, d, (crx, cry, crz), crn2, w2p, dw2p, den = terms
+    qx, qy, qz = q
+    qn = math.sqrt(qx * qx + qy * qy + qz * qz)
+    scale = max(1.0, pn, qn)
+    if abs(pn - qn) > tol * scale:
+        return []
     w1q = w1x * qx + w1y * qy + w1z * qz
-    den = d * d - 1.0
-    a = (d * w2p - w1q) / den
+    a = (dw2p - w1q) / den
     b = (d * w1q - w2p) / den
     gamma2 = (pn2 - a * a - b * b - 2.0 * a * b * d) / crn2
     band = TANGENCY_TOL * scale * scale
@@ -135,10 +150,23 @@ def _two_axis_points(w1, w2, p, q, tol: float) -> list:
     gammas = (0.0,) if gamma2 <= band else (math.sqrt(gamma2), -math.sqrt(gamma2))
     points = []
     for g in gammas:
+        # At tangency g = 0.0 still adds 0.0 * cr, which fixes the sign of
+        # a zero coordinate.
         points.append((a * w1x + b * w2x + g * crx,
                        a * w1y + b * w2y + g * cry,
                        a * w1z + b * w2z + g * crz))
     return points
+
+
+def _two_axis_points(w1, w2, p, q, tol: float) -> list:
+    """
+    Intersection points c of the circle p sweeps about w2 with the circle
+    q sweeps about w1, for non-parallel unit axes meeting at the origin:
+    e^(hat(w2) t2) p = c = e^(-hat(w1) t1) q. Returns one point at
+    tangency, two otherwise, and none when |p| != |q| or the circles miss.
+    Scalar arithmetic throughout: this sits on the IK hot path.
+    """
+    return _two_axis_points_to(_two_axis_terms(w1, w2, p), q, tol)
 
 
 def subproblem2(xi1: Twist, xi2: Twist, p, q) -> SubproblemSolutions:

@@ -176,6 +176,32 @@ class TestFkIkCommands:
     def test_missing_config_exits_2(self, capsys):
         assert cli.main(["fk", "--theta", "0,0,0,0"]) == 2
 
+    def _both_forms(self, capsys, head, option, value):
+        assert cli.main(head + [option, value]) == 0
+        spaced = capsys.readouterr()
+        assert cli.main(head + [f"{option}={value}"]) == 0
+        assert capsys.readouterr() == spaced
+        return spaced.out
+
+    def test_fk_theta_starting_negative(self, mech_cfg, capsys):
+        out = self._both_forms(capsys, ["fk", "--config", str(mech_cfg)],
+                               "--theta", "-10,20,30,0")
+        assert "position_norm_m = 0" in out
+
+    def test_ik_pose_starting_negative(self, mech_cfg, capsys):
+        # theta2 = pi about omega2: the 80 deg band edge, one branch.
+        pose = "-0.5,0,0.8660254037844386,0,-1,0,0.8660254037844386,0,0.5,0,0,0"
+        out = self._both_forms(capsys, ["ik", "--config", str(mech_cfg)], "--pose", pose)
+        assert "branches = 1" in out
+
+    @pytest.mark.parametrize("option", ["--pose", "--theta"])
+    def test_missing_list_value_keeps_its_error(self, mech_cfg, capsys, option):
+        command = "ik" if option == "--pose" else "fk"
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--config", str(mech_cfg), option, "--precision", "3"])
+        assert exc.value.code == 2
+        assert f"argument {option}: expected one argument" in capsys.readouterr().err
+
     def test_nan_theta_exits_2(self, mech_cfg, capsys):
         code = cli.main(["fk", "--config", str(mech_cfg), "--theta", "nan,2,3,0.01"])
         assert code == 2

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from ssmkit.errors import (
 )
 from ssmkit.kinematics import (
     JointState,
+    MechanismGeometry,
     build_geometry,
     forward_kinematics,
     inverse_kinematics,
@@ -54,6 +56,63 @@ class TestBuildGeometry:
         r0 = rodrigues(np.array([0.0, 0.0, 1.0]), 0.3)
         g = build_geometry(DEG(30), DEG(110), r0)
         assert np.allclose(g.r0, r0, atol=1e-12)
+
+
+def _ik_bits(geom, pose):
+    """Every bit of an IK outcome: branch and residual floats as hex, the
+    singular flag, or the exception type."""
+    try:
+        result = inverse_kinematics(geom, pose)
+    except Exception as exc:  # the type is the outcome
+        return type(exc).__name__
+    values = [v for b in result.branches for v in (b.theta1, b.theta2, b.theta3, b.theta4)]
+    values += [v for pair in result.residuals for v in pair]
+    return result.singular, [v.hex() for v in values]
+
+
+class TestGeometryConstants:
+    """inverse_kinematics reads constants the geometry computes once, so
+    the geometry's arrays are read-only copies."""
+
+    def test_arrays_are_read_only(self):
+        g = design_geometry()
+        with pytest.raises(ValueError):
+            g.r0[0, 0] = 2.0
+        with pytest.raises(ValueError):
+            g.omega1[2] = 0.0
+        with pytest.raises(ValueError):
+            g.v4 *= 2.0
+
+    def test_caller_arrays_stay_writeable(self):
+        ref = design_geometry()
+        arrays = [np.array(a) for a in (ref.omega1, ref.omega2, ref.omega3, ref.v4, ref.r0)]
+        g = MechanismGeometry(ref.alpha, ref.beta, *arrays)
+        assert all(a.flags.writeable for a in arrays)
+        arrays[0][2] = -1.0
+        arrays[4][0, 0] = -1.0
+        assert g.omega1[2] == 1.0 and g.r0[0, 0] == 1.0
+        pose = forward_kinematics(ref, JointState(0.4, -1.1, 0.3, 0.05))
+        assert _ik_bits(g, pose) == _ik_bits(ref, pose)
+
+    def test_replaced_r0_matches_a_fresh_build(self):
+        alpha, beta = DEG(50), DEG(75)
+        base = build_geometry(alpha, beta)
+        direct = build_geometry(alpha, beta, rodrigues(np.array([0.6, 0.0, 0.8]), 1.3))
+        replaced = dataclasses.replace(base, r0=direct.r0)
+        rng = np.random.default_rng(7)
+        states = [JointState(*rng.uniform(-math.pi, math.pi, 3), rng.uniform(-0.1, 0.1))
+                  for _ in range(20)]
+        states += [JointState(0.3, 0.0, -0.2, 0.04), JointState(-1.0, math.pi, 0.5, 0.02)]
+        for state in states:
+            pose = forward_kinematics(direct, state)
+            bits = _ik_bits(direct, pose)
+            assert isinstance(bits, tuple) and bits[1], state
+            assert _ik_bits(replaced, pose) == bits
+
+    def test_tiny_beta_accepted_then_rejected_by_ik(self):
+        g = build_geometry(DEG(30), 1e-10)
+        with pytest.raises(DegenerateGeometryError):
+            inverse_kinematics(g, Pose(np.eye(3), np.zeros(3)))
 
 
 class TestProbePoints:
