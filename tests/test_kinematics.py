@@ -111,6 +111,8 @@ class TestGeometryConstants:
 
     def test_tiny_beta_accepted_then_rejected_by_ik(self):
         g = build_geometry(DEG(30), 1e-10)
+        pose = forward_kinematics(g, JointState(0.4, -1.1, 0.3, 0.05))
+        assert pose.rotation.shape == (3, 3) and pose.position.shape == (3,)
         with pytest.raises(DegenerateGeometryError):
             inverse_kinematics(g, Pose(np.eye(3), np.zeros(3)))
 
@@ -179,6 +181,14 @@ class TestForwardKinematics:
             t4 = rng.uniform(-0.05, 0.05)
             pose = forward_kinematics(g, JointState(*t, t4))
             assert abs(np.linalg.norm(pose.position) - abs(t4)) < 1e-12
+
+    def test_non_unit_axis_rejected_at_call_time(self):
+        ref = design_geometry()
+        g = MechanismGeometry(ref.alpha, ref.beta, 1.01 * ref.omega1, ref.omega2,
+                              ref.omega3, ref.v4, ref.r0)
+        with pytest.raises(DomainError) as info:
+            forward_kinematics(g, JointState(0.4, -1.1, 0.3, 0.05))
+        assert str(info.value) == "rotation axis must be unit, got norm 1.010e+00"
 
     def test_position_independent_of_spin(self):
         g = design_geometry()
