@@ -16,6 +16,10 @@ geometry-only terms of the two-axis solve, and the fixed-point terms of
 the theta2 and theta3 angle solves. The geometry keeps read-only float
 copies of its arrays, so these constants cannot go stale; a changed
 build is a new geometry (`build_geometry` or `dataclasses.replace`).
+
+Forward kinematics is scalar too: it multiplies out the same axis, v4
+and r0 tuples in a fixed summation order and builds numpy arrays only for
+the returned pose, so its bits do not depend on the host's BLAS.
 """
 
 from __future__ import annotations
@@ -30,10 +34,11 @@ from .band import check_axis_angles
 from .errors import (
     DegenerateGeometryError,
     DegenerateInputError,
+    DomainError,
     NoSolutionError,
     UnreachableError,
 )
-from .screws import Pose, _rotation_rows, ensure_rotation, normalize_angle, rodrigues
+from .screws import UNIT_TOL, Pose, _rotation_rows, ensure_rotation, normalize_angle
 from .subproblems import (
     _rotation_angle,
     _rotation_angle_to,
@@ -47,6 +52,8 @@ from .subproblems import (
 SINGULARITY_TOL = 1e-8
 
 _FIT_TOL = 1e-9
+
+_JOINTS = ("theta1", "theta2", "theta3", "theta4")
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,10 +87,13 @@ class _IkConstants:
     geometry-only terms of the two-axis solve (v4 onto the target axis about
     omega1, omega2), the fixed-point terms of the theta2 solve (v4 about
     omega2) and of the theta3 solve (e_y about omega3), and whether beta
-    puts the tool axis on the second joint axis."""
+    puts the tool axis on the second joint axis. `forward_kinematics` reads
+    the same tuples, and `axis_error` is the message of the first joint
+    axis whose norm is more than UNIT_TOL from 1 (None if there is none),
+    which FK raises as DomainError at call time."""
 
     __slots__ = ("w1", "w2", "w3", "v4", "r0", "r0v4", "r0ey",
-                 "two_axis", "theta2", "theta3", "degenerate")
+                 "two_axis", "theta2", "theta3", "degenerate", "axis_error")
 
     def __init__(self, geom: MechanismGeometry):
         self.w1 = w1 = tuple(geom.omega1.tolist())
@@ -101,6 +111,12 @@ class _IkConstants:
         self.theta2 = _rotation_axis_terms(w2, v4)
         self.theta3 = _rotation_axis_terms(w3, (0.0, 1.0, 0.0))
         self.degenerate = abs(math.sin(geom.beta)) < 1e-9
+        self.axis_error = None
+        for x, y, z in (w1, w2, w3):
+            n = math.sqrt(x * x + y * y + z * z)
+            if abs(n - 1.0) > UNIT_TOL:
+                self.axis_error = f"rotation axis must be unit, got norm {n:.3e}"
+                break
 
 
 @dataclass(frozen=True)
@@ -155,15 +171,49 @@ def probe_point_defaults(geom: MechanismGeometry):
     return geom.v4.copy(), geom.v4.copy(), np.array([0.0, 1.0, 0.0])
 
 
+def _matmul_rows(a, b):
+    """Product of two 3x3 matrices given as row tuples of floats; entry
+    (i, j) is a[i][0] b[0][j] + a[i][1] b[1][j] + a[i][2] b[2][j], summed
+    left to right."""
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
+    (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = b
+    return (
+        (a00 * b00 + a01 * b10 + a02 * b20,
+         a00 * b01 + a01 * b11 + a02 * b21,
+         a00 * b02 + a01 * b12 + a02 * b22),
+        (a10 * b00 + a11 * b10 + a12 * b20,
+         a10 * b01 + a11 * b11 + a12 * b21,
+         a10 * b02 + a11 * b12 + a12 * b22),
+        (a20 * b00 + a21 * b10 + a22 * b20,
+         a20 * b01 + a21 * b11 + a22 * b21,
+         a20 * b02 + a21 * b12 + a22 * b22),
+    )
+
+
 def forward_kinematics(geom: MechanismGeometry, theta: JointState) -> Pose:
-    """Tool pose for a joint state: rotations composed onto r0, position
-    obtained by rotating the tool-axis translation with the first two
-    joints only (spin about the tool axis does not move the tip)."""
-    r1 = rodrigues(geom.omega1, theta.theta1)
-    r2 = rodrigues(geom.omega2, theta.theta2)
-    r3 = rodrigues(geom.omega3, theta.theta3)
-    r12 = r1 @ r2
-    return Pose(r12 @ r3 @ geom.r0, r12 @ (geom.v4 * theta.theta4))
+    """Tool pose for a joint state: R1 R2 R3 r0, and the tip R1 R2 (v4
+    theta4), obtained by rotating the tool-axis translation with the first
+    two joints only (spin about the tool axis does not move the tip).
+    Scalar float arithmetic on the axis, v4 and r0 tuples the geometry keeps
+    for IK, with each 3x3 product summed in a fixed order, so the bits do not
+    depend on the host's BLAS; the two arrays are built at the end. A joint
+    axis off unit norm, or a non-finite joint value, raises DomainError."""
+    k = geom._ik
+    if k.axis_error is not None:
+        raise DomainError(k.axis_error)
+    t1, t2, t3, t4 = theta.theta1, theta.theta2, theta.theta3, theta.theta4
+    if not (math.isfinite(t1) and math.isfinite(t2)
+            and math.isfinite(t3) and math.isfinite(t4)):
+        name, value = next((n, v) for n, v in zip(_JOINTS, (t1, t2, t3, t4))
+                           if not math.isfinite(v))
+        raise DomainError(f"{name}: expected a finite number, got {value}")
+    r12 = _matmul_rows(_rotation_rows(k.w1, t1), _rotation_rows(k.w2, t2))
+    rot = _matmul_rows(_matmul_rows(r12, _rotation_rows(k.w3, t3)), k.r0)
+    (m0, m1, m2), (n0, n1, n2), (o0, o1, o2) = r12
+    tx, ty, tz = (x * t4 for x in k.v4)
+    return Pose(np.array(rot), np.array((m0 * tx + m1 * ty + m2 * tz,
+                                         n0 * tx + n1 * ty + n2 * tz,
+                                         o0 * tx + o1 * ty + o2 * tz)))
 
 
 def inverse_kinematics(geom: MechanismGeometry, target: Pose) -> IkSolutionSet:

@@ -75,12 +75,16 @@ def ensure_rotation(r) -> np.ndarray:
     """
     Validate a 3x3 rotation matrix and return its nearest orthonormal
     representative (so downstream code sees orthonormality at 1e-12).
+    Non-finite entries are rejected before the SVD, which may not return
+    on an infinite one.
     """
     r = np.asarray(r, dtype=float)
     if r.shape != (3, 3):
         raise DomainError(f"rotation must be 3x3, got shape {r.shape}")
+    if not np.isfinite(r).all():
+        raise DomainError("rotation entries must be finite")
     defect = np.abs(r.T @ r - np.eye(3)).max()
-    if defect > UNIT_TOL:
+    if not defect <= UNIT_TOL:
         raise DomainError(f"matrix is not orthonormal (defect {defect:.3e})")
     u, _, vt = np.linalg.svd(r)
     out = u @ vt

@@ -19,7 +19,9 @@ locates the first line that differs.
 
 The table records the host it was made on: numpy's SIMD `sin`/`cos` can
 differ by an ulp between CPUs, which can flip a digit of the workspace
-file. A change that means to alter an output regenerates the table with
+file. `fk` no longer depends on the host's BLAS: `forward_kinematics` is
+scalar float arithmetic, and a test below pins it to the Rodrigues product
+written out here, bit for bit. A change that means to alter an output regenerates the table with
 `PYTHONPATH=src python tests/test_golden.py` and says why.
 """
 
@@ -34,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from ssmkit import cli
-from ssmkit.kinematics import build_geometry, inverse_kinematics
+from ssmkit.kinematics import JointState, build_geometry, forward_kinematics, inverse_kinematics
 from ssmkit.screws import Pose
 
 TABLE = Path(__file__).with_name("golden_digests.json")
@@ -177,6 +179,27 @@ def ik_sweep():
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
+def test_fk_matches_the_written_out_product():
+    """forward_kinematics is the Rodrigues product written out above, bit for
+    bit: R1 R2 R3 r0 and R1 R2 (v4 theta4) on the axes and r0 each sweep
+    build stores, at 8 random joint states per build."""
+    rng = np.random.default_rng(SEED + 2)
+    builds = dict.fromkeys((alpha, beta, r0) for alpha, beta, r0, _, _ in
+                           _sweep_cases(np.random.default_rng(SEED + 1)))
+    for alpha, beta, r0 in builds:
+        geom = build_geometry(alpha, beta, r0)
+        w1, w2, w3, v4 = (tuple(a.tolist()) for a in (geom.omega1, geom.omega2,
+                                                      geom.omega3, geom.v4))
+        ref = tuple(tuple(row) for row in geom.r0.tolist())
+        for t1, t2, t3, t4 in rng.uniform(-math.pi, math.pi, (8, 4)).tolist():
+            t4 *= 0.1
+            pose = forward_kinematics(geom, JointState(t1, t2, t3, t4))
+            r12 = _matmul(_rot(w1, t1), _rot(w2, t2))
+            rot = _matmul(_matmul(r12, _rot(w3, t3)), ref)
+            assert pose.rotation.tolist() == [list(row) for row in rot], (alpha, beta, r0)
+            assert pose.position.tolist() == list(_apply(r12, tuple(x * t4 for x in v4)))
+
+
 def _write_series(path, time, value):
     lines = ["time_s,value"] + [f"{t!r},{v!r}" for t, v in zip(time.tolist(), value.tolist())]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -283,9 +306,12 @@ def default_commands(root):
         "identify_rests": (["identify", log, "--joint", "4", "--load", "1", "--breakaway",
                             "--out", str(root / "fit4.cfg")] + drive, root / "fit4.cfg", 0),
         "fk": (["fk", "--theta", "10,-35,120,0.07"] + mech, None, 0),
+        "fk_p17": (["fk", "--theta", "10,-35,120,0.07", "--precision", "17"] + mech, None, 0),
         "project_workspace": (["workspace", "30", "110", "--samples", "8",
                                "--csv", "workspace.csv"] + project, out / "workspace.csv", 0),
         "project_fk": (["fk", "--theta", "10,-35,120,0.07"] + project, None, 0),
+        "project_fk_p17": (["fk", "--theta", "10,-35,120,0.07", "--precision", "17"] + project,
+                           None, 0),
         "project_ik": (["ik", f"--pose={POSES['tangentpi']}"] + project, None, 0),
         "project_identify": (["identify", log, "--joint", "1", "--load", "1", "--breakaway",
                               "--out", "fit.cfg"] + project, out / "fit.cfg", 0),

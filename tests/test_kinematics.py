@@ -52,6 +52,13 @@ class TestBuildGeometry:
         with pytest.raises(DomainError):
             build_geometry(DEG(30), math.pi)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_reference_orientation_rejected(self, value):
+        r0 = np.eye(3)
+        r0[1, 2] = value
+        with pytest.raises(DomainError, match="must be finite"):
+            build_geometry(DEG(30), DEG(110), r0)
+
     def test_custom_reference_orientation(self):
         r0 = rodrigues(np.array([0.0, 0.0, 1.0]), 0.3)
         g = build_geometry(DEG(30), DEG(110), r0)
@@ -189,6 +196,16 @@ class TestForwardKinematics:
         with pytest.raises(DomainError) as info:
             forward_kinematics(g, JointState(0.4, -1.1, 0.3, 0.05))
         assert str(info.value) == "rotation axis must be unit, got norm 1.010e+00"
+
+    @pytest.mark.parametrize("joint", range(4))
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_joint_value_rejected(self, joint, value):
+        values = [0.4, -1.1, 0.3, 0.05]
+        values[joint] = value
+        name = f"theta{joint + 1}"
+        with pytest.raises(DomainError) as info:
+            forward_kinematics(design_geometry(), JointState(*values))
+        assert str(info.value) == f"{name}: expected a finite number, got {value}"
 
     def test_position_independent_of_spin(self):
         g = design_geometry()

@@ -100,6 +100,13 @@ class TestValidation:
         with pytest.raises(DomainError):
             ensure_rotation(np.diag([1.0, 1.0, -1.0]))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_ensure_rotation_rejects_non_finite_entries(self, value):
+        r = np.eye(3)
+        r[0, 0] = value
+        with pytest.raises(DomainError, match="must be finite"):
+            ensure_rotation(r)
+
     def test_normalize_angle_edges(self):
         assert normalize_angle(math.pi) == math.pi
         assert normalize_angle(-math.pi) == math.pi
