@@ -38,7 +38,7 @@ from .errors import (
     NoSolutionError,
     UnreachableError,
 )
-from .screws import UNIT_TOL, Pose, _rotation_rows, ensure_rotation, normalize_angle
+from .screws import Pose, _axis_norm, _rotation_rows, ensure_rotation, normalize_angle
 from .subproblems import (
     _rotation_angle,
     _rotation_angle_to,
@@ -88,8 +88,8 @@ class _IkConstants:
     omega1, omega2), the fixed-point terms of the theta2 solve (v4 about
     omega2) and of the theta3 solve (e_y about omega3), and whether beta
     puts the tool axis on the second joint axis. `forward_kinematics` reads
-    the same tuples, and `axis_error` is the message of the first joint
-    axis whose norm is more than UNIT_TOL from 1 (None if there is none),
+    the same tuples, and `axis_error` is the message of `rodrigues`' unit
+    check for the first joint axis that fails it (None if none does),
     which FK raises as DomainError at call time."""
 
     __slots__ = ("w1", "w2", "w3", "v4", "r0", "r0v4", "r0ey",
@@ -112,11 +112,11 @@ class _IkConstants:
         self.theta3 = _rotation_axis_terms(w3, (0.0, 1.0, 0.0))
         self.degenerate = abs(math.sin(geom.beta)) < 1e-9
         self.axis_error = None
-        for x, y, z in (w1, w2, w3):
-            n = math.sqrt(x * x + y * y + z * z)
-            if abs(n - 1.0) > UNIT_TOL:
-                self.axis_error = f"rotation axis must be unit, got norm {n:.3e}"
-                break
+        try:
+            for w in (w1, w2, w3):
+                _axis_norm(w)
+        except DomainError as exc:
+            self.axis_error = str(exc)
 
 
 @dataclass(frozen=True)

@@ -62,12 +62,19 @@ def _rotation_rows(axis, angle: float):
     )
 
 
-def rodrigues(axis, angle: float) -> np.ndarray:
-    """Rotation matrix for a rotation by `angle` about a unit `axis`."""
+def _axis_norm(axis) -> float:
+    """Norm of a rotation axis, or DomainError if it is off unit."""
     x, y, z = axis
     n = math.sqrt(x * x + y * y + z * z)
     if abs(n - 1.0) > UNIT_TOL:
         raise DomainError(f"rotation axis must be unit, got norm {n:.3e}")
+    return n
+
+
+def rodrigues(axis, angle: float) -> np.ndarray:
+    """Rotation matrix for a rotation by `angle` about a unit `axis`."""
+    n = _axis_norm(axis)
+    x, y, z = axis
     return np.array(_rotation_rows((x / n, y / n, z / n), angle))
 
 
