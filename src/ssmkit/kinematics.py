@@ -210,7 +210,8 @@ def forward_kinematics(geom: MechanismGeometry, theta: JointState) -> Pose:
     r12 = _matmul_rows(_rotation_rows(k.w1, t1), _rotation_rows(k.w2, t2))
     rot = _matmul_rows(_matmul_rows(r12, _rotation_rows(k.w3, t3)), k.r0)
     (m0, m1, m2), (n0, n1, n2), (o0, o1, o2) = r12
-    tx, ty, tz = (x * t4 for x in k.v4)
+    vx, vy, vz = k.v4
+    tx, ty, tz = vx * t4, vy * t4, vz * t4
     return Pose(np.array(rot), np.array((m0 * tx + m1 * ty + m2 * tz,
                                          n0 * tx + n1 * ty + n2 * tz,
                                          o0 * tx + o1 * ty + o2 * tz)))

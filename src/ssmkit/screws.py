@@ -40,7 +40,7 @@ def unit(v) -> np.ndarray:
     """Rescale a 3-vector to unit norm, rejecting inputs far from unit."""
     v = np.asarray(v, dtype=float)
     n = math.sqrt(float(v @ v))
-    if abs(n - 1.0) > UNIT_TOL:
+    if not abs(n - 1.0) <= UNIT_TOL:
         raise DomainError(f"expected a unit vector, got norm {n:.3e}")
     return v / n
 
@@ -66,7 +66,7 @@ def _axis_norm(axis) -> float:
     """Norm of a rotation axis, or DomainError if it is off unit."""
     x, y, z = axis
     n = math.sqrt(x * x + y * y + z * z)
-    if abs(n - 1.0) > UNIT_TOL:
+    if not abs(n - 1.0) <= UNIT_TOL:
         raise DomainError(f"rotation axis must be unit, got norm {n:.3e}")
     return n
 

@@ -196,6 +196,10 @@ class TestForwardKinematics:
         with pytest.raises(DomainError) as info:
             forward_kinematics(g, JointState(0.4, -1.1, 0.3, 0.05))
         assert str(info.value) == "rotation axis must be unit, got norm 1.010e+00"
+        g = MechanismGeometry(ref.alpha, ref.beta, ref.omega1, ref.omega2,
+                              np.array([math.nan, 0.0, 1.0]), ref.v4, ref.r0)
+        with pytest.raises(DomainError, match="got norm nan"):
+            forward_kinematics(g, JointState(0.4, -1.1, 0.3, 0.05))
 
     @pytest.mark.parametrize("joint", range(4))
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

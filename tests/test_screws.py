@@ -36,6 +36,11 @@ class TestRodrigues:
         with pytest.raises(DomainError):
             rodrigues(np.array([0.0, 0.0, 2.0]), 0.3)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_axis_rejected(self, value):
+        with pytest.raises(DomainError, match="must be unit"):
+            rodrigues(np.array([0.0, value, 1.0]), 0.3)
+
     def test_output_orthonormal(self):
         r = rodrigues(np.array([0.6, 0.8, 0.0]), 1.234)
         assert np.abs(r.T @ r - np.eye(3)).max() < 1e-12
@@ -75,6 +80,8 @@ class TestTwistExp:
             revolute_twist([0.0, 0.0, 0.5])
         with pytest.raises(DomainError):
             revolute_twist([1.0, 1.0, 0.0])
+        with pytest.raises(DomainError):
+            revolute_twist([math.nan, 0.0, 1.0])
 
     @settings(max_examples=75, deadline=None)
     @given(unit_vectors, angles, unit_vectors, unit_vectors)
