@@ -53,8 +53,6 @@ SINGULARITY_TOL = 1e-8
 
 _FIT_TOL = 1e-9
 
-_JOINTS = ("theta1", "theta2", "theta3", "theta4")
-
 
 @dataclass(frozen=True, eq=False)
 class MechanismGeometry:
@@ -204,9 +202,9 @@ def forward_kinematics(geom: MechanismGeometry, theta: JointState) -> Pose:
     t1, t2, t3, t4 = theta.theta1, theta.theta2, theta.theta3, theta.theta4
     if not (math.isfinite(t1) and math.isfinite(t2)
             and math.isfinite(t3) and math.isfinite(t4)):
-        name, value = next((n, v) for n, v in zip(_JOINTS, (t1, t2, t3, t4))
-                           if not math.isfinite(v))
-        raise DomainError(f"{name}: expected a finite number, got {value}")
+        for name, value in zip(("theta1", "theta2", "theta3", "theta4"), (t1, t2, t3, t4)):
+            if not math.isfinite(value):
+                raise DomainError(f"{name}: expected a finite number, got {value}")
     r12 = _matmul_rows(_rotation_rows(k.w1, t1), _rotation_rows(k.w2, t2))
     rot = _matmul_rows(_matmul_rows(r12, _rotation_rows(k.w3, t3)), k.r0)
     (m0, m1, m2), (n0, n1, n2), (o0, o1, o2) = r12
