@@ -69,20 +69,23 @@ class TelemetryLog:
     def __post_init__(self):
         # Contiguous, so the per-joint gathers below read packed memory.
         t = np.asarray(self.time, dtype=float, order="C")
-        jid = np.asarray(self.joint_id, dtype=int)
+        ids = np.asarray(self.joint_id, dtype=float)
         v = np.asarray(self.velocity, dtype=float)
         tau = np.asarray(self.torque, dtype=float)
-        if not (t.shape == jid.shape == v.shape == tau.shape) or t.ndim != 1:
+        if not (t.shape == ids.shape == v.shape == tau.shape) or t.ndim != 1:
             raise InvalidLogError("telemetry columns must be matching 1-d arrays")
         if t.size == 0:
             raise InvalidLogError("telemetry log is empty")
         for name, arr in (("time", t), ("velocity", v), ("torque", tau)):
             if not np.all(np.isfinite(arr)):
                 raise InvalidLogError(f"telemetry {name} contains non-finite values")
-        lo, hi = min(VALID_JOINT_IDS), max(VALID_JOINT_IDS)
-        if jid.min() < lo or jid.max() > hi:
-            bad = np.unique(jid[(jid < lo) | (jid > hi)]).tolist()
+        # Checked as floats: the int cast would pass 1.5 and wrap NaN or 1e308.
+        outside = ~np.isin(ids, VALID_JOINT_IDS)
+        if outside.any():
+            bad = [int(x) if x.is_integer() and abs(x) < 2.0**53 else x
+                   for x in np.unique(ids[outside]).tolist()]
             raise InvalidLogError(f"joint_id values outside 1..4: {bad}")
+        jid = ids.astype(int)
         index = {}
         for j in np.flatnonzero(np.bincount(jid)).tolist():
             index[j] = np.flatnonzero(jid == j)
@@ -114,20 +117,16 @@ class TelemetryLog:
 
 
 def load_telemetry_csv(path, nominal_rate_hz: float = 200.0) -> TelemetryLog:
-    """Read a `time_s,joint_id,velocity,torque` CSV into a TelemetryLog."""
+    """Read a `time_s,joint_id,velocity,torque` CSV into a TelemetryLog;
+    every error it raises, the log's own checks included, names the file."""
     data = csvfile.read_numeric_csv(
         path, ("time_s", "joint_id", "velocity", "torque"), InvalidLogError,
         "telemetry", integer_columns=(1,),
     )
-    ids = data[:, 1]
-    outside = (ids < min(VALID_JOINT_IDS)) | (ids > max(VALID_JOINT_IDS))
-    if outside.any():
-        # Range-check the floats: astype(int) would wrap a value like 1e308.
-        bad = [int(x) if abs(x) < 2.0**53 else x for x in np.unique(ids[outside]).tolist()]
-        raise InvalidLogError(f"{path}: joint_id values outside 1..4: {bad}")
-    return TelemetryLog(
-        data[:, 0], data[:, 1].astype(int), data[:, 2], data[:, 3], nominal_rate_hz
-    )
+    try:
+        return TelemetryLog(data[:, 0], data[:, 1], data[:, 2], data[:, 3], nominal_rate_hz)
+    except InvalidLogError as exc:
+        raise InvalidLogError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,8 @@ build is a new geometry (`build_geometry` or `dataclasses.replace`).
 
 Forward kinematics is scalar too: it multiplies out the same axis, v4
 and r0 tuples in a fixed summation order and builds numpy arrays only for
-the returned pose, so its bits do not depend on the host's BLAS.
+the returned pose, so its bits do not depend on the host's BLAS. Inverse
+kinematics checks each candidate branch with FK's kernel, `_tool_pose_rows`.
 """
 
 from __future__ import annotations
@@ -85,10 +86,11 @@ class _IkConstants:
     geometry-only terms of the two-axis solve (v4 onto the target axis about
     omega1, omega2), the fixed-point terms of the theta2 solve (v4 about
     omega2) and of the theta3 solve (e_y about omega3), and whether beta
-    puts the tool axis on the second joint axis. `forward_kinematics` reads
-    the same tuples, and `axis_error` is the message of `rodrigues`' unit
-    check for the first joint axis that fails it (None if none does),
-    which FK raises as DomainError at call time."""
+    puts the tool axis on the second joint axis. FK's kernel
+    `_tool_pose_rows`, IK's branch check, reads the same tuples, and
+    `axis_error` is the message of `rodrigues`' unit check for the first
+    joint axis that fails it (None if none does), which FK and IK raise as
+    DomainError at call time."""
 
     __slots__ = ("w1", "w2", "w3", "v4", "r0", "r0v4", "r0ey",
                  "two_axis", "theta2", "theta3", "degenerate", "axis_error")
@@ -188,14 +190,27 @@ def _matmul_rows(a, b):
     )
 
 
+def _tool_pose_rows(k: _IkConstants, r12, theta3: float, theta4: float):
+    """Tool pose, as float rows, of a joint state whose R1 R2 is `r12`: the
+    rotation (R12 R3) r0 and the tip R12 (v4 theta4), each 3x3 product summed
+    in `_matmul_rows`' fixed order, so the bits do not depend on the host's
+    BLAS. FK returns this pose; IK checks each candidate branch against it."""
+    rot = _matmul_rows(_matmul_rows(r12, _rotation_rows(k.w3, theta3)), k.r0)
+    (m0, m1, m2), (n0, n1, n2), (o0, o1, o2) = r12
+    vx, vy, vz = k.v4
+    tx, ty, tz = vx * theta4, vy * theta4, vz * theta4
+    return rot, (m0 * tx + m1 * ty + m2 * tz,
+                 n0 * tx + n1 * ty + n2 * tz,
+                 o0 * tx + o1 * ty + o2 * tz)
+
+
 def forward_kinematics(geom: MechanismGeometry, theta: JointState) -> Pose:
     """Tool pose for a joint state: R1 R2 R3 r0, and the tip R1 R2 (v4
     theta4), obtained by rotating the tool-axis translation with the first
     two joints only (spin about the tool axis does not move the tip).
-    Scalar float arithmetic on the axis, v4 and r0 tuples the geometry keeps
-    for IK, with each 3x3 product summed in a fixed order, so the bits do not
-    depend on the host's BLAS; the two arrays are built at the end. A joint
-    axis off unit norm, or a non-finite joint value, raises DomainError."""
+    R1 R2 by `_matmul_rows`, then `_tool_pose_rows`, the kernel IK checks
+    its branches with; the two arrays are built at the end. A joint axis
+    off unit norm, or a non-finite joint value, raises DomainError."""
     k = geom._ik
     if k.axis_error is not None:
         raise DomainError(k.axis_error)
@@ -206,13 +221,8 @@ def forward_kinematics(geom: MechanismGeometry, theta: JointState) -> Pose:
             if not math.isfinite(value):
                 raise DomainError(f"{name}: expected a finite number, got {value}")
     r12 = _matmul_rows(_rotation_rows(k.w1, t1), _rotation_rows(k.w2, t2))
-    rot = _matmul_rows(_matmul_rows(r12, _rotation_rows(k.w3, t3)), k.r0)
-    (m0, m1, m2), (n0, n1, n2), (o0, o1, o2) = r12
-    vx, vy, vz = k.v4
-    tx, ty, tz = vx * t4, vy * t4, vz * t4
-    return Pose(np.array(rot), np.array((m0 * tx + m1 * ty + m2 * tz,
-                                         n0 * tx + n1 * ty + n2 * tz,
-                                         o0 * tx + o1 * ty + o2 * tz)))
+    rot, tip = _tool_pose_rows(k, r12, t3, t4)
+    return Pose(np.array(rot), np.array(tip))
 
 
 def inverse_kinematics(geom: MechanismGeometry, target: Pose) -> IkSolutionSet:
@@ -221,16 +231,19 @@ def inverse_kinematics(geom: MechanismGeometry, target: Pose) -> IkSolutionSet:
     the tool axis leaves it in place, so the target fixes the tool axis
     u = R r0^T v4 = R1 R2 v4 and the tip p = u theta4: theta4 = p . u, one
     two-axis rotation solve takes v4 onto u (theta1, theta2), and theta3 is
-    the angle of (R1 R2)^T R r0^T about omega3. Candidate branches are
-    verified against forward kinematics and kept only when both the
-    position and rotation errors fall below `_FIT_TOL`.
+    the angle of (R1 R2)^T R r0^T about omega3. A candidate branch is kept
+    only when its pose from FK's kernel, `_tool_pose_rows`, is within
+    `_FIT_TOL` of the target in both position and rotation.
     Scalar arithmetic throughout: the target is read into floats once, and
     the geometry-only terms (r0^T v4, r0^T e_y, the axis terms of the
     two-axis solve and of the theta2 and theta3 solves) come from the
-    constants the read-only geometry computed at construction.
+    constants the read-only geometry computed at construction. A joint axis
+    off unit norm raises DomainError, as in forward kinematics.
     """
-    _check_tool_axis(geom)
     k = geom._ik
+    if k.axis_error is not None:
+        raise DomainError(k.axis_error)
+    _check_tool_axis(geom)
     rot = target.rotation.tolist()
     px, py, pz = target.position.tolist()
     (g00, g01, g02), (g10, g11, g12), (g20, g21, g22) = rot
@@ -247,7 +260,7 @@ def inverse_kinematics(geom: MechanismGeometry, target: Pose) -> IkSolutionSet:
     yz = g20 * b0 + g21 * b1 + g22 * b2
     theta4 = px * ux + py * uy + pz * uz
 
-    w1 = k.w1
+    w1, w2 = k.w1, k.w2
     w1x, w1y, w1z = w1
     cx = uy * w1z - uz * w1y
     cy = uz * w1x - ux * w1z
@@ -268,24 +281,11 @@ def inverse_kinematics(geom: MechanismGeometry, target: Pose) -> IkSolutionSet:
             except (NoSolutionError, DegenerateInputError):
                 continue
 
-    w2, w3 = k.w2, k.w3
-    tx, ty, tz = (x * theta4 for x in k.v4)
-    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = k.r0
     branches: list[JointState] = []
     residuals: list[tuple[float, float]] = []
     for theta1, theta2 in pairs:
-        # R12 = R1 R2, with rows (m), (n), (o).
-        (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = _rotation_rows(w1, theta1)
-        (e00, e01, e02), (e10, e11, e12), (e20, e21, e22) = _rotation_rows(w2, theta2)
-        m0 = a00 * e00 + a01 * e10 + a02 * e20
-        m1 = a00 * e01 + a01 * e11 + a02 * e21
-        m2 = a00 * e02 + a01 * e12 + a02 * e22
-        n0 = a10 * e00 + a11 * e10 + a12 * e20
-        n1 = a10 * e01 + a11 * e11 + a12 * e21
-        n2 = a10 * e02 + a11 * e12 + a12 * e22
-        o0 = a20 * e00 + a21 * e10 + a22 * e20
-        o1 = a20 * e01 + a21 * e11 + a22 * e21
-        o2 = a20 * e02 + a21 * e12 + a22 * e22
+        r12 = _matmul_rows(_rotation_rows(w1, theta1), _rotation_rows(w2, theta2))
+        (m0, m1, m2), (n0, n1, n2), (o0, o1, o2) = r12
         # +y column of (R1 R2)^T R r0^T, which is R3 e_y for the true theta3.
         q3 = (m0 * yx + n0 * yy + o0 * yz,
               m1 * yx + n1 * yy + o1 * yz,
@@ -295,34 +295,14 @@ def inverse_kinematics(geom: MechanismGeometry, target: Pose) -> IkSolutionSet:
         except (NoSolutionError, DegenerateInputError):
             continue
 
-        dx = m0 * tx + m1 * ty + m2 * tz - px
-        dy = n0 * tx + n1 * ty + n2 * tz - py
-        dz = o0 * tx + o1 * ty + o2 * tz - pz
+        # Pose minus target; the squared rotation row norms add up in row order.
+        pose_rows, (x, y, z) = _tool_pose_rows(k, r12, theta3, theta4)
+        dx, dy, dz = x - px, y - py, z - pz
         pos_err = math.sqrt(dx * dx + dy * dy + dz * dz)
-        # R12 R3 r0 minus the target rotation, row by row; the squared row
-        # norms add up from 0.0 in row order.
-        (e00, e01, e02), (e10, e11, e12), (e20, e21, e22) = _rotation_rows(w3, theta3)
-        f0 = m0 * e00 + m1 * e10 + m2 * e20
-        f1 = m0 * e01 + m1 * e11 + m2 * e21
-        f2 = m0 * e02 + m1 * e12 + m2 * e22
-        d0 = f0 * r00 + f1 * r10 + f2 * r20 - g00
-        d1 = f0 * r01 + f1 * r11 + f2 * r21 - g01
-        d2 = f0 * r02 + f1 * r12 + f2 * r22 - g02
-        rot_sq = 0.0 + (d0 * d0 + d1 * d1 + d2 * d2)
-        f0 = n0 * e00 + n1 * e10 + n2 * e20
-        f1 = n0 * e01 + n1 * e11 + n2 * e21
-        f2 = n0 * e02 + n1 * e12 + n2 * e22
-        d0 = f0 * r00 + f1 * r10 + f2 * r20 - g10
-        d1 = f0 * r01 + f1 * r11 + f2 * r21 - g11
-        d2 = f0 * r02 + f1 * r12 + f2 * r22 - g12
-        rot_sq += d0 * d0 + d1 * d1 + d2 * d2
-        f0 = o0 * e00 + o1 * e10 + o2 * e20
-        f1 = o0 * e01 + o1 * e11 + o2 * e21
-        f2 = o0 * e02 + o1 * e12 + o2 * e22
-        d0 = f0 * r00 + f1 * r10 + f2 * r20 - g20
-        d1 = f0 * r01 + f1 * r11 + f2 * r21 - g21
-        d2 = f0 * r02 + f1 * r12 + f2 * r22 - g22
-        rot_sq += d0 * d0 + d1 * d1 + d2 * d2
+        rot_sq = 0.0
+        for (f0, f1, f2), (h0, h1, h2) in zip(pose_rows, rot):
+            d0, d1, d2 = f0 - h0, f1 - h1, f2 - h2
+            rot_sq += d0 * d0 + d1 * d1 + d2 * d2
         rot_err = math.sqrt(rot_sq)
         if pos_err < _FIT_TOL and rot_err < _FIT_TOL:
             branches.append(

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from . import csvfile
-from .band import TiltExtremes, _fold_polar, tilt_extremes  # noqa: F401 (re-exported)
+from .band import TiltExtremes, tilt_extremes  # noqa: F401 (re-exported)
 from .configfile import DEFAULT_PRECISION
 from .errors import DegenerateGeometryError, DomainError
 from .kinematics import MechanismGeometry

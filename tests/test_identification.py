@@ -123,8 +123,14 @@ class TestTelemetryLog:
 
     def test_unknown_joint_rejected(self):
         t = np.arange(10) / 200.0
-        with pytest.raises(InvalidLogError):
-            TelemetryLog(t, np.full(10, 7), np.zeros(10), np.zeros(10))
+        # A fraction, or a value the int cast would wrap, is named as given.
+        for value, named in ((7, "[7]"), (1.5, "[1.5]"), (1e308, "[1e+308]"),
+                             (math.nan, "[nan]")):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(InvalidLogError) as exc:
+                    TelemetryLog(t, np.full(10, value), np.zeros(10), np.zeros(10))
+            assert str(exc.value) == f"joint_id values outside 1..4: {named}"
 
     def test_out_of_range_ids_named_once_and_sorted(self):
         t = np.arange(6) / 200.0
@@ -211,8 +217,9 @@ class TestTelemetryLog:
             "time_s,joint_id,velocity,torque\n0,1,0.5,0.01\n0.005,1,0.5,nan\n",
             encoding="utf-8",
         )
-        with pytest.raises(InvalidLogError, match="non-finite"):
+        with pytest.raises(InvalidLogError) as exc:
             load_telemetry_csv(path)
+        assert str(exc.value) == f"{path}: telemetry torque contains non-finite values"
 
     def test_csv_loader_names_out_of_range_joint_id(self, tmp_path):
         path = tmp_path / "telemetry.csv"

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -191,15 +192,22 @@ class TestForwardKinematics:
 
     def test_non_unit_axis_rejected_at_call_time(self):
         ref = design_geometry()
-        g = MechanismGeometry(ref.alpha, ref.beta, 1.01 * ref.omega1, ref.omega2,
-                              ref.omega3, ref.v4, ref.r0)
-        with pytest.raises(DomainError) as info:
-            forward_kinematics(g, JointState(0.4, -1.1, 0.3, 0.05))
-        assert str(info.value) == "rotation axis must be unit, got norm 1.010e+00"
-        g = MechanismGeometry(ref.alpha, ref.beta, ref.omega1, ref.omega2,
-                              np.array([math.nan, 0.0, 1.0]), ref.v4, ref.r0)
-        with pytest.raises(DomainError, match="got norm nan"):
-            forward_kinematics(g, JointState(0.4, -1.1, 0.3, 0.05))
+        state = JointState(0.4, -1.1, 0.3, 0.05)
+        target = forward_kinematics(ref, state)
+        calls = (lambda g: forward_kinematics(g, state),
+                 lambda g: inverse_kinematics(g, target))
+        long_w1 = MechanismGeometry(ref.alpha, ref.beta, 1.01 * ref.omega1, ref.omega2,
+                                    ref.omega3, ref.v4, ref.r0)
+        nan_w3 = MechanismGeometry(ref.alpha, ref.beta, ref.omega1, ref.omega2,
+                                   np.array([math.nan, 0.0, 1.0]), ref.v4, ref.r0)
+        for call in calls:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DomainError) as info:
+                    call(long_w1)
+                assert str(info.value) == "rotation axis must be unit, got norm 1.010e+00"
+                with pytest.raises(DomainError, match="got norm nan"):
+                    call(nan_w3)
 
     @pytest.mark.parametrize("joint", range(4))
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
