@@ -86,8 +86,8 @@ class _IkConstants:
     geometry-only terms of the two-axis solve (v4 onto the target axis about
     omega1, omega2), the fixed-point terms of the theta2 solve (v4 about
     omega2) and of the theta3 solve (e_y about omega3), and whether beta
-    puts the tool axis on the second joint axis. FK's kernel
-    `_tool_pose_rows`, IK's branch check, reads the same tuples, and
+    puts the tool axis on the second joint axis. FK and IK's branch check
+    read the same tuples through one kernel, `_tool_pose_rows`, and
     `axis_error` is the message of `rodrigues`' unit check for the first
     joint axis that fails it (None if none does), which FK and IK raise as
     DomainError at call time."""
