@@ -56,6 +56,20 @@ _MIN_SAMPLES = 5
 _Z95 = 1.9599639845400536
 
 
+def _median(x: np.ndarray) -> float:
+    """`np.median` of a non-empty 1-d float array, bit for bit, without the
+    `numpy.ma` import its first call makes: the middle value of an odd size,
+    and (a + b) / 2.0 of the two middle values of an even one. The partition
+    also places the last element, as `np.median`'s does: with the middle
+    index alone it runs several times slower on time steps that take two
+    or three distinct values."""
+    half = x.size // 2
+    if x.size % 2:
+        return float(np.partition(x, (half, -1))[half])
+    part = np.partition(x, (half - 1, half, -1))
+    return (float(part[half - 1]) + float(part[half])) / 2.0
+
+
 @dataclass(frozen=True, eq=False)
 class TelemetryLog:
     """Motor velocity/torque records, one stream per joint id."""
@@ -93,7 +107,7 @@ class TelemetryLog:
             if np.any(dt <= 0.0):
                 raise InvalidLogError(f"joint {j}: timestamps not strictly increasing")
             if dt.size:
-                rate = 1.0 / float(np.median(dt))
+                rate = 1.0 / _median(dt)
                 if abs(rate - self.nominal_rate_hz) > 0.10 * self.nominal_rate_hz:
                     raise InvalidLogError(
                         f"joint {j}: sample rate {rate:.1f} Hz is more than 10% "

@@ -41,7 +41,6 @@ from .errors import (
 )
 from .screws import Pose, _axis_norm, _rotation_rows, ensure_rotation, normalize_angle
 from .subproblems import (
-    _rotation_angle,
     _rotation_angle_to,
     _rotation_axis_terms,
     _two_axis_points_to,
@@ -161,6 +160,15 @@ def _check_tool_axis(geom: MechanismGeometry) -> None:
         )
 
 
+def _check_target_finite(rot, position) -> None:
+    """Raise DomainError if an IK target's position or rotation, read as
+    float rows, holds a NaN or inf, naming which of the two does."""
+    for name, values in (("position", position), ("rotation", [v for row in rot for v in row])):
+        for value in values:
+            if not math.isfinite(value):
+                raise DomainError(f"target {name}: expected finite entries, got {value}")
+
+
 def probe_point_defaults(geom: MechanismGeometry):
     """
     Default probe points of the probe-point IK reduction: p1 on the tool
@@ -238,12 +246,14 @@ def inverse_kinematics(geom: MechanismGeometry, target: Pose) -> IkSolutionSet:
     the geometry-only terms (r0^T v4, r0^T e_y, the axis terms of the
     two-axis solve and of the theta2 and theta3 solves) come from the
     constants the read-only geometry computed at construction. A joint axis
-    off unit norm raises DomainError, as in forward kinematics.
+    off unit norm raises DomainError, as in forward kinematics; so does a
+    target with a NaN or inf entry, checked only once no branch fits it.
     """
     k = geom._ik
     if k.axis_error is not None:
         raise DomainError(k.axis_error)
-    _check_tool_axis(geom)
+    if k.degenerate:
+        _check_tool_axis(geom)
     rot = target.rotation.tolist()
     px, py, pz = target.position.tolist()
     (g00, g01, g02), (g10, g11, g12), (g20, g21, g22) = rot
@@ -276,7 +286,7 @@ def inverse_kinematics(geom: MechanismGeometry, target: Pose) -> IkSolutionSet:
     else:
         for c in _two_axis_points_to(k.two_axis, u, _FIT_TOL):
             try:
-                pairs.append((_rotation_angle(w1, c, u, _FIT_TOL),
+                pairs.append((_rotation_angle_to(_rotation_axis_terms(w1, c), u, _FIT_TOL),
                               _rotation_angle_to(k.theta2, c, _FIT_TOL)))
             except (NoSolutionError, DegenerateInputError):
                 continue
@@ -296,14 +306,16 @@ def inverse_kinematics(geom: MechanismGeometry, target: Pose) -> IkSolutionSet:
             continue
 
         # Pose minus target; the squared rotation row norms add up in row order.
-        pose_rows, (x, y, z) = _tool_pose_rows(k, r12, theta3, theta4)
+        ((f00, f01, f02), (f10, f11, f12), (f20, f21, f22)), (x, y, z) = \
+            _tool_pose_rows(k, r12, theta3, theta4)
         dx, dy, dz = x - px, y - py, z - pz
         pos_err = math.sqrt(dx * dx + dy * dy + dz * dz)
-        rot_sq = 0.0
-        for (f0, f1, f2), (h0, h1, h2) in zip(pose_rows, rot):
-            d0, d1, d2 = f0 - h0, f1 - h1, f2 - h2
-            rot_sq += d0 * d0 + d1 * d1 + d2 * d2
-        rot_err = math.sqrt(rot_sq)
+        d0, d1, d2 = f00 - g00, f01 - g01, f02 - g02
+        e0, e1, e2 = f10 - g10, f11 - g11, f12 - g12
+        h0, h1, h2 = f20 - g20, f21 - g21, f22 - g22
+        rot_err = math.sqrt((d0 * d0 + d1 * d1 + d2 * d2)
+                            + (e0 * e0 + e1 * e1 + e2 * e2)
+                            + (h0 * h0 + h1 * h1 + h2 * h2))
         if pos_err < _FIT_TOL and rot_err < _FIT_TOL:
             branches.append(
                 JointState(
@@ -316,17 +328,20 @@ def inverse_kinematics(geom: MechanismGeometry, target: Pose) -> IkSolutionSet:
             residuals.append((pos_err, rot_err))
 
     if not branches:
+        # A NaN or inf among the 12 target floats makes theta4 = p . u NaN
+        # or inf, so a finite theta4 clears the target without the check.
+        if not math.isfinite(theta4):
+            _check_target_finite(rot, (px, py, pz))
         raise UnreachableError("no joint-space branch reproduces the target pose")
 
-    order = sorted(
-        range(len(branches)),
-        key=lambda i: (branches[i].theta1, branches[i].theta2, branches[i].theta3),
-    )
-    return IkSolutionSet(
-        tuple(branches[i] for i in order),
-        tuple(residuals[i] for i in order),
-        singular,
-    )
+    # At most two branches: put them in (theta1, theta2, theta3) order, a
+    # tie keeping the order found, and their residuals with them.
+    if len(branches) == 2:
+        a, b = branches
+        if (b.theta1, b.theta2, b.theta3) < (a.theta1, a.theta2, a.theta3):
+            branches.reverse()
+            residuals.reverse()
+    return IkSolutionSet(tuple(branches), tuple(residuals), singular)
 
 
 def load_mechanism_config(path) -> MechanismGeometry:

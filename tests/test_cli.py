@@ -1115,6 +1115,25 @@ class TestImports:
         assert result.stdout.splitlines()[-1] == "False"
         assert len(out_csv.read_text(encoding="utf-8").splitlines()) == 50 * 50 + 1
 
+    def test_identify_breakaway_loads_no_numpy_ma(self, tmp_path, drive_cfg):
+        # The rate check takes its median through `np.partition`, because
+        # `np.median`'s first call imports `numpy.ma`.
+        log_path = tmp_path / "telemetry.csv"
+        TestIdentifyCommand()._write_log(log_path, load=1.0)
+        probe = (
+            "import runpy, sys\n"
+            f"sys.argv = ['ssmkit', 'identify', {str(log_path)!r}, '--transmission', "
+            f"{str(drive_cfg)!r}, '--joint', '1', '--load', '1.0', '--breakaway']\n"
+            "try:\n"
+            "    runpy.run_module('ssmkit', run_name='__main__', alter_sys=True)\n"
+            "finally:\n"
+            "    print('numpy.ma' in sys.modules)\n"
+        )
+        result = _fresh_python(probe)
+        assert result.returncode == 0, result.stderr
+        assert "mu_s" in result.stdout
+        assert result.stdout.splitlines()[-1] == "False"
+
     def test_identification_import_loads_no_statistics(self):
         result = _fresh_python(
             "import sys, ssmkit.identification; print('statistics' in sys.modules)")
@@ -1131,6 +1150,78 @@ class TestImports:
         assert result.stdout == ""
         assert result.stderr == "error: grid needs at least 2 samples per joint\n"
         assert not out_csv.exists()
+
+
+class TestModuleEntryPoint:
+    """`python -m ssmkit` runs `ssmkit.__main__.main`, which holds OpenBLAS
+    to one thread unless the caller chose a count; the bytes it writes are
+    those of `cli.main` called in-process."""
+
+    def test_fresh_process_matches_in_process(self, tmp_path, drive_cfg, capsysbinary,
+                                              monkeypatch):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        # An r0 build, so that the SVD of `ensure_rotation` runs.
+        r0 = ((0.6, -0.64, 0.48), (0.8, 0.48, -0.36), (0.0, 0.6, 0.8))
+        mech = tmp_path / "mech.cfg"
+        mech.write_text("alpha_deg = 30\nbeta_deg = 110\nr0 = "
+                        + " ".join(repr(x) for row in r0 for x in row) + "\n",
+                        encoding="utf-8")
+        geom = build_geometry(DEG(30), DEG(110), np.array(r0))
+        pose = forward_kinematics(geom, JointState(0.7, -1.3, 2.1, 0.04))
+        nums = [repr(v) for v in pose.rotation.ravel().tolist() + pose.position.tolist()]
+        log_path = tmp_path / "telemetry.csv"
+        TestIdentifyCommand()._write_log(log_path, load=1.0, noise=0.05)
+        runs = {
+            "ik": (["ik", "--config", str(mech), "--pose=" + ",".join(nums)], None),
+            "identify": (["identify", str(log_path), "--transmission", str(drive_cfg),
+                          "--joint", "1", "--load", "1.0", "--breakaway", "--out"],
+                         "fit.cfg"),
+            "workspace": (["workspace", "30", "110", "--samples", "37", "--csv"], "w.csv"),
+        }
+        for name, (argv, out_name) in runs.items():
+            outputs = {}
+            for side in ("in_process", "fresh"):
+                out = tmp_path / side / name
+                out.mkdir(parents=True)
+                full = argv + [str(out / out_name)] if out_name else argv
+                if side == "in_process":
+                    assert cli.main(full) == 0
+                    stdout = capsysbinary.readouterr().out
+                else:
+                    result = subprocess.run([sys.executable, "-m", "ssmkit", *full],
+                                            env=env, capture_output=True)
+                    assert result.returncode == 0, result.stderr
+                    assert result.stderr == b""
+                    stdout = result.stdout
+                written = (out / out_name).read_bytes() if out_name else None
+                outputs[side] = (stdout.replace(str(out).encode(), b"OUT"), written)
+            assert outputs["fresh"] == outputs["in_process"], name
+
+    @pytest.mark.parametrize("caller, seen", [(None, "1"), ("3", "3")])
+    def test_blas_thread_default_keeps_the_callers_count(self, mech_cfg, monkeypatch,
+                                                         caller, seen):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        if caller is not None:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", caller)
+        probe = (
+            "import os, runpy, sys\n"
+            f"sys.argv = ['ssmkit', 'fk', '--config', {str(mech_cfg)!r}, '--theta', '0,0,0,0']\n"
+            "try:\n"
+            "    runpy.run_module('ssmkit', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code\n"
+            "print(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+        )
+        result = _fresh_python(probe)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == seen
+
+    def test_cli_main_leaves_the_environment_alone(self, mech_cfg, monkeypatch, capsys):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        before = dict(os.environ)
+        assert cli.main(["fk", "--config", str(mech_cfg), "--theta", "0,0,0,0.03"]) == 0
+        assert dict(os.environ) == before
 
 
 class TestHelp:

@@ -25,6 +25,7 @@ from ssmkit.errors import (
 from ssmkit.identification import (
     MapPoint,
     _fit_mu_s,
+    _median,
     _range_nrmsd,
     _reflection_sum,
     _segment_indices,
@@ -109,6 +110,22 @@ def make_telemetry(spec, params, load, velocities, noise, rng,
 
 MOTOR_SPEEDS = [DEG(d) * 120.0 for d in (10, 20, 30, 40, 50, 60)]
 BOTH_DIRECTIONS = [w for m in MOTOR_SPEEDS for w in (m, -m)]
+
+
+class TestMedian:
+    # Time steps as the rate check sees them: positive, often repeated.
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(1e-6, 1e3) | st.sampled_from([0.005, 0.005000000000000001,
+                                                               0.0049999999999999]),
+                    min_size=1, max_size=60))
+    def test_equals_numpy_median_bit_for_bit(self, values):
+        x = np.array(values)
+        assert _median(x).hex() == float(np.median(x)).hex()
+
+    @pytest.mark.parametrize("size", [1000, 1001, 32397])
+    def test_long_arrays(self, size):
+        x = 0.005 + 1e-6 * np.random.default_rng(size).standard_normal(size)
+        assert _median(x).hex() == float(np.median(x)).hex()
 
 
 class TestTelemetryLog:

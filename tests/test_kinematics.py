@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from ssmkit.errors import (
     DomainError,
     UnreachableError,
 )
+from ssmkit import kinematics
 from ssmkit.kinematics import (
     JointState,
     MechanismGeometry,
@@ -320,6 +322,31 @@ class TestInverseKinematics:
         with pytest.raises(UnreachableError):
             inverse_kinematics(g, bad)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("part,index", [("position", (i,)) for i in range(3)]
+                             + [("rotation", (i, j)) for i in range(3) for j in range(3)])
+    def test_non_finite_target_entry_rejected(self, part, index, value):
+        g = design_geometry()
+        pose = forward_kinematics(g, JointState(0.4, -1.1, 0.3, 0.05))
+        arrays = {"rotation": pose.rotation.copy(), "position": pose.position.copy()}
+        arrays[part][index] = value
+        with pytest.raises(DomainError, match=f"^target {part}: expected finite entries"):
+            inverse_kinematics(g, Pose(arrays["rotation"], arrays["position"]))
+
+    def test_all_nan_rotation_rejected(self):
+        g = design_geometry()
+        pose = forward_kinematics(g, JointState(0.4, -1.1, 0.3, 0.05))
+        with pytest.raises(DomainError, match="^target rotation: expected finite entries"):
+            inverse_kinematics(g, Pose(np.full((3, 3), np.nan), pose.position))
+
+    def test_overflowing_finite_target_is_unreachable(self):
+        # theta4 = p . u overflows to inf, but every entry is finite.
+        g = design_geometry()
+        pose = forward_kinematics(g, JointState(0.4, -1.1, 0.3, 0.05))
+        u = pose.rotation @ g.r0.T @ g.v4
+        with pytest.raises(UnreachableError):
+            inverse_kinematics(g, Pose(pose.rotation, np.copysign(1.7e308, u)))
+
 
 def _state_gap(a, b):
     return max(
@@ -378,6 +405,48 @@ def ik_cases(draw):
         side /= np.linalg.norm(side)
         pose = Pose(pose.rotation, pose.position + draw(st.floats(1e-6, 0.01)) * side)
     return kind, geom, pose
+
+
+def _loop_residual(pose_rows, tip, target):
+    """(position error, rotation Frobenius error) of a kernel pose against
+    the target, the squared rotation rows added from 0.0 in a loop."""
+    dx, dy, dz = (a - b for a, b in zip(tip, target.position.tolist()))
+    rot_sq = 0.0
+    for (f0, f1, f2), (h0, h1, h2) in zip(pose_rows, target.rotation.tolist()):
+        d0, d1, d2 = f0 - h0, f1 - h1, f2 - h2
+        rot_sq += d0 * d0 + d1 * d1 + d2 * d2
+    return math.sqrt(dx * dx + dy * dy + dz * dz), math.sqrt(rot_sq)
+
+
+class TestBranchOrder:
+    # theta2 keeps 0.01 rad off 0 and pi: off the elbow-tangent targets and
+    # the roll axis, where IK's conditioning is tested elsewhere.
+    @settings(max_examples=300, deadline=None)
+    @given(alpha=st.floats(DEG(5.0), DEG(175.0)), beta=st.floats(DEG(5.0), DEG(175.0)),
+           turn=st.none() | st.tuples(unit_vectors, angles),
+           t1=angles, t2=st.floats(0.01, math.pi - 0.01), t2_sign=st.sampled_from([-1.0, 1.0]),
+           t3=angles, t4=st.floats(-0.05, 0.05))
+    def test_branches_sorted_with_their_residuals(self, alpha, beta, turn, t1, t2, t2_sign,
+                                                   t3, t4):
+        r0 = None if turn is None else rodrigues(*turn)
+        geom = build_geometry(alpha, beta, r0)
+        target = forward_kinematics(geom, JointState(t1, t2_sign * t2, t3, t4))
+        kernel = kinematics._tool_pose_rows
+        checked = []
+
+        def recording_kernel(k, r12, theta3, theta4):
+            rows, tip = kernel(k, r12, theta3, theta4)
+            checked.append((normalize_angle(theta3), theta4, _loop_residual(rows, tip, target)))
+            return rows, tip
+
+        with mock.patch.object(kinematics, "_tool_pose_rows", recording_kernel):
+            result = inverse_kinematics(geom, target)
+        keys = [(b.theta1, b.theta2, b.theta3) for b in result.branches]
+        assert keys == sorted(keys)
+        # Each branch carries the residual the loop form gives its own pose.
+        kept = [c for c in checked if c[2][0] < 1e-9 and c[2][1] < 1e-9]
+        got = [(b.theta3, b.theta4, r) for b, r in zip(result.branches, result.residuals)]
+        assert sorted(got) == sorted(kept)
 
 
 class TestToolAxisMatchesProbePointOracle:
