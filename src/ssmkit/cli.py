@@ -26,7 +26,6 @@ import math
 import os
 import re
 import sys
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -218,12 +217,7 @@ def cmd_identify(args, project) -> int:
         breakaway = identification.extract_breakaway_samples(
             log, args.tolerance, args.min_duration, joint_id=args.joint
         )
-    with warnings.catch_warnings():
-        # Every clamp the fit warns about is also printed as a flag line.
-        warnings.simplefilter("ignore", UserWarning)
-        report = identification.fit_friction(
-            tv_map, spec, test_load=args.load, breakaway=breakaway
-        )
+    report = identification.fit_friction(tv_map, spec, test_load=args.load, breakaway=breakaway)
     print("map points (velocity, torque_mean, torque_std, count):")
     for p in tv_map.points:
         print(f"  {ff(p.velocity)} {ff(p.torque_mean)} {ff(p.torque_std)} {p.count}")
@@ -415,10 +409,7 @@ def main(argv=None) -> int:
     except UnreachableError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except SsmKitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (SsmKitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:
@@ -426,7 +417,3 @@ def main(argv=None) -> int:
         print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory",
               file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

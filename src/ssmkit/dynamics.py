@@ -168,12 +168,17 @@ def reflect_load(spec: TransmissionSpec, mu: float, load, motion_sign):
     """
     Joint-side load reflected onto the motor shaft through friction mu:
     driving where load * motion_sign > 0, overhauling elsewhere. Serves
-    scalars (returns a float) and arrays alike.
+    scalars (returns a float) and arrays alike, without numpy warnings: a
+    reflection past the float range is inf.
     """
     eta_d = efficiency(spec.lead_angle, mu, Direction.DRIVING)
     eta_o = efficiency(spec.lead_angle, mu, Direction.OVERHAULING)
     driving = load * motion_sign > 0.0
-    reflected = np.where(driving, load / (spec.ratio * eta_d), load * eta_o / spec.ratio)
+    # np.divide, not `/`: for a scalar load, Python float division by a
+    # ratio * eta_d that underflowed to 0 raises, even where np.where drops it.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        reflected = np.where(driving, np.divide(load, spec.ratio * eta_d),
+                             load * eta_o / spec.ratio)
     return reflected if reflected.ndim else float(reflected)
 
 

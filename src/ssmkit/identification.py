@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import bisect
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -373,7 +372,6 @@ def _solve_mu_c(intercept_sum, spec, test_load, flags):
     if target <= _reflection_sum(lo, lam):
         if target < _reflection_sum(lo, lam) - 1e-12:
             flags.append("non-physical mu_c estimate clamped to 0")
-            warnings.warn("fitted mu_c was negative; clamped to 0", stacklevel=3)
         return 0.0
     if target >= _reflection_sum(hi, lam):
         flags.append("mu_c estimate clamped at the driving-domain limit")
@@ -390,7 +388,8 @@ def fit_friction(tv_map: TorqueVelocityMap, spec: TransmissionSpec,
     Fit (mu_c, b_c, b_v) to a torque-velocity map recorded under a
     constant joint-side `test_load`, plus mu_s from optional breakaway
     samples [(direction, motor torque), ...]. Every present direction
-    needs at least 3 distinct velocities.
+    needs at least 3 distinct velocities. A clamped or defaulted estimate
+    is reported in the report's flags, never as a Python warning.
     """
     pos = tv_map.direction(+1)
     neg = tv_map.direction(-1)
@@ -442,11 +441,9 @@ def fit_friction(tv_map: TorqueVelocityMap, spec: TransmissionSpec,
 
     if b_c < 0.0:
         flags.append("non-physical b_c estimate clamped to 0")
-        warnings.warn("fitted b_c was negative; clamped to 0", stacklevel=2)
         b_c = 0.0
     if b_v < 0.0:
         flags.append("non-physical b_v estimate clamped to 0")
-        warnings.warn("fitted b_v was negative; clamped to 0", stacklevel=2)
         b_v = 0.0
 
     mu_s = _fit_mu_s(breakaway, spec, test_load, mu_c, b_c, flags)
@@ -537,9 +534,7 @@ def _half_widths(xw, yw, coef, both, spec, test_load, flags):
             dn = coef.copy()
             up[j] += step
             dn[j] -= step
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                jac[:, j] = (transform(up) - transform(dn)) / (2.0 * step)
+            jac[:, j] = (transform(up) - transform(dn)) / (2.0 * step)
         names = ("mu_c", "b_c", "b_v")
     elif both:
         # test_load == 0: mu_c pinned at 0, b_c = (A+ - A-)/2, b_v direct.

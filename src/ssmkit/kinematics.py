@@ -15,7 +15,9 @@ axes, v4 and r0 as float tuples, r0^T v4 and r0^T e_y, the
 geometry-only terms of the two-axis solve, and the fixed-point terms of
 the theta2 and theta3 angle solves. The geometry keeps read-only float
 copies of its arrays, so these constants cannot go stale; a changed
-build is a new geometry (`build_geometry` or `dataclasses.replace`).
+build is a new geometry (`build_geometry` or `dataclasses.replace`). The
+geometry checks that its joint axes are unit when it is built, so FK and
+IK take them as checked.
 
 Forward kinematics is scalar too: it multiplies out the same axis, v4
 and r0 tuples in a fixed summation order and builds numpy arrays only for
@@ -59,8 +61,9 @@ class MechanismGeometry:
     """Joint axes and reference tool orientation of one mechanism build.
 
     The five arrays are kept as read-only float copies (the caller's arrays
-    stay as they were), and the constants `inverse_kinematics` needs are
-    computed from them here, once.
+    stay as they were). A joint axis off unit norm raises DomainError here,
+    in the constructor and in `dataclasses.replace`; the constants
+    `inverse_kinematics` needs are then computed from the arrays, once.
     """
 
     alpha: float
@@ -76,6 +79,8 @@ class MechanismGeometry:
             array = np.array(getattr(self, name), dtype=float)
             array.flags.writeable = False
             object.__setattr__(self, name, array)
+        for axis in (self.omega1, self.omega2, self.omega3):
+            _axis_norm(axis.tolist())
         object.__setattr__(self, "_ik", _IkConstants(self))
 
 
@@ -84,15 +89,12 @@ class _IkConstants:
     axes, v4 and the rows of r0 as float tuples, r0^T v4 and r0^T e_y, the
     geometry-only terms of the two-axis solve (v4 onto the target axis about
     omega1, omega2), the fixed-point terms of the theta2 solve (v4 about
-    omega2) and of the theta3 solve (e_y about omega3), and whether beta
-    puts the tool axis on the second joint axis. FK and IK's branch check
-    read the same tuples through one kernel, `_tool_pose_rows`, and
-    `axis_error` is the message of `rodrigues`' unit check for the first
-    joint axis that fails it (None if none does), which FK and IK raise as
-    DomainError at call time."""
+    omega2) and of the theta3 solve (e_y about omega3), and `degenerate`:
+    why IK cannot solve on this build (None if it can). FK and IK's branch
+    check read the same tuples through one kernel, `_tool_pose_rows`."""
 
     __slots__ = ("w1", "w2", "w3", "v4", "r0", "r0v4", "r0ey",
-                 "two_axis", "theta2", "theta3", "degenerate", "axis_error")
+                 "two_axis", "theta2", "theta3", "degenerate")
 
     def __init__(self, geom: MechanismGeometry):
         self.w1 = w1 = tuple(geom.omega1.tolist())
@@ -109,13 +111,16 @@ class _IkConstants:
         self.two_axis = _two_axis_terms(w1, w2, v4)
         self.theta2 = _rotation_axis_terms(w2, v4)
         self.theta3 = _rotation_axis_terms(w3, (0.0, 1.0, 0.0))
-        self.degenerate = abs(math.sin(geom.beta)) < 1e-9
-        self.axis_error = None
-        try:
-            for w in (w1, w2, w3):
-                _axis_norm(w)
-        except DomainError as exc:
-            self.axis_error = str(exc)
+        # The two-axis solve divides by d^2 - 1 and by |omega1 x omega2|^2 and
+        # its square; each rounds to 0 once omega1 and omega2 are parallel
+        # to float precision.
+        den, crn2 = self.two_axis[-1], self.two_axis[6]
+        if abs(math.sin(geom.beta)) < 1e-9:
+            self.degenerate = "beta ~ 0 or pi puts the tool axis on the second joint axis"
+        elif den == 0.0 or crn2 * crn2 == 0.0:
+            self.degenerate = "alpha ~ 0 or pi puts the second joint axis on the first"
+        else:
+            self.degenerate = None
 
 
 @dataclass(frozen=True)
@@ -153,13 +158,6 @@ def build_geometry(alpha: float, beta: float, r0=None) -> MechanismGeometry:
     return MechanismGeometry(alpha, beta, omega1, omega2, omega3, omega3.copy(), r0)
 
 
-def _check_tool_axis(geom: MechanismGeometry) -> None:
-    if geom._ik.degenerate:
-        raise DegenerateGeometryError(
-            "beta ~ 0 or pi puts the tool axis on the second joint axis"
-        )
-
-
 def _check_target_finite(rot, position) -> None:
     """Raise DomainError if an IK target's position or rotation, read as
     float rows, holds a NaN or inf, naming which of the two does."""
@@ -175,7 +173,8 @@ def probe_point_defaults(geom: MechanismGeometry):
     axis, p2 on the third joint axis, p3 off it. p3 = +y is exactly
     perpendicular to omega3 under the canonical axis placement.
     """
-    _check_tool_axis(geom)
+    if geom._ik.degenerate is not None:
+        raise DegenerateGeometryError(geom._ik.degenerate)
     return geom.v4.copy(), geom.v4.copy(), np.array([0.0, 1.0, 0.0])
 
 
@@ -217,11 +216,9 @@ def forward_kinematics(geom: MechanismGeometry, theta: JointState) -> Pose:
     theta4), obtained by rotating the tool-axis translation with the first
     two joints only (spin about the tool axis does not move the tip).
     R1 R2 by `_matmul_rows`, then `_tool_pose_rows`, the kernel IK checks
-    its branches with; the two arrays are built at the end. A joint axis
-    off unit norm, or a non-finite joint value, raises DomainError."""
+    its branches with; the two arrays are built at the end. A non-finite
+    joint value raises DomainError."""
     k = geom._ik
-    if k.axis_error is not None:
-        raise DomainError(k.axis_error)
     t1, t2, t3, t4 = theta.theta1, theta.theta2, theta.theta3, theta.theta4
     if not (math.isfinite(t1) and math.isfinite(t2)
             and math.isfinite(t3) and math.isfinite(t4)):
@@ -245,15 +242,14 @@ def inverse_kinematics(geom: MechanismGeometry, target: Pose) -> IkSolutionSet:
     Scalar arithmetic throughout: the target is read into floats once, and
     the geometry-only terms (r0^T v4, r0^T e_y, the axis terms of the
     two-axis solve and of the theta2 and theta3 solves) come from the
-    constants the read-only geometry computed at construction. A joint axis
-    off unit norm raises DomainError, as in forward kinematics; so does a
-    target with a NaN or inf entry, checked only once no branch fits it.
+    constants the read-only geometry computed at construction. A build
+    whose first two axes or whose tool axis and second axis coincide raises
+    DegenerateGeometryError; a target with a NaN or inf entry raises
+    DomainError, checked only once no branch fits it.
     """
     k = geom._ik
-    if k.axis_error is not None:
-        raise DomainError(k.axis_error)
-    if k.degenerate:
-        _check_tool_axis(geom)
+    if k.degenerate is not None:
+        raise DegenerateGeometryError(k.degenerate)
     rot = target.rotation.tolist()
     px, py, pz = target.position.tolist()
     (g00, g01, g02), (g10, g11, g12), (g20, g21, g22) = rot

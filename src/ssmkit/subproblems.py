@@ -145,7 +145,9 @@ def _two_axis_points_to(terms, q, tol: float) -> list:
     b = (d * w1q - w2p) / den
     gamma2 = (pn2 - a * a - b * b - 2.0 * a * b * d) / crn2
     band = TANGENCY_TOL * scale * scale
-    if gamma2 < -band:
+    # The rounding error of gamma2 grows as 1 / |w1 x w2|^4: a tangent target
+    # can land that far below zero, and the caller's fit check rules on it.
+    if gamma2 < -band / (crn2 * crn2):
         return []
     gammas = (0.0,) if gamma2 <= band else (math.sqrt(gamma2), -math.sqrt(gamma2))
     points = []

@@ -1,6 +1,7 @@
 import importlib
 import math
 import os
+import shlex
 import subprocess
 import sys
 import warnings
@@ -28,6 +29,16 @@ DEG = math.radians
 
 J1_SPEC = TransmissionSpec(TransmissionKind.WORM_GEAR, 120.0, DEG(5.0), 1.0e-5)
 J1_PARAMS = FrictionParams(mu_s=0.15, mu_c=0.13, b_c=3.82e-3, b_v=7.18e-5)
+# A drive whose ratio * eta_d underflows to 0 once mu is above 0.
+TINY_DRIVE = """kind = wormgear
+ratio = 1e-300
+lead_angle_deg = 1e-300
+reflected_inertia = 1e-05
+mu_s = 0.15
+mu_c = {mu_c}
+b_c = 0.00382
+b_v = 7.18e-05
+"""
 
 
 @pytest.fixture(autouse=True)
@@ -173,6 +184,17 @@ class TestFkIkCommands:
         assert code == 3
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("alpha_deg", ["1e-7", "179.9999999", "1e-300"])
+    def test_ik_on_coincident_first_axes_exits_2(self, tmp_path, capsys, alpha_deg):
+        cfg = tmp_path / "mech.cfg"
+        cfg.write_text(f"alpha_deg = {alpha_deg}\nbeta_deg = 110\n", encoding="utf-8")
+        pose = "1,0,0,0,1,0,0,0,1,0,0,0"
+        assert cli.main(["ik", "--config", str(cfg), "--pose", pose]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: alpha ~ 0 or pi puts the second joint axis on the first\n"
+        assert cli.main(["fk", "--config", str(cfg), "--theta", "10,20,30,0.01"]) == 0
+
     def test_missing_config_exits_2(self, capsys):
         assert cli.main(["fk", "--theta", "0,0,0,0"]) == 2
 
@@ -216,13 +238,14 @@ class TestFkIkCommands:
 
 
 class TestIdentifyCommand:
-    def _write_log(self, path, load=1.0, noise=0.0, directions=(1, -1)):
+    def _write_log(self, path, load=1.0, noise=0.0, directions=(1, -1), rest_s=0.0):
         rng = np.random.default_rng(3)
         rate = 200.0
         speeds = [DEG(d) * 120.0 for d in (10, 20, 30, 40, 50, 60)]
         velocities = [s * w for w in speeds for s in directions]
         per = int(2.0 * rate)
-        v = np.concatenate([np.full(per, w) for w in velocities])
+        rest = np.zeros(int(rest_s * rate))
+        v = np.concatenate([np.append(rest, np.full(per, w)) for w in velocities])
         tau = np.array([kinetic_torque(w, load) for w in v])
         if noise:
             tau *= 1.0 + noise * rng.standard_normal(tau.size)
@@ -312,6 +335,21 @@ class TestIdentifyCommand:
         assert "flag: non-physical mu_c estimate clamped to 0" in captured.out
         assert captured.err == ""
 
+    @pytest.mark.parametrize("mu_c", ["0", "0.13"])
+    def test_underflowing_reflection_flags_breakaway(self, tmp_path, capsys, mu_c):
+        drive = tmp_path / "drive.cfg"
+        drive.write_text(TINY_DRIVE.format(mu_c=mu_c), encoding="utf-8")
+        log_path = tmp_path / "telemetry.csv"
+        self._write_log(log_path, load=1.0, rest_s=0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["identify", str(log_path), "--transmission", str(drive),
+                             "--load", "1", "--breakaway"])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert "flag: breakaway sample outside the representable mu_s range" in captured.out
+        assert captured.err == ""
+
     def test_overflowing_torques_exit_2_without_numpy_warnings(self, tmp_path,
                                                                 drive_cfg):
         log_path = tmp_path / "telemetry.csv"
@@ -396,6 +434,19 @@ class TestSimulateCommand:
         data = np.loadtxt(out, delimiter=",", skiprows=1)
         expected = kinetic_torque(120.0 * DEG(20.0))
         assert np.abs(data[:, 1] - expected).max() < 1e-12
+
+    @pytest.mark.parametrize("load", ["1", "-1"])
+    def test_underflowing_reflection_without_warnings(self, tmp_path, capsys, load):
+        drive = tmp_path / "drive.cfg"
+        drive.write_text(TINY_DRIVE.format(mu_c="0.13"), encoding="utf-8")
+        traj = tmp_path / "traj.csv"
+        self._write_trajectory(traj)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["simulate", str(traj), "--transmission", str(drive),
+                             "--load", load, "--out", str(tmp_path / "torque.csv")])
+        assert code == 0
+        assert capsys.readouterr().err == ""
 
     def test_measured_equal_gives_zero_nrmsd(self, tmp_path, drive_cfg, capsys):
         traj = tmp_path / "traj.csv"
@@ -671,6 +722,19 @@ class TestPayloadCommand:
         assert captured.out == ""
         assert captured.err == "error: motor torque of the payload curve overflows\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("load, code", [("0", 0), ("1", 2), ("-1", 0)])
+    def test_underflowing_reflection(self, tmp_path, capsys, load, code):
+        drive = tmp_path / "drive.cfg"
+        drive.write_text(TINY_DRIVE.format(mu_c="0.13"), encoding="utf-8")
+        out = tmp_path / "curve.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["payload", "--transmission", str(drive), "--load", load,
+                             "--vmax", "10", "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert err == ("" if code == 0 else "error: motor torque of the payload curve overflows\n")
+        assert out.exists() == (code == 0)
 
     def test_point_count_doubles_rows(self, tmp_path, drive_cfg):
         for points, name in ((30, "a.csv"), (60, "b.csv")):
@@ -1238,3 +1302,35 @@ class TestHelp:
         with pytest.raises(SystemExit) as exc:
             cli.main(["--help"])
         assert exc.value.code == 0
+
+
+class TestReadmeQuickStart:
+    README = Path(__file__).resolve().parents[1] / "README.md"
+
+    def _commands(self):
+        """(argv, lines shown under it) of each `$ ssmkit` line in README's
+        Quick start whose subcommand reads only `configs/`."""
+        text = self.README.read_text(encoding="utf-8")
+        section = text.split("\n## Quick start\n", 1)[1].split("\n## ", 1)[0]
+        commands = []
+        for block in section.split("```sh\n")[1:]:
+            lines = block.split("```", 1)[0].splitlines()
+            for i, line in enumerate(lines):
+                if line.startswith("$ ssmkit ") and line.split()[2] in ("workspace", "fk", "ik"):
+                    shown = []
+                    for later in lines[i + 1:]:
+                        if later.startswith("$ "):
+                            break
+                        shown.append(later)
+                    commands.append((shlex.split(line)[2:], shown))
+        return commands
+
+    def test_commands_exit_0_and_print_what_readme_shows(self, monkeypatch, capsys):
+        commands = self._commands()
+        assert sorted({argv[0] for argv, _ in commands}) == ["fk", "ik", "workspace"]
+        monkeypatch.chdir(self.README.parent)
+        for argv, shown in commands:
+            assert cli.main(argv) == 0, argv
+            out = capsys.readouterr().out
+            if shown:
+                assert out.splitlines() == shown, argv

@@ -18,6 +18,7 @@ from ssmkit.dynamics import (
     nrmsd,
     payload_curve,
     read_trace_csv,
+    reflect_load,
     read_trajectory_csv,
     save_transmission_config,
     write_trace_csv,
@@ -235,6 +236,33 @@ class TestInverseDynamics:
             warnings.simplefilter("error")
             with pytest.raises(TrajectoryOverflowError):
                 inverse_dynamics(J1_SPEC, J1_PARAMS, lambda t: 1.0, traj)
+
+
+class TestReflectLoad:
+    # ratio * eta_d underflows to 0 for a driving load at mu_c = 0.13.
+    TINY = TransmissionSpec(TransmissionKind.WORM_GEAR, 1e-300, DEG(1e-300), 1.0e-5)
+
+    def test_underflowing_driving_reflection_is_inf_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert reflect_load(self.TINY, 0.13, 1.0, 1.0) == math.inf
+            assert reflect_load(self.TINY, 0.13, -1.0, 1.0) == 0.0
+            assert reflect_load(self.TINY, 0.13, 0.0, 1.0) == 0.0
+            out = reflect_load(self.TINY, 0.13, np.array([1.0, -1.0, 0.0]), 1.0)
+        assert out.tolist() == [math.inf, 0.0, 0.0]
+
+    def test_finite_reflections_keep_python_float_bits(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            mu = float(rng.uniform(0.0, 0.5))
+            load = float(rng.uniform(-10.0, 10.0))
+            s = float(rng.choice([-1.0, 1.0]))
+            eta_d = efficiency(J1_SPEC.lead_angle, mu, Direction.DRIVING)
+            eta_o = efficiency(J1_SPEC.lead_angle, mu, Direction.OVERHAULING)
+            expected = (load / (J1_SPEC.ratio * eta_d) if load * s > 0.0
+                        else load * eta_o / J1_SPEC.ratio)
+            got = reflect_load(J1_SPEC, mu, load, s)
+            assert type(got) is float and got == expected
 
 
 class TestPayloadCurve:

@@ -441,7 +441,7 @@ class TestFitFriction:
         assert abs(report.params.b_c - params.b_c) / params.b_c < 1e-9
         assert abs(report.params.b_v - params.b_v) / params.b_v < 1e-9
 
-    def test_non_physical_estimates_clamped_with_warning(self):
+    def test_non_physical_estimates_clamped_with_flags(self):
         spec = JOINT_SPECS[1]
         # torques below the pure load reflection imply negative friction
         load = 1.0
@@ -452,7 +452,8 @@ class TestFitFriction:
             )
             points.append(MapPoint(w, base - math.copysign(2e-3, w), 0.0, 100))
         tv = TorqueVelocityMap(tuple(sorted(points, key=lambda p: p.velocity)))
-        with pytest.warns(UserWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             report = fit_friction(tv, spec, test_load=load)
         assert report.params.mu_c == 0.0
         assert report.params.b_c == 0.0
@@ -555,7 +556,8 @@ class TestClosedFormInversions:
     def test_mu_c_clamps_and_flags(self, lam, excess):
         spec = _drive(lam)
         flags = []
-        with pytest.warns(UserWarning, match="clamped to 0"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert _solve_mu_c(2.0 - excess, spec, 1.0, flags) == 0.0
         assert flags == ["non-physical mu_c estimate clamped to 0"]
         flags = []

@@ -126,6 +126,16 @@ class TestGeometryConstants:
         with pytest.raises(DegenerateGeometryError):
             inverse_kinematics(g, Pose(np.eye(3), np.zeros(3)))
 
+    @pytest.mark.parametrize("alpha_deg", [1e-7, 179.9999999, 1e-300])
+    def test_coincident_first_axes_accepted_then_rejected_by_ik(self, alpha_deg):
+        """cos(alpha) rounds to +/-1, so the two-axis solve would divide by 0."""
+        g = build_geometry(DEG(alpha_deg), DEG(110))
+        pose = forward_kinematics(g, JointState(0.4, -1.1, 0.3, 0.05))
+        assert np.isfinite(pose.rotation).all() and np.isfinite(pose.position).all()
+        with pytest.raises(DegenerateGeometryError) as info:
+            inverse_kinematics(g, Pose(np.eye(3), np.zeros(3)))
+        assert str(info.value) == "alpha ~ 0 or pi puts the second joint axis on the first"
+
 
 class TestProbePoints:
     def test_design_case(self):
@@ -192,24 +202,19 @@ class TestForwardKinematics:
             pose = forward_kinematics(g, JointState(*t, t4))
             assert abs(np.linalg.norm(pose.position) - abs(t4)) < 1e-12
 
-    def test_non_unit_axis_rejected_at_call_time(self):
+    def test_non_unit_axis_rejected_at_construction(self):
         ref = design_geometry()
-        state = JointState(0.4, -1.1, 0.3, 0.05)
-        target = forward_kinematics(ref, state)
-        calls = (lambda g: forward_kinematics(g, state),
-                 lambda g: inverse_kinematics(g, target))
-        long_w1 = MechanismGeometry(ref.alpha, ref.beta, 1.01 * ref.omega1, ref.omega2,
-                                    ref.omega3, ref.v4, ref.r0)
-        nan_w3 = MechanismGeometry(ref.alpha, ref.beta, ref.omega1, ref.omega2,
-                                   np.array([math.nan, 0.0, 1.0]), ref.v4, ref.r0)
-        for call in calls:
+        fields = {f.name: getattr(ref, f.name) for f in dataclasses.fields(ref)}
+        builds = (lambda **axes: MechanismGeometry(**{**fields, **axes}),
+                  lambda **axes: dataclasses.replace(ref, **axes))
+        for build in builds:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(DomainError) as info:
-                    call(long_w1)
+                    build(omega1=1.01 * ref.omega1)
                 assert str(info.value) == "rotation axis must be unit, got norm 1.010e+00"
                 with pytest.raises(DomainError, match="got norm nan"):
-                    call(nan_w3)
+                    build(omega3=np.array([math.nan, 0.0, 1.0]))
 
     @pytest.mark.parametrize("joint", range(4))
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -308,6 +313,27 @@ class TestInverseKinematics:
         sols = inverse_kinematics(g, forward_kinematics(g, state))
         assert any(_matches(b, state) for b in sols.branches)
         assert all(abs(b.theta4 - t4) <= 1e-15 for b in sols.branches)
+
+    @pytest.mark.parametrize("alpha_deg, beta_deg", [
+        (1, 95), (2, 20), (4, 120), (5, 11.08), (175, 95), (176, 150), (178, 70), (179, 120)])
+    def test_elbow_tangent_targets_near_a_coincident_first_axis(self, alpha_deg, beta_deg):
+        """theta2 = 0 or pi on builds with alpha near 0 or pi: gamma2's rounding
+        error grows as 1 / sin(alpha)^4 and lands below zero. The two elbow
+        branches meet here, so the angles are only sqrt(eps)-conditioned."""
+        g = build_geometry(DEG(alpha_deg), DEG(beta_deg))
+        rng = np.random.default_rng(int(alpha_deg * 1000 + beta_deg))
+        for theta2 in (0.0, math.pi):
+            for _ in range(10):
+                t1, t3 = rng.uniform(-math.pi, math.pi, 2)
+                state = JointState(t1, theta2, t3, rng.uniform(-0.1, 0.1))
+                sols = inverse_kinematics(g, forward_kinematics(g, state))
+                assert not sols.singular
+                assert any(
+                    abs(normalize_angle(b.theta1 - state.theta1)) < 1e-4
+                    and abs(normalize_angle(b.theta2 - state.theta2)) < 1e-4
+                    and abs(normalize_angle(b.theta3 - state.theta3)) < 1e-4
+                    and abs(b.theta4 - state.theta4) < 1e-9
+                    for b in sols.branches), state
 
     def test_degenerate_geometry_rejected(self):
         g = build_geometry(DEG(30), 1e-12)
