@@ -161,17 +161,29 @@ def _parse_pose(raw):
     return screws.Pose(rot, np.array(vals[9:]))
 
 
-def cmd_fk(args, project) -> int:
-    import numpy as np
+def _norm3(x: float, y: float, z: float) -> float:
+    """Euclidean norm of three floats, the squares summed left to right, so
+    its bits do not depend on the host's BLAS. Only when that sum overflows,
+    or underflows below the smallest normal float while a component is
+    nonzero, are the components scaled by the largest of them first."""
+    sq = x * x + y * y + z * z
+    if sq == math.inf or (sq < sys.float_info.min and (x or y or z)):
+        m = max(abs(x), abs(y), abs(z))
+        x, y, z = x / m, y / m, z / m
+        return m * math.sqrt(x * x + y * y + z * z)
+    return math.sqrt(sq)
 
+
+def cmd_fk(args, project) -> int:
     from . import kinematics
 
     ff = lambda x: format_float(x, args.precision)
     geom = _geometry_for(args, project)
     pose = kinematics.forward_kinematics(geom, _parse_theta(args.theta))
+    position = pose.position.tolist()
     print("rotation =", " ".join(ff(v) for v in pose.rotation.ravel()))
-    print("position_m =", " ".join(ff(v) for v in pose.position))
-    print(f"position_norm_m = {ff(float(np.linalg.norm(pose.position)))}")
+    print("position_m =", " ".join(ff(v) for v in position))
+    print(f"position_norm_m = {ff(_norm3(*position))}")
     return 0
 
 

@@ -11,18 +11,23 @@ tests deterministic.
 
 Inverse kinematics reads what depends only on the geometry from
 constants each `MechanismGeometry` computes once, at construction: the
-axes, v4 and r0 as float tuples, r0^T v4 and r0^T e_y, the
-geometry-only terms of the two-axis solve, and the fixed-point terms of
-the theta2 and theta3 angle solves. The geometry keeps read-only float
-copies of its arrays, so these constants cannot go stale; a changed
-build is a new geometry (`build_geometry` or `dataclasses.replace`). The
-geometry checks that its joint axes are unit when it is built, so FK and
-IK take them as checked.
+axes and v4 as float 3-tuples, r0 as a flat row-major 9-tuple, r0^T v4
+and r0^T e_y, the geometry-only terms of the two-axis solve, and the
+fixed-point terms of the theta2 and theta3 angle solves. The geometry
+keeps read-only float copies of its arrays, so these constants cannot go
+stale; a changed build is a new geometry (`build_geometry` or
+`dataclasses.replace`). The geometry checks that its joint axes are unit
+when it is built, so FK and IK take them as checked.
 
 Forward kinematics is scalar too: it multiplies out the same axis, v4
 and r0 tuples in a fixed summation order and builds numpy arrays only for
-the returned pose, so its bits do not depend on the host's BLAS. Inverse
+the returned pose, so its bits do not depend on the host's BLAS. Every
+3x3 matrix on this path is a flat row-major 9-tuple of floats. Inverse
 kinematics checks each candidate branch with FK's kernel, `_tool_pose_rows`.
+
+`JointState` and `IkSolutionSet` are slotted frozen dataclasses whose own
+`__init__` stores each field through its slot's setter, fetched once
+below each class.
 """
 
 from __future__ import annotations
@@ -41,10 +46,11 @@ from .errors import (
     NoSolutionError,
     UnreachableError,
 )
-from .screws import Pose, _axis_norm, _rotation_rows, ensure_rotation, normalize_angle
+from .screws import Pose, _axis_norm, _rotation_rows, ensure_rotation
 from .subproblems import (
     _rotation_angle_to,
     _rotation_axis_terms,
+    _two_axis_parallel,
     _two_axis_points_to,
     _two_axis_terms,
 )
@@ -86,12 +92,13 @@ class MechanismGeometry:
 
 class _IkConstants:
     """What `inverse_kinematics` needs of a geometry, computed once: the
-    axes, v4 and the rows of r0 as float tuples, r0^T v4 and r0^T e_y, the
-    geometry-only terms of the two-axis solve (v4 onto the target axis about
-    omega1, omega2), the fixed-point terms of the theta2 solve (v4 about
-    omega2) and of the theta3 solve (e_y about omega3), and `degenerate`:
-    why IK cannot solve on this build (None if it can). FK and IK's branch
-    check read the same tuples through one kernel, `_tool_pose_rows`."""
+    axes and v4 as float 3-tuples, r0 as a flat row-major 9-tuple, r0^T v4
+    and r0^T e_y, the geometry-only terms of the two-axis solve (v4 onto the
+    target axis about omega1, omega2), the fixed-point terms of the theta2
+    solve (v4 about omega2) and of the theta3 solve (e_y about omega3), and
+    `degenerate`: why IK cannot solve on this build (None if it can). FK
+    and IK's branch check read the same tuples through one kernel,
+    `_tool_pose_rows`."""
 
     __slots__ = ("w1", "w2", "w3", "v4", "r0", "r0v4", "r0ey",
                  "two_axis", "theta2", "theta3", "degenerate")
@@ -101,8 +108,8 @@ class _IkConstants:
         self.w2 = w2 = tuple(geom.omega2.tolist())
         self.w3 = w3 = tuple(geom.omega3.tolist())
         self.v4 = v4 = tuple(geom.v4.tolist())
-        self.r0 = r0 = tuple(tuple(row) for row in geom.r0.tolist())
-        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = r0
+        self.r0 = r0 = tuple(geom.r0.ravel().tolist())
+        a0, a1, a2, b0, b1, b2, c0, c1, c2 = r0
         vx, vy, vz = v4
         self.r0v4 = (a0 * vx + b0 * vy + c0 * vz,
                      a1 * vx + b1 * vy + c1 * vz,
@@ -111,19 +118,24 @@ class _IkConstants:
         self.two_axis = _two_axis_terms(w1, w2, v4)
         self.theta2 = _rotation_axis_terms(w2, v4)
         self.theta3 = _rotation_axis_terms(w3, (0.0, 1.0, 0.0))
-        # The two-axis solve divides by d^2 - 1 and by |omega1 x omega2|^2 and
-        # its square; each rounds to 0 once omega1 and omega2 are parallel
-        # to float precision.
-        den, crn2 = self.two_axis[-1], self.two_axis[6]
         if abs(math.sin(geom.beta)) < 1e-9:
             self.degenerate = "beta ~ 0 or pi puts the tool axis on the second joint axis"
-        elif den == 0.0 or crn2 * crn2 == 0.0:
+        elif _two_axis_parallel(self.two_axis):
             self.degenerate = "alpha ~ 0 or pi puts the second joint axis on the first"
         else:
             self.degenerate = None
 
 
-@dataclass(frozen=True)
+def _record_setstate(self, state):
+    """Unpickle a record from its field values in order, or from the field
+    dict that a pickle of the earlier unslotted records holds."""
+    if isinstance(state, dict):
+        self.__init__(**state)
+    else:
+        self.__init__(*state)
+
+
+@dataclass(frozen=True, slots=True)
 class JointState:
     """Joint coordinates: three angles (radians) and one translation (m)."""
 
@@ -132,8 +144,21 @@ class JointState:
     theta3: float
     theta4: float
 
+    def __init__(self, theta1: float, theta2: float, theta3: float, theta4: float):
+        # Slot setters skip the frozen __setattr__; IK builds one per branch.
+        _set_theta1(self, theta1)
+        _set_theta2(self, theta2)
+        _set_theta3(self, theta3)
+        _set_theta4(self, theta4)
 
-@dataclass(frozen=True)
+    __setstate__ = _record_setstate
+
+
+_set_theta1, _set_theta2, _set_theta3, _set_theta4 = (
+    JointState.__dict__[name].__set__ for name in ("theta1", "theta2", "theta3", "theta4"))
+
+
+@dataclass(frozen=True, slots=True)
 class IkSolutionSet:
     """All joint-space branches reproducing a target pose.
 
@@ -145,6 +170,18 @@ class IkSolutionSet:
     branches: tuple[JointState, ...]
     residuals: tuple[tuple[float, float], ...]
     singular: bool = False
+
+    def __init__(self, branches: tuple[JointState, ...],
+                 residuals: tuple[tuple[float, float], ...], singular: bool = False):
+        _set_branches(self, branches)
+        _set_residuals(self, residuals)
+        _set_singular(self, singular)
+
+    __setstate__ = _record_setstate
+
+
+_set_branches, _set_residuals, _set_singular = (
+    IkSolutionSet.__dict__[name].__set__ for name in ("branches", "residuals", "singular"))
 
 
 def build_geometry(alpha: float, beta: float, r0=None) -> MechanismGeometry:
@@ -179,31 +216,30 @@ def probe_point_defaults(geom: MechanismGeometry):
 
 
 def _matmul_rows(a, b):
-    """Product of two 3x3 matrices given as row tuples of floats; entry
-    (i, j) is a[i][0] b[0][j] + a[i][1] b[1][j] + a[i][2] b[2][j], summed
-    left to right."""
-    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
-    (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = b
-    return (
-        (a00 * b00 + a01 * b10 + a02 * b20,
-         a00 * b01 + a01 * b11 + a02 * b21,
-         a00 * b02 + a01 * b12 + a02 * b22),
-        (a10 * b00 + a11 * b10 + a12 * b20,
-         a10 * b01 + a11 * b11 + a12 * b21,
-         a10 * b02 + a11 * b12 + a12 * b22),
-        (a20 * b00 + a21 * b10 + a22 * b20,
-         a20 * b01 + a21 * b11 + a22 * b21,
-         a20 * b02 + a21 * b12 + a22 * b22),
-    )
+    """Product of two 3x3 matrices given as flat row-major 9-tuples of
+    floats, returned the same way; entry (i, j) is a[i][0] b[0][j] +
+    a[i][1] b[1][j] + a[i][2] b[2][j], summed left to right."""
+    a00, a01, a02, a10, a11, a12, a20, a21, a22 = a
+    b00, b01, b02, b10, b11, b12, b20, b21, b22 = b
+    return (a00 * b00 + a01 * b10 + a02 * b20,
+            a00 * b01 + a01 * b11 + a02 * b21,
+            a00 * b02 + a01 * b12 + a02 * b22,
+            a10 * b00 + a11 * b10 + a12 * b20,
+            a10 * b01 + a11 * b11 + a12 * b21,
+            a10 * b02 + a11 * b12 + a12 * b22,
+            a20 * b00 + a21 * b10 + a22 * b20,
+            a20 * b01 + a21 * b11 + a22 * b21,
+            a20 * b02 + a21 * b12 + a22 * b22)
 
 
 def _tool_pose_rows(k: _IkConstants, r12, theta3: float, theta4: float):
-    """Tool pose, as float rows, of a joint state whose R1 R2 is `r12`: the
-    rotation (R12 R3) r0 and the tip R12 (v4 theta4), each 3x3 product summed
-    in `_matmul_rows`' fixed order, so the bits do not depend on the host's
+    """Tool pose of a joint state whose R1 R2 is the flat row-major
+    9-tuple `r12`: the rotation (R12 R3) r0, a flat row-major 9-tuple, and
+    the tip R12 (v4 theta4), a 3-tuple, each 3x3 product summed in
+    `_matmul_rows`' fixed order, so the bits do not depend on the host's
     BLAS. FK returns this pose; IK checks each candidate branch against it."""
     rot = _matmul_rows(_matmul_rows(r12, _rotation_rows(k.w3, theta3)), k.r0)
-    (m0, m1, m2), (n0, n1, n2), (o0, o1, o2) = r12
+    m0, m1, m2, n0, n1, n2, o0, o1, o2 = r12
     vx, vy, vz = k.v4
     tx, ty, tz = vx * theta4, vy * theta4, vz * theta4
     return rot, (m0 * tx + m1 * ty + m2 * tz,
@@ -227,7 +263,7 @@ def forward_kinematics(geom: MechanismGeometry, theta: JointState) -> Pose:
                 raise DomainError(f"{name}: expected a finite number, got {value}")
     r12 = _matmul_rows(_rotation_rows(k.w1, t1), _rotation_rows(k.w2, t2))
     rot, tip = _tool_pose_rows(k, r12, t3, t4)
-    return Pose(np.array(rot), np.array(tip))
+    return Pose(np.array(rot).reshape(3, 3), np.array(tip))
 
 
 def inverse_kinematics(geom: MechanismGeometry, target: Pose) -> IkSolutionSet:
@@ -291,7 +327,7 @@ def inverse_kinematics(geom: MechanismGeometry, target: Pose) -> IkSolutionSet:
     residuals: list[tuple[float, float]] = []
     for theta1, theta2 in pairs:
         r12 = _matmul_rows(_rotation_rows(w1, theta1), _rotation_rows(w2, theta2))
-        (m0, m1, m2), (n0, n1, n2), (o0, o1, o2) = r12
+        m0, m1, m2, n0, n1, n2, o0, o1, o2 = r12
         # +y column of (R1 R2)^T R r0^T, which is R3 e_y for the true theta3.
         q3 = (m0 * yx + n0 * yy + o0 * yz,
               m1 * yx + n1 * yy + o1 * yz,
@@ -302,7 +338,7 @@ def inverse_kinematics(geom: MechanismGeometry, target: Pose) -> IkSolutionSet:
             continue
 
         # Pose minus target; the squared rotation row norms add up in row order.
-        ((f00, f01, f02), (f10, f11, f12), (f20, f21, f22)), (x, y, z) = \
+        (f00, f01, f02, f10, f11, f12, f20, f21, f22), (x, y, z) = \
             _tool_pose_rows(k, r12, theta3, theta4)
         dx, dy, dz = x - px, y - py, z - pz
         pos_err = math.sqrt(dx * dx + dy * dy + dz * dz)
@@ -313,14 +349,9 @@ def inverse_kinematics(geom: MechanismGeometry, target: Pose) -> IkSolutionSet:
                             + (e0 * e0 + e1 * e1 + e2 * e2)
                             + (h0 * h0 + h1 * h1 + h2 * h2))
         if pos_err < _FIT_TOL and rot_err < _FIT_TOL:
-            branches.append(
-                JointState(
-                    normalize_angle(theta1),
-                    normalize_angle(theta2),
-                    normalize_angle(theta3),
-                    theta4,
-                )
-            )
+            # theta1..theta3 are normalized already: `_rotation_angle_to`
+            # returns them so, and the singular path's theta1 is 0.0.
+            branches.append(JointState(theta1, theta2, theta3, theta4))
             residuals.append((pos_err, rot_err))
 
     if not branches:

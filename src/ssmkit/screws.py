@@ -48,18 +48,16 @@ def unit(v) -> np.ndarray:
 def _rotation_rows(axis, angle: float):
     """
     Rodrigues rotation by `angle` about an axis already known to be unit,
-    as three row tuples of floats: the IK hot path does its 3x3 products
-    on these without building arrays.
+    as one flat row-major 9-tuple of floats: the IK hot path does its 3x3
+    products on these without building arrays or row tuples.
     """
     x, y, z = axis
     c = math.cos(angle)
     s = math.sin(angle)
     k = 1.0 - c
-    return (
-        (c + k * x * x, k * x * y - s * z, k * x * z + s * y),
-        (k * x * y + s * z, c + k * y * y, k * y * z - s * x),
-        (k * x * z - s * y, k * y * z + s * x, c + k * z * z),
-    )
+    return (c + k * x * x, k * x * y - s * z, k * x * z + s * y,
+            k * x * y + s * z, c + k * y * y, k * y * z - s * x,
+            k * x * z - s * y, k * y * z + s * x, c + k * z * z)
 
 
 def _axis_norm(axis) -> float:
@@ -75,7 +73,7 @@ def rodrigues(axis, angle: float) -> np.ndarray:
     """Rotation matrix for a rotation by `angle` about a unit `axis`."""
     n = _axis_norm(axis)
     x, y, z = axis
-    return np.array(_rotation_rows((x / n, y / n, z / n), angle))
+    return np.array(_rotation_rows((x / n, y / n, z / n), angle)).reshape(3, 3)
 
 
 def ensure_rotation(r) -> np.ndarray:

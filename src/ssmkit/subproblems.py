@@ -132,6 +132,14 @@ def _two_axis_terms(w1, w2, p):
             crx * crx + cry * cry + crz * crz, w2p, d * w2p, d * d - 1.0)
 
 
+def _two_axis_parallel(terms) -> bool:
+    """Whether the axes of `_two_axis_terms` are parallel to float
+    precision: the two-axis solve divides by d^2 - 1 and by |w1 x w2|^2 and
+    its square, and one of them has rounded to 0."""
+    crn2, den = terms[6], terms[-1]
+    return den == 0.0 or crn2 * crn2 == 0.0
+
+
 def _two_axis_points_to(terms, q, tol: float) -> list:
     """`_two_axis_points` for the axes and point of `_two_axis_terms`."""
     (w1x, w1y, w1z), (w2x, w2y, w2z), pn2, pn, d, (crx, cry, crz), crn2, w2p, dw2p, den = terms
@@ -178,10 +186,10 @@ def subproblem2(xi1: Twist, xi2: Twist, p, q) -> SubproblemSolutions:
     """
     w1 = _require_revolute(xi1)
     w2 = _require_revolute(xi2)
-    cr = np.cross(w1, w2)
-    if float(cr @ cr) < 1e-18:
+    terms = _two_axis_terms(w1, w2, p)
+    if terms[6] < 1e-18 or _two_axis_parallel(terms):
         raise DegenerateAxesError("rotation axes are parallel")
-    points = _two_axis_points(w1, w2, p, q, _MATCH_TOL)
+    points = _two_axis_points_to(terms, q, _MATCH_TOL)
     if not points:
         raise NoSolutionError(
             "no rotation pair maps p onto q (|p| != |q| or the circles miss)"

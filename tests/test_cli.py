@@ -178,6 +178,18 @@ class TestFkIkCommands:
                 found = True
         assert found
 
+    @pytest.mark.parametrize("theta4", [1e200, 1e-200])
+    def test_fk_norm_of_an_extreme_translation(self, mech_cfg, capsys, theta4):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["fk", "--config", str(mech_cfg), "--theta", f"0,0,0,{theta4!r}",
+                             "--precision", "17"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        pose = forward_kinematics(build_geometry(DEG(30), DEG(110)), JointState(0, 0, 0, theta4))
+        norm = float(parse_kv_stdout(captured.out)["position_norm_m"])
+        assert math.isclose(norm, math.hypot(*pose.position.tolist()), rel_tol=1e-15)
+
     def test_ik_unreachable_exits_3(self, mech_cfg, capsys):
         pose = ["1", "0", "0", "0", "1", "0", "0", "0", "1", "0", "0.02", "0"]
         code = cli.main(["ik", "--config", str(mech_cfg), "--pose", ",".join(pose)])
@@ -1286,6 +1298,31 @@ class TestModuleEntryPoint:
         before = dict(os.environ)
         assert cli.main(["fk", "--config", str(mech_cfg), "--theta", "0,0,0,0.03"]) == 0
         assert dict(os.environ) == before
+
+
+class TestExtremeFiniteInputs:
+    REPO = Path(__file__).resolve().parents[1]
+
+    @pytest.mark.parametrize("argv", [
+        ["fk", "--theta", "0,0,0,1e200"],
+        ["fk", "--theta", "0,0,0,-1e200"],
+        ["fk", "--theta", "0,0,0,1e-200"],
+        ["ik", "--pose", "1,0,0,0,1,0,0,0,1,6.4278761e199,0,-7.66044443e199"],
+        ["payload", "--joint", "1", "--vmax", "1e308", "--out", "payload.csv"],
+    ])
+    def test_exit_0_2_or_3_without_warnings_or_tracebacks(self, tmp_path, argv):
+        """A fresh `python -m ssmkit` process, so that a warning reaches
+        stderr as a user sees it."""
+        env = dict(os.environ, PYTHONPATH=str(self.REPO / "src"))
+        env.pop(cli.OUTPUT_DIR_ENV, None)
+        project = tmp_path / "project.cfg"
+        project.write_text("".join(f"{key} = {self.REPO / 'configs' / name}\n" for key, name in
+                                   (("mechanism", "mechanism.cfg"), ("joint1", "joint1.cfg"))),
+                           encoding="utf-8")
+        result = subprocess.run([sys.executable, "-m", "ssmkit", *argv, "--project", str(project)],
+                                env=env, cwd=tmp_path, capture_output=True, text=True)
+        assert result.returncode in (0, 2, 3), result.stderr
+        assert "Warning" not in result.stderr and "Traceback" not in result.stderr, result.stderr
 
 
 class TestHelp:

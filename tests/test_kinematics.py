@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 import warnings
 from unittest import mock
 
@@ -17,6 +18,7 @@ from ssmkit.errors import (
 )
 from ssmkit import kinematics
 from ssmkit.kinematics import (
+    IkSolutionSet,
     JointState,
     MechanismGeometry,
     build_geometry,
@@ -155,6 +157,62 @@ class TestProbePoints:
         g = build_geometry(DEG(30), 1e-12)
         with pytest.raises(DegenerateGeometryError):
             probe_point_defaults(g)
+
+
+class TestRecords:
+    """JointState and IkSolutionSet are slotted frozen dataclasses whose own
+    constructors store the fields; they behave as values all the same."""
+
+    def _records(self):
+        geom = design_geometry()
+        result = inverse_kinematics(geom, forward_kinematics(geom, JointState(0.4, -0.2, 0.1, 0.03)))
+        return result.branches[0], result
+
+    def test_fields_cannot_be_assigned(self):
+        for record in self._records():
+            for field in dataclasses.fields(record):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(record, field.name, getattr(record, field.name))
+            assert not hasattr(record, "__dict__")
+
+    def test_value_semantics_match_a_field_wise_construction(self):
+        for record in self._records():
+            twin = type(record)(**{f.name: getattr(record, f.name)
+                                   for f in dataclasses.fields(record)})
+            assert twin == record
+            assert hash(twin) == hash(record)
+            assert repr(twin) == repr(record)
+            assert pickle.loads(pickle.dumps(record)) == record
+            assert dataclasses.replace(record) == record
+        assert repr(JointState(1.0, 2.0, 3.0, 4.0)) == \
+            "JointState(theta1=1.0, theta2=2.0, theta3=3.0, theta4=4.0)"
+        assert IkSolutionSet((), ()).singular is False
+        state = JointState(1.0, 2.0, 3.0, 4.0)
+        assert dataclasses.replace(state, theta1=0.5) == JointState(0.5, 2.0, 3.0, 4.0)
+        assert state != JointState(1.0, 2.0, 3.0, 4.5)
+
+    def test_pickle_of_the_unslotted_records_loads(self):
+        # pickle.dumps(IkSolutionSet((JointState(0.5, -0.25, 1.0, 0.03),),
+        # ((0.0, 0.0),), True), protocol=4) when the records kept a __dict__:
+        # each record's state is its field dict.
+        old = (
+            b"\x80\x04\x95\xcb\x00\x00\x00\x00\x00\x00\x00\x8c\x11ssmkit.kinematics\x94"
+            b"\x8c\rIkSolutionSet\x94\x93\x94)\x81\x94}\x94(\x8c\x08branches\x94h\x00"
+            b"\x8c\nJointState\x94\x93\x94)\x81\x94}\x94(\x8c\x06theta1\x94"
+            b"G?\xe0\x00\x00\x00\x00\x00\x00\x8c\x06theta2\x94G\xbf\xd0\x00\x00\x00\x00\x00\x00"
+            b"\x8c\x06theta3\x94G?\xf0\x00\x00\x00\x00\x00\x00\x8c\x06theta4\x94"
+            b"G?\x9e\xb8Q\xeb\x85\x1e\xb8ub\x85\x94\x8c\tresiduals\x94"
+            b"G\x00\x00\x00\x00\x00\x00\x00\x00G\x00\x00\x00\x00\x00\x00\x00\x00\x86\x94\x85\x94"
+            b"\x8c\x08singular\x94\x88ub."
+        )
+        assert pickle.loads(old) == IkSolutionSet((JointState(0.5, -0.25, 1.0, 0.03),),
+                                                  ((0.0, 0.0),), True)
+
+    def test_ik_branch_equals_a_joint_state_of_its_floats(self):
+        branch, _ = self._records()
+        values = dataclasses.astuple(branch)
+        assert all(type(v) is float for v in values)
+        assert branch == JointState(*values)
 
 
 class TestForwardKinematics:
@@ -462,7 +520,8 @@ class TestBranchOrder:
 
         def recording_kernel(k, r12, theta3, theta4):
             rows, tip = kernel(k, r12, theta3, theta4)
-            checked.append((normalize_angle(theta3), theta4, _loop_residual(rows, tip, target)))
+            checked.append((normalize_angle(theta3), theta4,
+                            _loop_residual((rows[0:3], rows[3:6], rows[6:9]), tip, target)))
             return rows, tip
 
         with mock.patch.object(kinematics, "_tool_pose_rows", recording_kernel):

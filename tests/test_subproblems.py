@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -88,6 +89,16 @@ class TestSubproblem2:
     def test_parallel_axes_rejected(self):
         with pytest.raises(DegenerateAxesError):
             subproblem2(revolute_twist(Z), revolute_twist(Z), X, Y)
+
+    def test_axes_parallel_to_float_precision_rejected(self):
+        # |w1 x w2|^2 = 1.02e-18 clears the 1e-18 cut, but d = w1 . w2 rounds
+        # to 1, and the solve divides by d^2 - 1.
+        tilt = 1.01e-9
+        w2 = [math.sin(tilt), 0.0, math.cos(tilt)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateAxesError):
+                subproblem2(revolute_twist([0, 0, 1]), revolute_twist(w2), [1, 0, 0], [0, 1, 0])
 
     def test_no_intersection(self):
         # q at the pole of axis 1 cannot be reached from p near axis 2's plane
