@@ -22,8 +22,7 @@ _EXPORTS = {
         ("kinematics", ("IkSolutionSet", "JointState", "MechanismGeometry",
                         "build_geometry", "forward_kinematics", "inverse_kinematics",
                         "probe_point_defaults")),
-        ("screws", ("JointKind", "Pose", "Twist", "normalize_angle", "revolute_twist",
-                    "rodrigues")),
+        ("screws", ("Pose", "Twist", "normalize_angle", "revolute_twist", "rodrigues")),
         ("subproblems", ("SubproblemSolutions", "subproblem1", "subproblem2",
                          "subproblem3prime")),
         ("band", ("TiltExtremes", "tilt_extremes")),

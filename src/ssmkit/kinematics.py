@@ -206,9 +206,10 @@ def _check_target_finite(rot, position) -> None:
 
 def probe_point_defaults(geom: MechanismGeometry):
     """
-    Default probe points of the probe-point IK reduction: p1 on the tool
-    axis, p2 on the third joint axis, p3 off it. p3 = +y is exactly
-    perpendicular to omega3 under the canonical axis placement.
+    Probe points of the probe-point IK reduction, which `inverse_kinematics`
+    no longer uses; the test oracle and the benchmark's subproblem probe
+    do. p1 on the tool axis, p2 on the third joint axis, p3 = +y off it,
+    exactly perpendicular to omega3 under the canonical axis placement.
     """
     if geom._ik.degenerate is not None:
         raise DegenerateGeometryError(geom._ik.degenerate)

@@ -1,11 +1,13 @@
 """
 Minimal rigid-body and screw algebra: Rodrigues rotation matrices, the
-zero-pitch twist record of a joint, and the pose record that forward and
-inverse kinematics exchange.
+zero-pitch twist record that `subproblem1` and `subproblem2` take, and
+the pose record that forward and inverse kinematics exchange.
 
 Conventions used throughout the package:
-- rotations are explicit 3x3 numpy arrays, positions are numpy 3-vectors
-  (meters),
+- rotations at the public API (`Pose`, `rodrigues`, `ensure_rotation`)
+  are 3x3 numpy arrays; on the FK/IK path they are flat row-major
+  9-tuples of floats (`_rotation_rows`). Positions are numpy 3-vectors
+  (meters) at the API,
 - every revolute axis passes through the origin (the remote center of
   motion), so revolute twists carry a zero linear part,
 - joint angles returned by any solver live in (-pi, pi],
@@ -17,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -98,23 +99,21 @@ def ensure_rotation(r) -> np.ndarray:
     return out
 
 
-class JointKind(Enum):
-    REVOLUTE = "revolute"
-    PRISMATIC = "prismatic"
-
-
 @dataclass(frozen=True, eq=False)
 class Twist:
-    """Unit zero-pitch screw coordinates (linear, angular) of a joint."""
+    """Zero-pitch screw coordinates (linear, angular) of a revolute joint;
+    building one raises DomainError unless the angular part is unit."""
 
     linear: np.ndarray
     angular: np.ndarray
-    kind: JointKind
+
+    def __post_init__(self):
+        object.__setattr__(self, "angular", unit(self.angular))
 
 
 def revolute_twist(omega) -> Twist:
     """Twist of a revolute joint whose axis passes through the origin."""
-    return Twist(np.zeros(3), unit(omega), JointKind.REVOLUTE)
+    return Twist(np.zeros(3), omega)
 
 
 @dataclass(frozen=True, eq=False)

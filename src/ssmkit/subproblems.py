@@ -1,11 +1,17 @@
 """
-Closed-form geometric subproblems for chains whose revolute axes all pass
-through the origin:
+Closed-form geometric subproblems (Paden-Kahan, in Murray, Li & Sastry
+1994, ch. 3) for chains whose revolute axes all pass through the origin:
 
-- rotate a point onto a point about one axis,
-- rotate a point onto a point about two consecutive intersecting axes,
+- rotate a point onto a point about one axis (`subproblem1`),
+- rotate a point onto a point about two consecutive intersecting axes
+  (`subproblem2`),
 - translate a point along a line until it sits at a prescribed distance
-  from another point.
+  from another point (`subproblem3prime`).
+
+Each rotation formula is one pair of scalar kernels: `_*_terms` holds what
+depends only on the axes and p, `_*_to` finishes the solve for q. IK calls
+the kernels with terms computed once per geometry; `subproblem1`/`2` wrap
+them for `Twist` records.
 
 Solutions are returned sorted ascending so that downstream branch
 enumeration is deterministic. Angle solutions are normalized to (-pi, pi];
@@ -25,7 +31,7 @@ from .errors import (
     DomainError,
     NoSolutionError,
 )
-from .screws import JointKind, Twist, normalize_angle, unit
+from .screws import Twist, normalize_angle, unit
 
 # Squared-discriminant band inside which two coincident roots collapse to one.
 TANGENCY_TOL = 1e-12
@@ -44,15 +50,17 @@ class SubproblemSolutions:
         return len(self.solutions)
 
 
-def _require_revolute(xi: Twist) -> np.ndarray:
-    if xi.kind is not JointKind.REVOLUTE:
-        raise DomainError("subproblem requires a revolute twist")
-    return xi.angular
+def _finite_point(name: str, v) -> np.ndarray:
+    """`v` as a float array, or DomainError naming `name` on a NaN or inf."""
+    v = np.asarray(v, dtype=float)
+    if not all(map(math.isfinite, v.tolist())):
+        raise DomainError(f"{name}: expected finite entries, got {v}")
+    return v
 
 
 def _rotation_axis_terms(omega, p):
     """
-    The terms of `_rotation_angle` that depend only on the axis and the
+    The terms of `_rotation_angle_to` that depend only on the axis and the
     point p: omega, p . omega, the part of p normal to omega, its norm and
     |p|. Inverse kinematics computes them once per geometry for its fixed
     points.
@@ -68,7 +76,8 @@ def _rotation_axis_terms(omega, p):
 
 
 def _rotation_angle_to(terms, q, tol: float) -> float:
-    """`_rotation_angle` for the axis and point of `_rotation_axis_terms`."""
+    """Angle theta with e^(hat(omega) theta) p = q for the axis and the point
+    p of `terms`. Raises if p sits on the axis or no rotation maps p onto q."""
     (wx, wy, wz), ap, (ppx, ppy, ppz), npp, pn = terms
     qx, qy, qz = q
     aq = wx * qx + wy * qy + wz * qz
@@ -92,29 +101,20 @@ def _rotation_angle_to(terms, q, tol: float) -> float:
     return normalize_angle(math.atan2(triple, dot))
 
 
-def _rotation_angle(omega, p, q, tol: float) -> float:
-    """
-    Angle theta with e^(hat(omega) theta) p = q for an origin-crossing axis.
-    Raises if p sits on the axis or if no rotation can map p onto q.
-    Scalar arithmetic throughout: this sits on the IK hot path.
-    """
-    return _rotation_angle_to(_rotation_axis_terms(omega, p), q, tol)
-
-
 def subproblem1(xi: Twist, p, q) -> SubproblemSolutions:
     """
     Rotate p onto q about the axis of a revolute twist through the origin.
     Returns the single angle solution.
     """
-    omega = _require_revolute(xi)
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    return SubproblemSolutions((_rotation_angle(omega, p, q, _MATCH_TOL),))
+    p = _finite_point("p", p)
+    q = _finite_point("q", q)
+    terms = _rotation_axis_terms(xi.angular, p)
+    return SubproblemSolutions((_rotation_angle_to(terms, q, _MATCH_TOL),))
 
 
 def _two_axis_terms(w1, w2, p):
     """
-    The terms of `_two_axis_points` that depend only on the axes and p:
+    The terms of `_two_axis_points_to` that depend only on the axes and p:
     |p|^2, |p|, d = w1 . w2, w1 x w2 and its squared norm, w2 . p,
     d (w2 . p) and d^2 - 1. Inverse kinematics computes them once per
     geometry.
@@ -141,7 +141,12 @@ def _two_axis_parallel(terms) -> bool:
 
 
 def _two_axis_points_to(terms, q, tol: float) -> list:
-    """`_two_axis_points` for the axes and point of `_two_axis_terms`."""
+    """
+    Intersection points c of the circle p sweeps about w2 with the circle q
+    sweeps about w1, for the non-parallel axes and the point p of `terms`:
+    e^(hat(w2) t2) p = c = e^(-hat(w1) t1) q. One point at tangency, two
+    otherwise, none when |p| != |q| or the circles miss.
+    """
     (w1x, w1y, w1z), (w2x, w2y, w2z), pn2, pn, d, (crx, cry, crz), crn2, w2p, dw2p, den = terms
     qx, qy, qz = q
     qn = math.sqrt(qx * qx + qy * qy + qz * qz)
@@ -168,24 +173,14 @@ def _two_axis_points_to(terms, q, tol: float) -> list:
     return points
 
 
-def _two_axis_points(w1, w2, p, q, tol: float) -> list:
-    """
-    Intersection points c of the circle p sweeps about w2 with the circle
-    q sweeps about w1, for non-parallel unit axes meeting at the origin:
-    e^(hat(w2) t2) p = c = e^(-hat(w1) t1) q. Returns one point at
-    tangency, two otherwise, and none when |p| != |q| or the circles miss.
-    Scalar arithmetic throughout: this sits on the IK hot path.
-    """
-    return _two_axis_points_to(_two_axis_terms(w1, w2, p), q, tol)
-
-
 def subproblem2(xi1: Twist, xi2: Twist, p, q) -> SubproblemSolutions:
     """
     Solve e^(hat(w1) t1) e^(hat(w2) t2) p = q for two revolute axes meeting
     at the origin. Returns up to two (t1, t2) pairs, sorted lexicographically.
     """
-    w1 = _require_revolute(xi1)
-    w2 = _require_revolute(xi2)
+    w1, w2 = xi1.angular, xi2.angular
+    p = _finite_point("p", p)
+    q = _finite_point("q", q)
     terms = _two_axis_terms(w1, w2, p)
     if terms[6] < 1e-18 or _two_axis_parallel(terms):
         raise DegenerateAxesError("rotation axes are parallel")
@@ -194,8 +189,10 @@ def subproblem2(xi1: Twist, xi2: Twist, p, q) -> SubproblemSolutions:
         raise NoSolutionError(
             "no rotation pair maps p onto q (|p| != |q| or the circles miss)"
         )
+    p_terms = _rotation_axis_terms(w2, p)
     return SubproblemSolutions(tuple(sorted(
-        (_rotation_angle(w1, c, q, _MATCH_TOL), _rotation_angle(w2, p, c, _MATCH_TOL))
+        (_rotation_angle_to(_rotation_axis_terms(w1, c), q, _MATCH_TOL),
+         _rotation_angle_to(p_terms, c, _MATCH_TOL))
         for c in points
     )))
 
@@ -209,10 +206,10 @@ def subproblem3prime(v, p, q, delta: float) -> SubproblemSolutions:
     around zero collapses the two roots into the single tangent solution.
     """
     v = unit(v)
-    if not delta > 0.0:
-        raise DomainError("delta must be positive")
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
+    if not 0.0 < delta < math.inf:
+        raise DomainError(f"delta must be positive and finite, got {delta}")
+    p = _finite_point("p", p)
+    q = _finite_point("q", q)
 
     u = q - p
     utv = float(u @ v)

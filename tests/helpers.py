@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 from ssmkit.errors import DegenerateInputError, NoSolutionError, UnreachableError
 from ssmkit.kinematics import SINGULARITY_TOL, IkSolutionSet, JointState, probe_point_defaults
 from ssmkit.screws import normalize_angle, rodrigues
-from ssmkit.subproblems import _rotation_angle, _two_axis_points, subproblem3prime
+from ssmkit.subproblems import (
+    _rotation_angle_to,
+    _rotation_axis_terms,
+    _two_axis_points_to,
+    _two_axis_terms,
+    subproblem3prime,
+)
 
 
 def _spherical(cos_polar, azimuth):
@@ -177,6 +183,9 @@ def probe_point_ik_oracle(geom, target, tol=1e-9):
     IkSolutionSet or raises UnreachableError.
     """
     p1, p2, p3 = probe_point_defaults(geom)
+    p2_terms = _rotation_axis_terms(geom.omega2, p2)
+    p3_terms = _rotation_axis_terms(geom.omega3, p3)
+    two_axis = _two_axis_terms(geom.omega1, geom.omega2, p2)
     r1g = target.rotation @ geom.r0.T
     t1g = target.position
 
@@ -195,14 +204,14 @@ def probe_point_ik_oracle(geom, target, tol=1e-9):
         pairs = []
         if singular:
             try:
-                pairs.append((0.0, _rotation_angle(geom.omega2, p2, q2, tol)))
+                pairs.append((0.0, _rotation_angle_to(p2_terms, q2, tol)))
             except (NoSolutionError, DegenerateInputError):
                 pass
         else:
-            for c in _two_axis_points(geom.omega1, geom.omega2, p2, q2, tol):
+            for c in _two_axis_points_to(two_axis, q2, tol):
                 try:
-                    pairs.append((_rotation_angle(geom.omega1, c, q2, tol),
-                                  _rotation_angle(geom.omega2, p2, c, tol)))
+                    pairs.append((_rotation_angle_to(_rotation_axis_terms(geom.omega1, c), q2, tol),
+                                  _rotation_angle_to(p2_terms, c, tol)))
                 except (NoSolutionError, DegenerateInputError):
                     continue
         for theta1, theta2 in pairs:
@@ -210,7 +219,7 @@ def probe_point_ik_oracle(geom, target, tol=1e-9):
             r2 = rodrigues(geom.omega2, theta2)
             q3 = r2.T @ (r1.T @ (r1g @ (p3 - geom.v4 * theta4) + t1g))
             try:
-                theta3 = _rotation_angle(geom.omega3, p3, q3, tol)
+                theta3 = _rotation_angle_to(p3_terms, q3, tol)
             except (NoSolutionError, DegenerateInputError):
                 continue
             r12 = r1 @ r2

@@ -1095,7 +1095,7 @@ _PACKAGE_EXPORTS = {
     "FitReport", "TelemetryLog", "TorqueVelocityMap", "evaluate_model",
     "extract_steady_segments", "fit_friction", "load_telemetry_csv", "IkSolutionSet",
     "JointState", "MechanismGeometry", "build_geometry", "forward_kinematics",
-    "inverse_kinematics", "probe_point_defaults", "JointKind", "Pose", "Twist",
+    "inverse_kinematics", "probe_point_defaults", "Pose", "Twist",
     "normalize_angle", "revolute_twist", "rodrigues", "SubproblemSolutions",
     "subproblem1", "subproblem2", "subproblem3prime", "TiltExtremes",
     "critical_directions", "dot_profile", "dot_profile_derivatives", "tilt_extremes",

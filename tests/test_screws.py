@@ -6,7 +6,7 @@ from hypothesis import given, settings
 
 from helpers import angles, expm_series, hat, random_rotation, unit_vectors
 from ssmkit.errors import DomainError
-from ssmkit.screws import JointKind, ensure_rotation, normalize_angle, revolute_twist, rodrigues
+from ssmkit.screws import ensure_rotation, normalize_angle, revolute_twist, rodrigues
 
 X = np.array([1.0, 0.0, 0.0])
 Y = np.array([0.0, 1.0, 0.0])
@@ -71,9 +71,6 @@ class TestTwistExp:
     def test_half_turn_about_x(self):
         r = rodrigues(revolute_twist(X).angular, math.pi)
         assert np.allclose(r, np.diag([1.0, -1.0, -1.0]), atol=1e-15)
-
-    def test_twist_kind_recorded(self):
-        assert revolute_twist(Z).kind is JointKind.REVOLUTE
 
     def test_non_unit_direction_rejected(self):
         with pytest.raises(DomainError):

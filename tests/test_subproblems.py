@@ -13,7 +13,7 @@ from ssmkit.errors import (
     DomainError,
     NoSolutionError,
 )
-from ssmkit.screws import JointKind, Twist, normalize_angle, revolute_twist, rodrigues
+from ssmkit.screws import Twist, normalize_angle, revolute_twist, rodrigues
 from ssmkit.subproblems import subproblem1, subproblem2, subproblem3prime
 
 X = np.array([1.0, 0.0, 0.0])
@@ -50,9 +50,14 @@ class TestSubproblem1:
         with pytest.raises(NoSolutionError):
             subproblem1(revolute_twist(Z), X + Z, X - Z)
 
-    def test_prismatic_twist_rejected(self):
+    def test_invalid_inputs(self):
+        for angular in (np.zeros(3), 2.0 * Z):
+            with pytest.raises(DomainError):
+                Twist(X, angular)
         with pytest.raises(DomainError):
-            subproblem1(Twist(X, np.zeros(3), JointKind.PRISMATIC), X, Y)
+            subproblem1(revolute_twist(Z), [math.nan, 0.0, 0.0], Y)
+        with pytest.raises(DomainError):
+            subproblem1(revolute_twist(Z), X, [math.inf, 0.0, 0.0])
 
     @settings(max_examples=100, deadline=None)
     @given(unit_vectors, st.floats(-math.pi, math.pi))
@@ -85,6 +90,12 @@ class TestSubproblem2:
     def test_norm_mismatch_rejected(self):
         with pytest.raises(NoSolutionError):
             subproblem2(revolute_twist(Z), revolute_twist(X), Y, 2.0 * Y)
+
+    def test_invalid_inputs(self):
+        with pytest.raises(DomainError):
+            subproblem2(revolute_twist(Z), revolute_twist(X), [math.nan, 0.0, 0.0], X)
+        with pytest.raises(DomainError):
+            subproblem2(revolute_twist(Z), revolute_twist(X), Y, [0.0, -math.inf, 0.0])
 
     def test_parallel_axes_rejected(self):
         with pytest.raises(DegenerateAxesError):
@@ -180,6 +191,13 @@ class TestSubproblem3Prime:
             subproblem3prime(2.0 * X, np.zeros(3), Y, 1.0)
         with pytest.raises(DomainError):
             subproblem3prime(X, np.zeros(3), Y, 0.0)
+        with pytest.raises(DomainError):
+            subproblem3prime(Z, [math.nan, 0.0, 0.0], np.zeros(3), 1.0)
+        with pytest.raises(DomainError):
+            subproblem3prime(Z, X, [0.0, 0.0, math.inf], 1.0)
+        for delta in (math.inf, math.nan):
+            with pytest.raises(DomainError):
+                subproblem3prime(Z, X, np.zeros(3), delta)
 
     def test_solutions_sorted_ascending(self):
         sol = subproblem3prime(X, np.array([5.0, 0.0, 0.0]), np.zeros(3), 2.0)
