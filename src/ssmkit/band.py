@@ -5,21 +5,21 @@ With the tool extended one unit through the remote center, the reachable
 tip directions form a band on the unit sphere that is rotationally
 symmetric about the roll axis. Its polar-angle extremes relative to
 omega1 are the four values +/-(alpha +/- beta), folded into [0, pi].
-This module imports no numpy, so `ssmkit workspace A B` answers without
-loading it; `workspace` re-exports these names next to the sampled
-counterpart.
+This module imports neither numpy nor `dataclasses` (which loads
+`inspect`), so `ssmkit workspace A B` answers without loading them;
+`TiltExtremes` is a named tuple. `workspace` re-exports these names next
+to the sampled counterpart.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError
 
 
-@dataclass(frozen=True)
-class TiltExtremes:
+class TiltExtremes(NamedTuple):
     """Closed-form polar-angle extremes of the tilt band.
 
     phi_values are the four raw extremes folded to [0, pi]; the attained

@@ -14,7 +14,8 @@ for input or config errors and requests too large for memory, 3 when a
 target is unreachable.
 
 numpy and the modules built on it are imported inside the subcommands
-that use them, so `workspace A B` and `--help` run without numpy. Each
+that use them, so `workspace A B` and `--help` run without numpy; nor do
+they load `dataclasses`, since `ProjectConfig` is a named tuple. Each
 call goes through its module (`dynamics.read_trace_csv(...)`), so a
 module attribute replaced at run time is the one called.
 """
@@ -26,9 +27,9 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING
+from types import MappingProxyType
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import band
 from .configfile import (DEFAULT_PRECISION, MAX_PRECISION, format_float, parse_float,
@@ -36,17 +37,19 @@ from .configfile import (DEFAULT_PRECISION, MAX_PRECISION, format_float, parse_f
 from .errors import DomainError, SsmKitError, TrajectoryOverflowError, UnreachableError
 
 if TYPE_CHECKING:
+    from collections.abc import Mapping
+
     from . import kinematics
 
 OUTPUT_DIR_ENV = "SSMKIT_OUTPUT_DIR"
 
 
-@dataclass(frozen=True)
-class ProjectConfig:
-    """Resolved project file: mechanism, per-joint drives, output policy."""
+class ProjectConfig(NamedTuple):
+    """Resolved project file: mechanism, per-joint drives, output policy.
+    The default `drives` is one shared read-only empty mapping."""
 
     geometry: kinematics.MechanismGeometry | None = None
-    drives: dict = field(default_factory=dict)  # joint id -> (spec, params)
+    drives: Mapping = MappingProxyType({})  # joint id -> (spec, params)
     output_dir: Path | None = None
     precision: int = DEFAULT_PRECISION
 

@@ -11,13 +11,15 @@ tests deterministic.
 
 Inverse kinematics reads what depends only on the geometry from
 constants each `MechanismGeometry` computes once, at construction: the
-axes and v4 as float 3-tuples, r0 as a flat row-major 9-tuple, r0^T v4
-and r0^T e_y, the geometry-only terms of the two-axis solve, and the
-fixed-point terms of the theta2 and theta3 angle solves. The geometry
-keeps read-only float copies of its arrays, so these constants cannot go
-stale; a changed build is a new geometry (`build_geometry` or
-`dataclasses.replace`). The geometry checks that its joint axes are unit
-when it is built, so FK and IK take them as checked.
+axes and v4 as float 3-tuples, r0 as a flat row-major 9-tuple (None for
+the identity, so that FK and IK skip the product by it), r0^T v4 and
+r0^T e_y, the geometry-only terms of the two-axis solve, and the
+fixed-point terms of the theta2 and theta3 angle solves, whose part of
+the tolerance scale is taken once there. The geometry keeps read-only
+float copies of its arrays, so these constants cannot go stale; a changed
+build is a new geometry (`build_geometry` or `dataclasses.replace`). The
+geometry checks that its joint axes are unit when it is built, so FK and
+IK take them as checked.
 
 Forward kinematics is scalar too: it multiplies out the same axis, v4
 and r0 tuples in a fixed summation order and builds numpy arrays only for
@@ -92,10 +94,11 @@ class MechanismGeometry:
 
 class _IkConstants:
     """What `inverse_kinematics` needs of a geometry, computed once: the
-    axes and v4 as float 3-tuples, r0 as a flat row-major 9-tuple, r0^T v4
-    and r0^T e_y, the geometry-only terms of the two-axis solve (v4 onto the
-    target axis about omega1, omega2), the fixed-point terms of the theta2
-    solve (v4 about omega2) and of the theta3 solve (e_y about omega3), and
+    axes and v4 as float 3-tuples, r0 as a flat row-major 9-tuple, or None
+    when it equals the identity entry for entry, r0^T v4 and r0^T e_y, the
+    geometry-only terms of the two-axis solve (v4 onto the target axis
+    about omega1, omega2), the fixed-point terms of the theta2 solve (v4
+    about omega2) and of the theta3 solve (e_y about omega3), and
     `degenerate`: why IK cannot solve on this build (None if it can). FK
     and IK's branch check read the same tuples through one kernel,
     `_tool_pose_rows`."""
@@ -108,13 +111,16 @@ class _IkConstants:
         self.w2 = w2 = tuple(geom.omega2.tolist())
         self.w3 = w3 = tuple(geom.omega3.tolist())
         self.v4 = v4 = tuple(geom.v4.tolist())
-        self.r0 = r0 = tuple(geom.r0.ravel().tolist())
+        r0 = tuple(geom.r0.ravel().tolist())
         a0, a1, a2, b0, b1, b2, c0, c1, c2 = r0
         vx, vy, vz = v4
         self.r0v4 = (a0 * vx + b0 * vy + c0 * vz,
                      a1 * vx + b1 * vy + c1 * vz,
                      a2 * vx + b2 * vy + c2 * vz)
         self.r0ey = (b0, b1, b2)
+        # A product by the identity changes at most the sign of an exact
+        # zero, which IK's squared residuals do not see; FK skips it too.
+        self.r0 = None if r0 == (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0) else r0
         self.two_axis = _two_axis_terms(w1, w2, v4)
         self.theta2 = _rotation_axis_terms(w2, v4)
         self.theta3 = _rotation_axis_terms(w3, (0.0, 1.0, 0.0))
@@ -238,8 +244,12 @@ def _tool_pose_rows(k: _IkConstants, r12, theta3: float, theta4: float):
     9-tuple `r12`: the rotation (R12 R3) r0, a flat row-major 9-tuple, and
     the tip R12 (v4 theta4), a 3-tuple, each 3x3 product summed in
     `_matmul_rows`' fixed order, so the bits do not depend on the host's
-    BLAS. FK returns this pose; IK checks each candidate branch against it."""
-    rot = _matmul_rows(_matmul_rows(r12, _rotation_rows(k.w3, theta3)), k.r0)
+    BLAS. An identity r0 (`k.r0` None) leaves R12 R3 as it is, where the
+    product would change at most the sign of an exact zero. FK returns this
+    pose; IK checks each candidate branch against it."""
+    rot = _matmul_rows(r12, _rotation_rows(k.w3, theta3))
+    if k.r0 is not None:
+        rot = _matmul_rows(rot, k.r0)
     m0, m1, m2, n0, n1, n2, o0, o1, o2 = r12
     vx, vy, vz = k.v4
     tx, ty, tz = vx * theta4, vy * theta4, vz * theta4
@@ -291,16 +301,20 @@ def inverse_kinematics(geom: MechanismGeometry, target: Pose) -> IkSolutionSet:
     px, py, pz = target.position.tolist()
     (g00, g01, g02), (g10, g11, g12), (g20, g21, g22) = rot
 
-    # The target's tool axis u = R (r0^T v4) and its +y column yt = R (r0^T e_y).
+    # The target's tool axis u = R (r0^T v4) and its +y column yt = R (r0^T e_y),
+    # which is R's own +y column when r0 is the identity.
     bx, by, bz = k.r0v4
-    b0, b1, b2 = k.r0ey
     ux = g00 * bx + g01 * by + g02 * bz
     uy = g10 * bx + g11 * by + g12 * bz
     uz = g20 * bx + g21 * by + g22 * bz
     u = (ux, uy, uz)
-    yx = g00 * b0 + g01 * b1 + g02 * b2
-    yy = g10 * b0 + g11 * b1 + g12 * b2
-    yz = g20 * b0 + g21 * b1 + g22 * b2
+    if k.r0 is None:
+        yx, yy, yz = g01, g11, g21
+    else:
+        b0, b1, b2 = k.r0ey
+        yx = g00 * b0 + g01 * b1 + g02 * b2
+        yy = g10 * b0 + g11 * b1 + g12 * b2
+        yz = g20 * b0 + g21 * b1 + g22 * b2
     theta4 = px * ux + py * uy + pz * uz
 
     w1, w2 = k.w1, k.w2

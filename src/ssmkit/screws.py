@@ -38,8 +38,11 @@ def normalize_angle(theta: float) -> float:
 
 
 def unit(v) -> np.ndarray:
-    """Rescale a 3-vector to unit norm, rejecting inputs far from unit."""
+    """Rescale a 3-vector to unit norm, rejecting any other shape and inputs
+    far from unit."""
     v = np.asarray(v, dtype=float)
+    if v.shape != (3,):
+        raise DomainError(f"expected a 3-vector, got shape {v.shape}")
     n = math.sqrt(float(v @ v))
     if not abs(n - 1.0) <= UNIT_TOL:
         raise DomainError(f"expected a unit vector, got norm {n:.3e}")
@@ -62,7 +65,11 @@ def _rotation_rows(axis, angle: float):
 
 
 def _axis_norm(axis) -> float:
-    """Norm of a rotation axis, or DomainError if it is off unit."""
+    """Norm of a rotation axis, or DomainError if it is not a 3-vector or is
+    off unit."""
+    shape = np.shape(axis)
+    if shape != (3,):
+        raise DomainError(f"rotation axis must be a 3-vector, got shape {shape}")
     x, y, z = axis
     n = math.sqrt(x * x + y * y + z * z)
     if not abs(n - 1.0) <= UNIT_TOL:
@@ -101,14 +108,20 @@ def ensure_rotation(r) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Twist:
-    """Zero-pitch screw coordinates (linear, angular) of a revolute joint;
-    building one raises DomainError unless the angular part is unit."""
+    """Zero-pitch screw coordinates (linear, angular) of a revolute joint
+    whose axis passes through the origin; building one raises DomainError
+    unless the angular part is a unit 3-vector and the linear part the zero
+    3-vector."""
 
     linear: np.ndarray
     angular: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "angular", unit(self.angular))
+        linear = np.asarray(self.linear, dtype=float)
+        if linear.shape != (3,) or linear.any():
+            raise DomainError(f"linear part must be the zero 3-vector, got {linear}")
+        object.__setattr__(self, "linear", linear)
 
 
 def revolute_twist(omega) -> Twist:

@@ -51,8 +51,11 @@ class SubproblemSolutions:
 
 
 def _finite_point(name: str, v) -> np.ndarray:
-    """`v` as a float array, or DomainError naming `name` on a NaN or inf."""
+    """`v` as a float 3-vector, or DomainError naming `name` on any other
+    shape or a NaN or inf."""
     v = np.asarray(v, dtype=float)
+    if v.shape != (3,):
+        raise DomainError(f"{name}: expected a 3-vector, got shape {v.shape}")
     if not all(map(math.isfinite, v.tolist())):
         raise DomainError(f"{name}: expected finite entries, got {v}")
     return v
@@ -62,8 +65,8 @@ def _rotation_axis_terms(omega, p):
     """
     The terms of `_rotation_angle_to` that depend only on the axis and the
     point p: omega, p . omega, the part of p normal to omega, its norm and
-    |p|. Inverse kinematics computes them once per geometry for its fixed
-    points.
+    max(1, |p|), the part of the solve's tolerance scale that p sets.
+    Inverse kinematics computes them once per geometry for its fixed points.
     """
     wx, wy, wz = omega
     px, py, pz = p
@@ -72,20 +75,24 @@ def _rotation_axis_terms(omega, p):
     ppy = py - ap * wy
     ppz = pz - ap * wz
     npp = math.sqrt(ppx * ppx + ppy * ppy + ppz * ppz)
-    return (wx, wy, wz), ap, (ppx, ppy, ppz), npp, math.sqrt(px * px + py * py + pz * pz)
+    pscale = max(1.0, math.sqrt(px * px + py * py + pz * pz))
+    return (wx, wy, wz), ap, (ppx, ppy, ppz), npp, pscale
 
 
 def _rotation_angle_to(terms, q, tol: float) -> float:
     """Angle theta with e^(hat(omega) theta) p = q for the axis and the point
-    p of `terms`. Raises if p sits on the axis or no rotation maps p onto q."""
-    (wx, wy, wz), ap, (ppx, ppy, ppz), npp, pn = terms
+    p of `terms`. Raises if p sits on the axis or no rotation maps p onto q,
+    each test within `tol` times max(1, |p|, |q|)."""
+    (wx, wy, wz), ap, (ppx, ppy, ppz), npp, scale = terms
     qx, qy, qz = q
     aq = wx * qx + wy * qy + wz * qz
     qpx = qx - aq * wx
     qpy = qy - aq * wy
     qpz = qz - aq * wz
     nqq = math.sqrt(qpx * qpx + qpy * qpy + qpz * qpz)
-    scale = max(1.0, pn, math.sqrt(qx * qx + qy * qy + qz * qz))
+    qn = math.sqrt(qx * qx + qy * qy + qz * qz)
+    if qn > scale:
+        scale = qn
     if npp <= tol * scale or nqq <= tol * scale:
         raise DegenerateInputError("point lies on the rotation axis")
     if abs(ap - aq) > tol * scale or abs(npp - nqq) > tol * scale:

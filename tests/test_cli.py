@@ -1117,6 +1117,7 @@ class TestImports:
 
     def test_band_query_loads_no_numpy(self):
         # `python -m ssmkit workspace 30 110`, then a look at sys.modules.
+        # Nor does it load `dataclasses`, which pulls in `inspect` and `ast`.
         probe = (
             "import runpy, sys\n"
             "sys.argv = ['ssmkit', 'workspace', '30', '110']\n"
@@ -1124,12 +1125,13 @@ class TestImports:
             "    runpy.run_module('ssmkit', run_name='__main__', alter_sys=True)\n"
             "finally:\n"
             f"    {_NUMPY_LOADED}\n"
+            "    print('dataclasses' in sys.modules)\n"
         )
         result = _fresh_python(probe)
         assert result.returncode == 0, result.stderr
         lines = result.stdout.splitlines()
         assert "band_deg = 80 to 140" in lines
-        assert lines[-1] == "False"
+        assert lines[-2:] == ["False", "False"]
 
     def test_help_loads_no_numpy(self):
         probe = (

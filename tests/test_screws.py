@@ -35,6 +35,8 @@ class TestRodrigues:
     def test_non_unit_axis_rejected(self):
         with pytest.raises(DomainError):
             rodrigues(np.array([0.0, 0.0, 2.0]), 0.3)
+        with pytest.raises(DomainError, match="3-vector"):
+            rodrigues([1.0, 0.0], 0.3)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_axis_rejected(self, value):
@@ -79,6 +81,8 @@ class TestTwistExp:
             revolute_twist([1.0, 1.0, 0.0])
         with pytest.raises(DomainError):
             revolute_twist([math.nan, 0.0, 1.0])
+        with pytest.raises(DomainError, match="3-vector"):
+            revolute_twist([1.0, 0.0])
 
     @settings(max_examples=75, deadline=None)
     @given(unit_vectors, angles, unit_vectors, unit_vectors)

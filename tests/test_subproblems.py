@@ -53,11 +53,15 @@ class TestSubproblem1:
     def test_invalid_inputs(self):
         for angular in (np.zeros(3), 2.0 * Z):
             with pytest.raises(DomainError):
-                Twist(X, angular)
+                Twist(np.zeros(3), angular)
+        with pytest.raises(DomainError, match="linear part"):
+            Twist(Y, Z)
         with pytest.raises(DomainError):
             subproblem1(revolute_twist(Z), [math.nan, 0.0, 0.0], Y)
         with pytest.raises(DomainError):
             subproblem1(revolute_twist(Z), X, [math.inf, 0.0, 0.0])
+        with pytest.raises(DomainError, match="3-vector"):
+            subproblem1(revolute_twist(Z), [1.0, 0.0], Y)
 
     @settings(max_examples=100, deadline=None)
     @given(unit_vectors, st.floats(-math.pi, math.pi))
@@ -198,6 +202,8 @@ class TestSubproblem3Prime:
         for delta in (math.inf, math.nan):
             with pytest.raises(DomainError):
                 subproblem3prime(Z, X, np.zeros(3), delta)
+        with pytest.raises(DomainError, match="3-vector"):
+            subproblem3prime([1.0, 0.0], [0.0, 0.0], [2.0, 0.0], 1.0)
 
     def test_solutions_sorted_ascending(self):
         sol = subproblem3prime(X, np.array([5.0, 0.0, 0.0]), np.zeros(3), 2.0)
