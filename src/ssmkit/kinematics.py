@@ -3,11 +3,11 @@ Mechanism definition, forward kinematics, and closed-form inverse
 kinematics of the 4-DoF RCM mechanism: three revolute joints whose axes
 meet at the remote center plus a translation along the tool axis.
 
-Canonical axis placement: omega1 is +z, omega2 lies in the xz-plane at
-angle alpha from omega1, omega3 (= the tool direction v4) lies in the same
-plane at angle beta from omega2, on the far side from omega1. Only the
-relative angles are physical; the fixed frame makes configs portable and
-tests deterministic.
+Every geometry derives its axes from alpha and beta in one placement:
+omega1 is +z, omega2 lies in the xz-plane at angle alpha from omega1,
+omega3 (= the tool direction v4) lies in the same plane at angle beta
+from omega2, on the far side from omega1. Only the relative angles are
+physical; the fixed frame makes configs portable and tests deterministic.
 
 Inverse kinematics reads what depends only on the geometry from
 constants each `MechanismGeometry` computes once, at construction: the
@@ -15,11 +15,7 @@ axes and v4 as float 3-tuples, r0 as a flat row-major 9-tuple (None for
 the identity, so that FK and IK skip the product by it), r0^T v4 and
 r0^T e_y, the geometry-only terms of the two-axis solve, and the
 fixed-point terms of the theta2 and theta3 angle solves, whose part of
-the tolerance scale is taken once there. The geometry keeps read-only
-float copies of its arrays, so these constants cannot go stale; a changed
-build is a new geometry (`build_geometry` or `dataclasses.replace`). The
-geometry checks that its joint axes are unit when it is built, so FK and
-IK take them as checked.
+the tolerance scale is taken once there.
 
 Forward kinematics is scalar too: it multiplies out the same axis, v4
 and r0 tuples in a fixed summation order and builds numpy arrays only for
@@ -48,7 +44,7 @@ from .errors import (
     NoSolutionError,
     UnreachableError,
 )
-from .screws import Pose, _axis_norm, _rotation_rows, ensure_rotation
+from .screws import Pose, _rotation_rows, ensure_rotation
 from .subproblems import (
     _rotation_angle_to,
     _rotation_axis_terms,
@@ -66,29 +62,30 @@ _FIT_TOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class MechanismGeometry:
-    """Joint axes and reference tool orientation of one mechanism build.
+    """One mechanism build: axis angles alpha and beta (radians), each in
+    (0, pi), and reference tool orientation r0 (None: the exact identity).
 
-    The five arrays are kept as read-only float copies (the caller's arrays
-    stay as they were). A joint axis off unit norm raises DomainError here,
-    in the constructor and in `dataclasses.replace`; the constants
-    `inverse_kinematics` needs are then computed from the arrays, once.
+    Construction, `dataclasses.replace` included, raises DomainError on
+    other inputs, takes r0 through `ensure_rotation` (which may move a
+    non-identity r0 by an ulp), derives the read-only float arrays omega1,
+    omega2, omega3, v4 = omega3 and r0, and the constants IK needs, once.
     """
 
     alpha: float
     beta: float
-    omega1: np.ndarray
-    omega2: np.ndarray
-    omega3: np.ndarray
-    v4: np.ndarray
-    r0: np.ndarray
+    r0: np.ndarray | None = None
 
     def __post_init__(self):
-        for name in ("omega1", "omega2", "omega3", "v4", "r0"):
-            array = np.array(getattr(self, name), dtype=float)
+        alpha, beta = self.alpha, self.beta
+        check_axis_angles(alpha, beta)
+        omega3 = np.array([math.sin(alpha + beta), 0.0, math.cos(alpha + beta)])
+        arrays = {"r0": np.eye(3) if self.r0 is None else ensure_rotation(self.r0),
+                  "omega1": np.array([0.0, 0.0, 1.0]),
+                  "omega2": np.array([math.sin(alpha), 0.0, math.cos(alpha)]),
+                  "omega3": omega3, "v4": omega3}
+        for name, array in arrays.items():
             array.flags.writeable = False
             object.__setattr__(self, name, array)
-        for axis in (self.omega1, self.omega2, self.omega3):
-            _axis_norm(axis.tolist())
         object.__setattr__(self, "_ik", _IkConstants(self))
 
 
@@ -190,15 +187,8 @@ _set_branches, _set_residuals, _set_singular = (
     IkSolutionSet.__dict__[name].__set__ for name in ("branches", "residuals", "singular"))
 
 
-def build_geometry(alpha: float, beta: float, r0=None) -> MechanismGeometry:
-    """Construct the canonical geometry for axis angles alpha and beta."""
-    check_axis_angles(alpha, beta)
-    r0 = np.eye(3) if r0 is None else ensure_rotation(r0)
-    omega1 = np.array([0.0, 0.0, 1.0])
-    omega2 = np.array([math.sin(alpha), 0.0, math.cos(alpha)])
-    ab = alpha + beta
-    omega3 = np.array([math.sin(ab), 0.0, math.cos(ab)])
-    return MechanismGeometry(alpha, beta, omega1, omega2, omega3, omega3.copy(), r0)
+# The canonical geometry for axis angles alpha and beta is the record itself.
+build_geometry = MechanismGeometry
 
 
 def _check_target_finite(rot, position) -> None:
@@ -215,7 +205,7 @@ def probe_point_defaults(geom: MechanismGeometry):
     Probe points of the probe-point IK reduction, which `inverse_kinematics`
     no longer uses; the test oracle and the benchmark's subproblem probe
     do. p1 on the tool axis, p2 on the third joint axis, p3 = +y off it,
-    exactly perpendicular to omega3 under the canonical axis placement.
+    exactly perpendicular to omega3, which lies in the xz-plane.
     """
     if geom._ik.degenerate is not None:
         raise DegenerateGeometryError(geom._ik.degenerate)

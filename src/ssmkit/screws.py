@@ -37,12 +37,26 @@ def normalize_angle(theta: float) -> float:
     return r
 
 
+def _vector3(name: str, v) -> np.ndarray:
+    """`v` as a float numpy 3-vector, or DomainError naming `name` on any
+    other shape or on entries that are not real numbers (ragged, complex,
+    or text that does not read as a number)."""
+    try:
+        array = np.asarray(v)
+        if array.dtype.kind == "c":  # numpy would drop the imaginary part
+            raise TypeError
+        array = array.astype(float, copy=False)
+    except (TypeError, ValueError):
+        raise DomainError(f"{name}: expected a 3-vector of real numbers, got {v!r:.60}") from None
+    if array.shape != (3,):
+        raise DomainError(f"{name}: expected a 3-vector, got shape {array.shape}")
+    return array
+
+
 def unit(v) -> np.ndarray:
     """Rescale a 3-vector to unit norm, rejecting any other shape and inputs
     far from unit."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (3,):
-        raise DomainError(f"expected a 3-vector, got shape {v.shape}")
+    v = _vector3("vector", v)
     n = math.sqrt(float(v @ v))
     if not abs(n - 1.0) <= UNIT_TOL:
         raise DomainError(f"expected a unit vector, got norm {n:.3e}")
@@ -64,23 +78,15 @@ def _rotation_rows(axis, angle: float):
             k * x * z - s * y, k * y * z + s * x, c + k * z * z)
 
 
-def _axis_norm(axis) -> float:
-    """Norm of a rotation axis, or DomainError if it is not a 3-vector or is
-    off unit."""
-    shape = np.shape(axis)
-    if shape != (3,):
-        raise DomainError(f"rotation axis must be a 3-vector, got shape {shape}")
-    x, y, z = axis
+def rodrigues(axis, angle: float) -> np.ndarray:
+    """Rotation matrix for a rotation by a finite `angle` about a unit
+    `axis`."""
+    x, y, z = _vector3("rotation axis", axis).tolist()
     n = math.sqrt(x * x + y * y + z * z)
     if not abs(n - 1.0) <= UNIT_TOL:
         raise DomainError(f"rotation axis must be unit, got norm {n:.3e}")
-    return n
-
-
-def rodrigues(axis, angle: float) -> np.ndarray:
-    """Rotation matrix for a rotation by `angle` about a unit `axis`."""
-    n = _axis_norm(axis)
-    x, y, z = axis
+    if not math.isfinite(angle):
+        raise DomainError(f"angle: expected a finite number, got {angle}")
     return np.array(_rotation_rows((x / n, y / n, z / n), angle)).reshape(3, 3)
 
 
@@ -118,8 +124,8 @@ class Twist:
 
     def __post_init__(self):
         object.__setattr__(self, "angular", unit(self.angular))
-        linear = np.asarray(self.linear, dtype=float)
-        if linear.shape != (3,) or linear.any():
+        linear = _vector3("linear part", self.linear)
+        if linear.any():
             raise DomainError(f"linear part must be the zero 3-vector, got {linear}")
         object.__setattr__(self, "linear", linear)
 

@@ -31,7 +31,7 @@ from .errors import (
     DomainError,
     NoSolutionError,
 )
-from .screws import Twist, normalize_angle, unit
+from .screws import Twist, _vector3, normalize_angle, unit
 
 # Squared-discriminant band inside which two coincident roots collapse to one.
 TANGENCY_TOL = 1e-12
@@ -53,9 +53,7 @@ class SubproblemSolutions:
 def _finite_point(name: str, v) -> np.ndarray:
     """`v` as a float 3-vector, or DomainError naming `name` on any other
     shape or a NaN or inf."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (3,):
-        raise DomainError(f"{name}: expected a 3-vector, got shape {v.shape}")
+    v = _vector3(name, v)
     if not all(map(math.isfinite, v.tolist())):
         raise DomainError(f"{name}: expected finite entries, got {v}")
     return v

@@ -1,12 +1,14 @@
 """The library surface the benchmark in `ssmbench/` reads: every attribute
 it takes from an ssmkit module, and every attribute it wraps with
-`tracer.wrap(module, "name", ...)`, must exist, so that trimming the
-library cannot break the traced run."""
+`tracer.wrap(module, "name", ...)`, must exist, and every attribute it
+reads from a built geometry must be a read-only float array, so that
+trimming the library cannot break the traced run."""
 
 import ast
 import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 BENCH = Path(__file__).resolve().parents[1] / "ssmbench"
@@ -48,3 +50,31 @@ def test_surface_found():
 @pytest.mark.parametrize("module, attr, where", SURFACE)
 def test_benchmark_attribute_exists(module, attr, where):
     assert hasattr(importlib.import_module(module), attr), f"{where} uses {module}.{attr}"
+
+
+def _geometry_attributes():
+    """Each attribute ssmbench/*.py reads from a built geometry, a name
+    `geom`, sorted."""
+    attrs = set()
+    for path in sorted(BENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "geom"):
+                attrs.add(node.attr)
+    return sorted(attrs)
+
+
+GEOMETRY_ATTRIBUTES = _geometry_attributes()
+
+
+def test_geometry_attributes_found():
+    assert {"omega1", "omega2", "omega3", "v4", "r0"} <= set(GEOMETRY_ATTRIBUTES)
+
+
+@pytest.mark.parametrize("attr", GEOMETRY_ATTRIBUTES)
+def test_geometry_attribute_is_a_read_only_float_array(attr):
+    kinematics = importlib.import_module("ssmkit.kinematics")
+    geom = kinematics.load_mechanism_config(BENCH.parent / "configs" / "mechanism.cfg")
+    value = getattr(geom, attr)
+    assert isinstance(value, np.ndarray) and value.dtype == np.float64, attr
+    assert value.shape in ((3,), (3, 3)) and not value.flags.writeable, attr

@@ -1,7 +1,6 @@
 import dataclasses
 import math
 import pickle
-import warnings
 from unittest import mock
 
 import numpy as np
@@ -29,6 +28,7 @@ from ssmkit.kinematics import (
 )
 from ssmkit.screws import Pose, normalize_angle, rodrigues
 from ssmkit.subproblems import subproblem1
+from ssmkit.workspace import critical_directions
 from ssmkit.screws import revolute_twist
 
 DEG = math.radians
@@ -97,12 +97,11 @@ class TestGeometryConstants:
 
     def test_caller_arrays_stay_writeable(self):
         ref = design_geometry()
-        arrays = [np.array(a) for a in (ref.omega1, ref.omega2, ref.omega3, ref.v4, ref.r0)]
-        g = MechanismGeometry(ref.alpha, ref.beta, *arrays)
-        assert all(a.flags.writeable for a in arrays)
-        arrays[0][2] = -1.0
-        arrays[4][0, 0] = -1.0
-        assert g.omega1[2] == 1.0 and g.r0[0, 0] == 1.0
+        r0 = np.array(ref.r0)
+        g = MechanismGeometry(ref.alpha, ref.beta, r0)
+        assert r0.flags.writeable
+        r0[0, 0] = -1.0
+        assert g.r0[0, 0] == 1.0
         pose = forward_kinematics(ref, JointState(0.4, -1.1, 0.3, 0.05))
         assert _ik_bits(g, pose) == _ik_bits(ref, pose)
 
@@ -111,15 +110,77 @@ class TestGeometryConstants:
         base = build_geometry(alpha, beta)
         direct = build_geometry(alpha, beta, rodrigues(np.array([0.6, 0.0, 0.8]), 1.3))
         replaced = dataclasses.replace(base, r0=direct.r0)
+        # Both take direct.r0 through the same constructor, so the same bits.
+        fresh = build_geometry(alpha, beta, direct.r0)
+        assert replaced.r0.tobytes() == fresh.r0.tobytes()
         rng = np.random.default_rng(7)
         states = [JointState(*rng.uniform(-math.pi, math.pi, 3), rng.uniform(-0.1, 0.1))
                   for _ in range(20)]
         states += [JointState(0.3, 0.0, -0.2, 0.04), JointState(-1.0, math.pi, 0.5, 0.02)]
         for state in states:
-            pose = forward_kinematics(direct, state)
-            bits = _ik_bits(direct, pose)
+            pose = forward_kinematics(fresh, state)
+            bits = _ik_bits(fresh, pose)
             assert isinstance(bits, tuple) and bits[1], state
             assert _ik_bits(replaced, pose) == bits
+
+    def test_record_holds_the_inputs_only(self):
+        assert [f.name for f in dataclasses.fields(MechanismGeometry)] == ["alpha", "beta", "r0"]
+        assert build_geometry is MechanismGeometry
+
+    @pytest.mark.parametrize("r0", [None, rodrigues(np.array([0.0, 0.6, 0.8]), 0.7)])
+    def test_replaced_angles_rederive_the_axes(self, r0):
+        base = build_geometry(DEG(30), DEG(110), r0)
+        for changes in ({"alpha": DEG(60)}, {"beta": DEG(40)}, {"alpha": DEG(95), "beta": DEG(20)}):
+            replaced = dataclasses.replace(base, **changes)
+            fresh = build_geometry(changes.get("alpha", base.alpha), changes.get("beta", base.beta))
+            for name in ("omega1", "omega2", "omega3", "v4"):
+                assert getattr(replaced, name).tobytes() == getattr(fresh, name).tobytes(), name
+            if r0 is None:
+                assert replaced.r0.tobytes() == np.eye(3).tobytes() and replaced._ik.r0 is None
+            assert np.abs(replaced.r0 - base.r0).max() <= 1e-15
+            for d in critical_directions(replaced):
+                assert abs(np.linalg.norm(d) - 1.0) < 1e-12
+            pose = forward_kinematics(replaced, JointState(0.4, -1.1, 0.3, 0.05))
+            assert _ik_bits(replaced, pose)[1]
+
+    @pytest.mark.parametrize("alpha, beta", [
+        (7.0, DEG(110)), (DEG(30), -3.0), (0.0, DEG(110)), (DEG(30), math.pi),
+        (math.nan, DEG(110)), (DEG(30), math.inf)])
+    def test_axis_angle_outside_open_interval_rejected_at_construction(self, alpha, beta):
+        with pytest.raises(DomainError, match="must lie in \\(0, pi\\)"):
+            MechanismGeometry(alpha, beta)
+        with pytest.raises(DomainError, match="must lie in \\(0, pi\\)"):
+            dataclasses.replace(design_geometry(), alpha=alpha, beta=beta)
+
+    @pytest.mark.parametrize("r0, match", [
+        (2.0 * np.eye(3), "not orthonormal"), (np.diag([1.0, 1.0, -1.0]), "reflection"),
+        (np.eye(2), "3x3"), (np.full((3, 3), math.nan), "must be finite")])
+    def test_non_rotation_r0_rejected_at_construction(self, r0, match):
+        with pytest.raises(DomainError, match=match):
+            MechanismGeometry(DEG(30), DEG(110), r0)
+        with pytest.raises(DomainError, match=match):
+            dataclasses.replace(design_geometry(), r0=r0)
+
+    def test_identity_r0_skips_the_product(self, tmp_path):
+        """An identity r0, given or left out, stays exact through
+        `ensure_rotation`, and FK and IK skip the product by it."""
+        path = tmp_path / "mech.cfg"
+        path.write_text("alpha_deg = 30\nbeta_deg = 110\nr0 = 1 0 0 0 1 0 0 0 1\n",
+                        encoding="utf-8")
+        omitted = build_geometry(DEG(30), DEG(110))
+        builds = [build_geometry(DEG(30), DEG(110), np.eye(3)), load_mechanism_config(path)]
+        states = [JointState(0.4, -1.1, 0.3, 0.05), JointState(0.0, 0.0, 0.0, 0.02),
+                  JointState(-2.0, math.pi, -0.5, 0.0)]
+        for g in [omitted] + builds:
+            assert g._ik.r0 is None
+            assert g.r0.tobytes() == np.eye(3).tobytes()
+        for g in builds:
+            for state in states:
+                pose = forward_kinematics(g, state)
+                expected = forward_kinematics(omitted, state)
+                assert pose.rotation.tobytes() == expected.rotation.tobytes()
+                assert pose.position.tobytes() == expected.position.tobytes()
+                assert _ik_bits(g, pose) == _ik_bits(omitted, pose)
 
     def test_tiny_beta_accepted_then_rejected_by_ik(self):
         g = build_geometry(DEG(30), 1e-10)
@@ -259,20 +320,6 @@ class TestForwardKinematics:
             t4 = rng.uniform(-0.05, 0.05)
             pose = forward_kinematics(g, JointState(*t, t4))
             assert abs(np.linalg.norm(pose.position) - abs(t4)) < 1e-12
-
-    def test_non_unit_axis_rejected_at_construction(self):
-        ref = design_geometry()
-        fields = {f.name: getattr(ref, f.name) for f in dataclasses.fields(ref)}
-        builds = (lambda **axes: MechanismGeometry(**{**fields, **axes}),
-                  lambda **axes: dataclasses.replace(ref, **axes))
-        for build in builds:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                with pytest.raises(DomainError) as info:
-                    build(omega1=1.01 * ref.omega1)
-                assert str(info.value) == "rotation axis must be unit, got norm 1.010e+00"
-                with pytest.raises(DomainError, match="got norm nan"):
-                    build(omega3=np.array([math.nan, 0.0, 1.0]))
 
     @pytest.mark.parametrize("joint", range(4))
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

@@ -37,6 +37,15 @@ class TestRodrigues:
             rodrigues(np.array([0.0, 0.0, 2.0]), 0.3)
         with pytest.raises(DomainError, match="3-vector"):
             rodrigues([1.0, 0.0], 0.3)
+        for axis in ([[1.0, 0.0], [0.0]], ["a", 0, 0], [1 + 2j, 0, 0], np.array([1 + 0j, 0, 0])):
+            with pytest.raises(DomainError, match="expected a 3-vector of real numbers"):
+                rodrigues(axis, 0.3)
+
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_rejected(self, angle):
+        with pytest.raises(DomainError) as info:
+            rodrigues(Z, angle)
+        assert str(info.value) == f"angle: expected a finite number, got {angle}"
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_axis_rejected(self, value):
@@ -83,6 +92,8 @@ class TestTwistExp:
             revolute_twist([math.nan, 0.0, 1.0])
         with pytest.raises(DomainError, match="3-vector"):
             revolute_twist([1.0, 0.0])
+        with pytest.raises(DomainError, match="expected a 3-vector of real numbers"):
+            revolute_twist([[1.0, 0.0], [0.0]])
 
     @settings(max_examples=75, deadline=None)
     @given(unit_vectors, angles, unit_vectors, unit_vectors)

@@ -62,6 +62,10 @@ class TestSubproblem1:
             subproblem1(revolute_twist(Z), X, [math.inf, 0.0, 0.0])
         with pytest.raises(DomainError, match="3-vector"):
             subproblem1(revolute_twist(Z), [1.0, 0.0], Y)
+        with pytest.raises(DomainError, match="p: expected a 3-vector of real numbers"):
+            subproblem1(revolute_twist(Z), ["a", 0, 0], Y)
+        with pytest.raises(DomainError, match="linear part: expected a 3-vector of real numbers"):
+            Twist([[0.0], [0.0, 0.0]], Z)
 
     @settings(max_examples=100, deadline=None)
     @given(unit_vectors, st.floats(-math.pi, math.pi))
