@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+from ._inputs import real
 from .errors import DomainError
 
 
@@ -39,10 +40,10 @@ def _fold_polar(phi: float) -> float:
 
 
 def check_axis_angles(alpha: float, beta: float) -> None:
-    """DomainError unless both axis angles (radians) lie in (0, pi)."""
-    if not 0.0 < alpha < math.pi:
+    """DomainError unless both axis angles (radians) are real numbers in (0, pi)."""
+    if not 0.0 < real("alpha", alpha) < math.pi:
         raise DomainError(f"alpha must lie in (0, pi), got {alpha}")
-    if not 0.0 < beta < math.pi:
+    if not 0.0 < real("beta", beta) < math.pi:
         raise DomainError(f"beta must lie in (0, pi), got {beta}")
 
 

@@ -41,6 +41,7 @@ from enum import Enum
 import numpy as np
 
 from . import configfile, csvfile
+from ._inputs import floats, real
 from .errors import (
     DegenerateRangeError,
     DomainError,
@@ -76,7 +77,7 @@ class FrictionParams:
 
     def __post_init__(self):
         for name in ("mu_s", "mu_c", "b_c", "b_v"):
-            if not getattr(self, name) >= 0.0:
+            if not real(name, getattr(self, name)) >= 0.0:
                 raise DomainError(f"{name} must be nonnegative")
         if self.mu_s < self.mu_c:
             raise DomainError("mu_s must be >= mu_c (breakaway >= sliding)")
@@ -92,11 +93,11 @@ class TransmissionSpec:
     reflected_inertia: float  # kg*m^2 at the motor shaft
 
     def __post_init__(self):
-        if not self.ratio > 0.0:
+        if not real("ratio", self.ratio) > 0.0:
             raise DomainError("ratio must be positive")
-        if not 0.0 < self.lead_angle < math.pi / 2.0:
+        if not 0.0 < real("lead_angle", self.lead_angle) < math.pi / 2.0:
             raise DomainError("lead_angle must lie in (0, pi/2)")
-        if not self.reflected_inertia >= 0.0:
+        if not real("reflected_inertia", self.reflected_inertia) >= 0.0:
             raise DomainError("reflected_inertia must be nonnegative")
 
 
@@ -114,19 +115,17 @@ class JointTrajectory:
     acceleration: np.ndarray | None = None
 
     def __post_init__(self):
-        t = np.asarray(self.time, dtype=float)
-        v = np.asarray(self.velocity, dtype=float)
+        t = floats("trajectory time", self.time, (None,))
+        v = floats("trajectory velocity", self.velocity, (None,))
         object.__setattr__(self, "time", t)
         object.__setattr__(self, "velocity", v)
-        if t.ndim != 1 or t.shape != v.shape or t.size < 2:
+        if t.shape != v.shape or t.size < 2:
             raise DomainError("trajectory needs matching 1-d time/velocity arrays")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
-            raise DomainError("trajectory samples must be finite")
         if np.any(np.diff(t) <= 0.0):
             raise DomainError("trajectory time must be strictly increasing")
         if self.acceleration is not None:
-            a = np.asarray(self.acceleration, dtype=float)
-            if a.shape != t.shape or not np.all(np.isfinite(a)):
+            a = floats("trajectory acceleration", self.acceleration, (None,))
+            if a.shape != t.shape:
                 raise DomainError("acceleration must match the time grid")
             object.__setattr__(self, "acceleration", a)
 
@@ -144,12 +143,10 @@ class TorqueTrace:
     torque: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.time, dtype=float)
-        tau = np.asarray(self.torque, dtype=float)
-        if t.shape != tau.shape or t.ndim != 1:
+        t = floats("trace time", self.time, (None,))
+        tau = floats("trace torque", self.torque, (None,))
+        if t.shape != tau.shape:
             raise DomainError("trace needs matching 1-d time/torque arrays")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(tau))):
-            raise DomainError("torque trace samples must be finite")
         object.__setattr__(self, "time", t)
         object.__setattr__(self, "torque", tau)
 
@@ -199,7 +196,10 @@ def inverse_dynamics(spec: TransmissionSpec, params: FrictionParams,
         if load_torque_fn is None:
             load = np.zeros_like(t)
         else:
-            load = np.broadcast_to(np.asarray(load_torque_fn(t), dtype=float), t.shape)
+            load = floats("load torque", load_torque_fn(t))
+            if load.shape not in ((), t.shape):
+                raise DomainError(f"load torque: expected {t.size} values, got shape {load.shape}")
+            load = np.broadcast_to(load, t.shape)
 
         inertial = spec.reflected_inertia * a_m
 
@@ -238,13 +238,13 @@ def payload_curve(spec: TransmissionSpec, params: FrictionParams,
     ready to overlay on a motor torque-speed limit curve. Raises
     DomainError, without numpy warnings, when a torque overflows.
     """
-    grid = np.asarray(velocity_grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
+    grid = floats("velocity grid", velocity_grid, (None,))
+    if grid.size == 0:
         raise DomainError("velocity grid must be a non-empty 1-d array")
     if grid[0] <= 0.0 or np.any(np.diff(grid) <= 0.0):
         raise DomainError("velocity grid must be positive and ascending")
     with np.errstate(over="ignore", invalid="ignore"):
-        reflected = reflect_load(spec, params.mu_c, load_torque, 1.0)
+        reflected = reflect_load(spec, params.mu_c, real("load_torque", load_torque), 1.0)
         torque = params.b_c + params.b_v * grid + reflected
     if not np.isfinite(torque).all():
         raise DomainError("motor torque of the payload curve overflows")

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import configfile, csvfile, dynamics
+from ._inputs import floats, real
 from .dynamics import Direction, FrictionParams, TransmissionSpec, efficiency
 from .errors import (
     DomainError,
@@ -81,17 +82,15 @@ class TelemetryLog:
 
     def __post_init__(self):
         # Contiguous, so the per-joint gathers below read packed memory.
-        t = np.asarray(self.time, dtype=float, order="C")
-        ids = np.asarray(self.joint_id, dtype=float)
-        v = np.asarray(self.velocity, dtype=float)
-        tau = np.asarray(self.torque, dtype=float)
-        if not (t.shape == ids.shape == v.shape == tau.shape) or t.ndim != 1:
+        t = np.ascontiguousarray(floats("telemetry time", self.time, (None,), InvalidLogError))
+        ids = floats("telemetry joint_id", self.joint_id, (None,), InvalidLogError, finite=False)
+        v = floats("telemetry velocity", self.velocity, (None,), InvalidLogError)
+        tau = floats("telemetry torque", self.torque, (None,), InvalidLogError)
+        nominal = real("nominal_rate_hz", self.nominal_rate_hz, InvalidLogError)
+        if not t.shape == ids.shape == v.shape == tau.shape:
             raise InvalidLogError("telemetry columns must be matching 1-d arrays")
         if t.size == 0:
             raise InvalidLogError("telemetry log is empty")
-        for name, arr in (("time", t), ("velocity", v), ("torque", tau)):
-            if not np.all(np.isfinite(arr)):
-                raise InvalidLogError(f"telemetry {name} contains non-finite values")
         # Checked as floats: the int cast would pass 1.5 and wrap NaN or 1e308.
         outside = ~np.isin(ids, VALID_JOINT_IDS)
         if outside.any():
@@ -107,10 +106,10 @@ class TelemetryLog:
                 raise InvalidLogError(f"joint {j}: timestamps not strictly increasing")
             if dt.size:
                 rate = 1.0 / _median(dt)
-                if abs(rate - self.nominal_rate_hz) > 0.10 * self.nominal_rate_hz:
+                if abs(rate - nominal) > 0.10 * nominal:
                     raise InvalidLogError(
                         f"joint {j}: sample rate {rate:.1f} Hz is more than 10% "
-                        f"off the nominal {self.nominal_rate_hz:.1f} Hz"
+                        f"off the nominal {nominal:.1f} Hz"
                     )
         object.__setattr__(self, "time", t)
         object.__setattr__(self, "joint_id", jid)
@@ -218,6 +217,9 @@ def extract_steady_segments(log: TelemetryLog, velocity_tolerance: float,
     zero velocity (rest periods) are discarded. Plateaus whose mean
     velocities agree within tolerance are merged count-weighted.
     """
+    velocity_tolerance = real("velocity_tolerance", velocity_tolerance)
+    min_duration_s = real("min_duration_s", min_duration_s)
+    discard_s = real("discard_s", discard_s)
     jid = _resolve_joint(log, joint_id)
     t, v, tau, runs = _joint_runs(log, jid, velocity_tolerance)
 
@@ -391,6 +393,8 @@ def fit_friction(tv_map: TorqueVelocityMap, spec: TransmissionSpec,
     needs at least 3 distinct velocities. A clamped or defaulted estimate
     is reported in the report's flags, never as a Python warning.
     """
+    test_load = real("test_load", test_load)
+    breakaway = floats("breakaway", breakaway, (None, 2)).tolist() if breakaway else breakaway
     pos = tv_map.direction(+1)
     neg = tv_map.direction(-1)
     if not pos and not neg:

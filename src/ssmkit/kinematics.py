@@ -9,23 +9,8 @@ omega3 (= the tool direction v4) lies in the same plane at angle beta
 from omega2, on the far side from omega1. Only the relative angles are
 physical; the fixed frame makes configs portable and tests deterministic.
 
-Inverse kinematics reads what depends only on the geometry from
-constants each `MechanismGeometry` computes once, at construction: the
-axes and v4 as float 3-tuples, r0 as a flat row-major 9-tuple (None for
-the identity, so that FK and IK skip the product by it), r0^T v4 and
-r0^T e_y, the geometry-only terms of the two-axis solve, and the
-fixed-point terms of the theta2 and theta3 angle solves, whose part of
-the tolerance scale is taken once there.
-
-Forward kinematics is scalar too: it multiplies out the same axis, v4
-and r0 tuples in a fixed summation order and builds numpy arrays only for
-the returned pose, so its bits do not depend on the host's BLAS. Every
-3x3 matrix on this path is a flat row-major 9-tuple of floats. Inverse
-kinematics checks each candidate branch with FK's kernel, `_tool_pose_rows`.
-
-`JointState` and `IkSolutionSet` are slotted frozen dataclasses whose own
-`__init__` stores each field through its slot's setter, fetched once
-below each class.
+Inverse kinematics reads what depends only on the geometry from the
+constants (`_IkConstants`) each `MechanismGeometry` computes once.
 """
 
 from __future__ import annotations
@@ -36,11 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import configfile
+from ._inputs import floats, real
 from .band import check_axis_angles
 from .errors import (
     DegenerateGeometryError,
     DegenerateInputError,
-    DomainError,
     NoSolutionError,
     UnreachableError,
 )
@@ -129,15 +114,6 @@ class _IkConstants:
             self.degenerate = None
 
 
-def _record_setstate(self, state):
-    """Unpickle a record from its field values in order, or from the field
-    dict that a pickle of the earlier unslotted records holds."""
-    if isinstance(state, dict):
-        self.__init__(**state)
-    else:
-        self.__init__(*state)
-
-
 @dataclass(frozen=True, slots=True)
 class JointState:
     """Joint coordinates: three angles (radians) and one translation (m)."""
@@ -153,8 +129,6 @@ class JointState:
         _set_theta2(self, theta2)
         _set_theta3(self, theta3)
         _set_theta4(self, theta4)
-
-    __setstate__ = _record_setstate
 
 
 _set_theta1, _set_theta2, _set_theta3, _set_theta4 = (
@@ -180,8 +154,6 @@ class IkSolutionSet:
         _set_residuals(self, residuals)
         _set_singular(self, singular)
 
-    __setstate__ = _record_setstate
-
 
 _set_branches, _set_residuals, _set_singular = (
     IkSolutionSet.__dict__[name].__set__ for name in ("branches", "residuals", "singular"))
@@ -191,13 +163,10 @@ _set_branches, _set_residuals, _set_singular = (
 build_geometry = MechanismGeometry
 
 
-def _check_target_finite(rot, position) -> None:
-    """Raise DomainError if an IK target's position or rotation, read as
-    float rows, holds a NaN or inf, naming which of the two does."""
-    for name, values in (("position", position), ("rotation", [v for row in rot for v in row])):
-        for value in values:
-            if not math.isfinite(value):
-                raise DomainError(f"target {name}: expected finite entries, got {value}")
+def _read_target(target: Pose):
+    """An IK target's rotation and position, read by the input rule."""
+    return (floats("target rotation", target.rotation, (3, 3)),
+            floats("target position", target.position, (3,)))
 
 
 def probe_point_defaults(geom: MechanismGeometry):
@@ -253,15 +222,17 @@ def forward_kinematics(geom: MechanismGeometry, theta: JointState) -> Pose:
     theta4), obtained by rotating the tool-axis translation with the first
     two joints only (spin about the tool axis does not move the tip).
     R1 R2 by `_matmul_rows`, then `_tool_pose_rows`, the kernel IK checks
-    its branches with; the two arrays are built at the end. A non-finite
-    joint value raises DomainError."""
+    its branches with; the two arrays are built at the end. A joint value
+    that is not a finite real number raises DomainError."""
     k = geom._ik
     t1, t2, t3, t4 = theta.theta1, theta.theta2, theta.theta3, theta.theta4
-    if not (math.isfinite(t1) and math.isfinite(t2)
-            and math.isfinite(t3) and math.isfinite(t4)):
-        for name, value in zip(("theta1", "theta2", "theta3", "theta4"), (t1, t2, t3, t4)):
-            if not math.isfinite(value):
-                raise DomainError(f"{name}: expected a finite number, got {value}")
+    try:
+        finite = (math.isfinite(t1) and math.isfinite(t2)
+                  and math.isfinite(t3) and math.isfinite(t4))
+    except (TypeError, OverflowError):
+        finite = False
+    if not finite:
+        t1, t2, t3, t4 = (real(f"theta{i}", t) for i, t in enumerate((t1, t2, t3, t4), 1))
     r12 = _matmul_rows(_rotation_rows(k.w1, t1), _rotation_rows(k.w2, t2))
     rot, tip = _tool_pose_rows(k, r12, t3, t4)
     return Pose(np.array(rot).reshape(3, 3), np.array(tip))
@@ -281,99 +252,108 @@ def inverse_kinematics(geom: MechanismGeometry, target: Pose) -> IkSolutionSet:
     two-axis solve and of the theta2 and theta3 solves) come from the
     constants the read-only geometry computed at construction. A build
     whose first two axes or whose tool axis and second axis coincide raises
-    DegenerateGeometryError; a target with a NaN or inf entry raises
-    DomainError, checked only once no branch fits it.
+    DegenerateGeometryError; a target that is not a finite 3x3 and 3-vector
+    raises DomainError, checked only once the scalar solve fails.
     """
     k = geom._ik
     if k.degenerate is not None:
         raise DegenerateGeometryError(k.degenerate)
-    rot = target.rotation.tolist()
-    px, py, pz = target.position.tolist()
-    (g00, g01, g02), (g10, g11, g12), (g20, g21, g22) = rot
+    try:  # A text, None or complex entry fails in the arithmetic, not in the read.
+        rot = target.rotation.tolist()
+        px, py, pz = target.position.tolist()
+        (g00, g01, g02), (g10, g11, g12), (g20, g21, g22) = rot
 
-    # The target's tool axis u = R (r0^T v4) and its +y column yt = R (r0^T e_y),
-    # which is R's own +y column when r0 is the identity.
-    bx, by, bz = k.r0v4
-    ux = g00 * bx + g01 * by + g02 * bz
-    uy = g10 * bx + g11 * by + g12 * bz
-    uz = g20 * bx + g21 * by + g22 * bz
-    u = (ux, uy, uz)
-    if k.r0 is None:
-        yx, yy, yz = g01, g11, g21
-    else:
-        b0, b1, b2 = k.r0ey
-        yx = g00 * b0 + g01 * b1 + g02 * b2
-        yy = g10 * b0 + g11 * b1 + g12 * b2
-        yz = g20 * b0 + g21 * b1 + g22 * b2
-    theta4 = px * ux + py * uy + pz * uz
+        # The target's tool axis u = R (r0^T v4) and its +y column yt = R (r0^T e_y),
+        # which is R's own +y column when r0 is the identity.
+        bx, by, bz = k.r0v4
+        ux = g00 * bx + g01 * by + g02 * bz
+        uy = g10 * bx + g11 * by + g12 * bz
+        uz = g20 * bx + g21 * by + g22 * bz
+        u = (ux, uy, uz)
+        if k.r0 is None:
+            yx, yy, yz = g01, g11, g21
+        else:
+            b0, b1, b2 = k.r0ey
+            yx = g00 * b0 + g01 * b1 + g02 * b2
+            yy = g10 * b0 + g11 * b1 + g12 * b2
+            yz = g20 * b0 + g21 * b1 + g22 * b2
+        theta4 = px * ux + py * uy + pz * uz
 
-    w1, w2 = k.w1, k.w2
-    w1x, w1y, w1z = w1
-    cx = uy * w1z - uz * w1y
-    cy = uz * w1x - ux * w1z
-    cz = ux * w1y - uy * w1x
-    singular = math.sqrt(cx * cx + cy * cy + cz * cz) <= SINGULARITY_TOL
+        w1, w2 = k.w1, k.w2
+        w1x, w1y, w1z = w1
+        cx = uy * w1z - uz * w1y
+        cy = uz * w1x - ux * w1z
+        cz = ux * w1y - uy * w1x
+        singular = math.sqrt(cx * cx + cy * cy + cz * cz) <= SINGULARITY_TOL
 
-    pairs = []
-    if singular:
-        try:
-            pairs.append((0.0, _rotation_angle_to(k.theta2, u, _FIT_TOL)))
-        except (NoSolutionError, DegenerateInputError):
-            pass
-    else:
-        for c in _two_axis_points_to(k.two_axis, u, _FIT_TOL):
+        pairs = []
+        if singular:
             try:
-                pairs.append((_rotation_angle_to(_rotation_axis_terms(w1, c), u, _FIT_TOL),
-                              _rotation_angle_to(k.theta2, c, _FIT_TOL)))
+                pairs.append((0.0, _rotation_angle_to(k.theta2, u, _FIT_TOL)))
+            except (NoSolutionError, DegenerateInputError):
+                pass
+        else:
+            for c in _two_axis_points_to(k.two_axis, u, _FIT_TOL):
+                try:
+                    pairs.append((_rotation_angle_to(_rotation_axis_terms(w1, c), u, _FIT_TOL),
+                                  _rotation_angle_to(k.theta2, c, _FIT_TOL)))
+                except (NoSolutionError, DegenerateInputError):
+                    continue
+
+        branches: list[JointState] = []
+        residuals: list[tuple[float, float]] = []
+        for theta1, theta2 in pairs:
+            r12 = _matmul_rows(_rotation_rows(w1, theta1), _rotation_rows(w2, theta2))
+            m0, m1, m2, n0, n1, n2, o0, o1, o2 = r12
+            # +y column of (R1 R2)^T R r0^T, which is R3 e_y for the true theta3.
+            q3 = (m0 * yx + n0 * yy + o0 * yz,
+                  m1 * yx + n1 * yy + o1 * yz,
+                  m2 * yx + n2 * yy + o2 * yz)
+            try:
+                theta3 = _rotation_angle_to(k.theta3, q3, _FIT_TOL)
             except (NoSolutionError, DegenerateInputError):
                 continue
 
-    branches: list[JointState] = []
-    residuals: list[tuple[float, float]] = []
-    for theta1, theta2 in pairs:
-        r12 = _matmul_rows(_rotation_rows(w1, theta1), _rotation_rows(w2, theta2))
-        m0, m1, m2, n0, n1, n2, o0, o1, o2 = r12
-        # +y column of (R1 R2)^T R r0^T, which is R3 e_y for the true theta3.
-        q3 = (m0 * yx + n0 * yy + o0 * yz,
-              m1 * yx + n1 * yy + o1 * yz,
-              m2 * yx + n2 * yy + o2 * yz)
-        try:
-            theta3 = _rotation_angle_to(k.theta3, q3, _FIT_TOL)
-        except (NoSolutionError, DegenerateInputError):
-            continue
+            # Pose minus target; the squared rotation row norms add up in row order.
+            (f00, f01, f02, f10, f11, f12, f20, f21, f22), (x, y, z) = \
+                _tool_pose_rows(k, r12, theta3, theta4)
+            dx, dy, dz = x - px, y - py, z - pz
+            pos_err = math.sqrt(dx * dx + dy * dy + dz * dz)
+            d0, d1, d2 = f00 - g00, f01 - g01, f02 - g02
+            e0, e1, e2 = f10 - g10, f11 - g11, f12 - g12
+            h0, h1, h2 = f20 - g20, f21 - g21, f22 - g22
+            rot_err = math.sqrt((d0 * d0 + d1 * d1 + d2 * d2)
+                                + (e0 * e0 + e1 * e1 + e2 * e2)
+                                + (h0 * h0 + h1 * h1 + h2 * h2))
+            if pos_err < _FIT_TOL and rot_err < _FIT_TOL:
+                # theta1..theta3 are normalized already: `_rotation_angle_to`
+                # returns them so, and the singular path's theta1 is 0.0.
+                branches.append(JointState(theta1, theta2, theta3, theta4))
+                residuals.append((pos_err, rot_err))
 
-        # Pose minus target; the squared rotation row norms add up in row order.
-        (f00, f01, f02, f10, f11, f12, f20, f21, f22), (x, y, z) = \
-            _tool_pose_rows(k, r12, theta3, theta4)
-        dx, dy, dz = x - px, y - py, z - pz
-        pos_err = math.sqrt(dx * dx + dy * dy + dz * dz)
-        d0, d1, d2 = f00 - g00, f01 - g01, f02 - g02
-        e0, e1, e2 = f10 - g10, f11 - g11, f12 - g12
-        h0, h1, h2 = f20 - g20, f21 - g21, f22 - g22
-        rot_err = math.sqrt((d0 * d0 + d1 * d1 + d2 * d2)
-                            + (e0 * e0 + e1 * e1 + e2 * e2)
-                            + (h0 * h0 + h1 * h1 + h2 * h2))
-        if pos_err < _FIT_TOL and rot_err < _FIT_TOL:
-            # theta1..theta3 are normalized already: `_rotation_angle_to`
-            # returns them so, and the singular path's theta1 is 0.0.
-            branches.append(JointState(theta1, theta2, theta3, theta4))
-            residuals.append((pos_err, rot_err))
+        if not branches:
+            # A NaN or inf among the 12 target floats makes theta4 = p . u NaN
+            # or inf, so a finite theta4 clears the target without the check.
+            if not math.isfinite(theta4):
+                _read_target(target)
+            raise UnreachableError("no joint-space branch reproduces the target pose")
 
-    if not branches:
-        # A NaN or inf among the 12 target floats makes theta4 = p . u NaN
-        # or inf, so a finite theta4 clears the target without the check.
-        if not math.isfinite(theta4):
-            _check_target_finite(rot, (px, py, pz))
-        raise UnreachableError("no joint-space branch reproduces the target pose")
-
-    # At most two branches: put them in (theta1, theta2, theta3) order, a
-    # tie keeping the order found, and their residuals with them.
-    if len(branches) == 2:
-        a, b = branches
-        if (b.theta1, b.theta2, b.theta3) < (a.theta1, a.theta2, a.theta3):
-            branches.reverse()
-            residuals.reverse()
-    return IkSolutionSet(tuple(branches), tuple(residuals), singular)
+        # At most two branches: put them in (theta1, theta2, theta3) order, a
+        # tie keeping the order found, and their residuals with them.
+        if len(branches) == 2:
+            a, b = branches
+            if (b.theta1, b.theta2, b.theta3) < (a.theta1, a.theta2, a.theta3):
+                branches.reverse()
+                residuals.reverse()
+        return IkSolutionSet(tuple(branches), tuple(residuals), singular)
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
+        fault = exc
+    # Not two finite float arrays: the readers name the fault, or read the
+    # target anew. If they return its own arrays, the fault lies elsewhere.
+    rotation, position = _read_target(target)
+    if rotation is target.rotation and position is target.position:
+        raise fault
+    return inverse_kinematics(geom, Pose(rotation, position))
 
 
 def load_mechanism_config(path) -> MechanismGeometry:

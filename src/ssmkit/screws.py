@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._inputs import floats, real
 from .errors import DomainError
 
 UNIT_TOL = 1e-9
@@ -30,34 +31,19 @@ _TWO_PI = 2.0 * math.pi
 
 
 def normalize_angle(theta: float) -> float:
-    """Map an angle to its representative in (-pi, pi]."""
-    r = theta % _TWO_PI
+    """Map a finite angle to its representative in (-pi, pi]."""
+    r = real("angle", theta) % _TWO_PI
     if r > math.pi:
         r -= _TWO_PI
     return r
 
 
-def _vector3(name: str, v) -> np.ndarray:
-    """`v` as a float numpy 3-vector, or DomainError naming `name` on any
-    other shape or on entries that are not real numbers (ragged, complex,
-    or text that does not read as a number)."""
-    try:
-        array = np.asarray(v)
-        if array.dtype.kind == "c":  # numpy would drop the imaginary part
-            raise TypeError
-        array = array.astype(float, copy=False)
-    except (TypeError, ValueError):
-        raise DomainError(f"{name}: expected a 3-vector of real numbers, got {v!r:.60}") from None
-    if array.shape != (3,):
-        raise DomainError(f"{name}: expected a 3-vector, got shape {array.shape}")
-    return array
-
-
 def unit(v) -> np.ndarray:
-    """Rescale a 3-vector to unit norm, rejecting any other shape and inputs
-    far from unit."""
-    v = _vector3("vector", v)
-    n = math.sqrt(float(v @ v))
+    """Rescale a finite 3-vector to unit norm, rejecting inputs far from
+    unit."""
+    v = floats("vector", v, (3,))
+    x, y, z = v.tolist()
+    n = math.sqrt(x * x + y * y + z * z)
     if not abs(n - 1.0) <= UNIT_TOL:
         raise DomainError(f"expected a unit vector, got norm {n:.3e}")
     return v / n
@@ -81,13 +67,7 @@ def _rotation_rows(axis, angle: float):
 def rodrigues(axis, angle: float) -> np.ndarray:
     """Rotation matrix for a rotation by a finite `angle` about a unit
     `axis`."""
-    x, y, z = _vector3("rotation axis", axis).tolist()
-    n = math.sqrt(x * x + y * y + z * z)
-    if not abs(n - 1.0) <= UNIT_TOL:
-        raise DomainError(f"rotation axis must be unit, got norm {n:.3e}")
-    if not math.isfinite(angle):
-        raise DomainError(f"angle: expected a finite number, got {angle}")
-    return np.array(_rotation_rows((x / n, y / n, z / n), angle)).reshape(3, 3)
+    return np.array(_rotation_rows(unit(axis).tolist(), real("angle", angle))).reshape(3, 3)
 
 
 def ensure_rotation(r) -> np.ndarray:
@@ -97,11 +77,7 @@ def ensure_rotation(r) -> np.ndarray:
     Non-finite entries are rejected before the SVD, which may not return
     on an infinite one.
     """
-    r = np.asarray(r, dtype=float)
-    if r.shape != (3, 3):
-        raise DomainError(f"rotation must be 3x3, got shape {r.shape}")
-    if not np.isfinite(r).all():
-        raise DomainError("rotation entries must be finite")
+    r = floats("rotation", r, (3, 3))
     defect = np.abs(r.T @ r - np.eye(3)).max()
     if not defect <= UNIT_TOL:
         raise DomainError(f"matrix is not orthonormal (defect {defect:.3e})")
@@ -124,7 +100,7 @@ class Twist:
 
     def __post_init__(self):
         object.__setattr__(self, "angular", unit(self.angular))
-        linear = _vector3("linear part", self.linear)
+        linear = floats("linear part", self.linear, (3,))
         if linear.any():
             raise DomainError(f"linear part must be the zero 3-vector, got {linear}")
         object.__setattr__(self, "linear", linear)

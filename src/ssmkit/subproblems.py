@@ -23,15 +23,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._inputs import floats, real
 from .errors import (
     DegenerateAxesError,
     DegenerateInputError,
     DomainError,
     NoSolutionError,
 )
-from .screws import Twist, _vector3, normalize_angle, unit
+from .screws import _TWO_PI, Twist, unit
 
 # Squared-discriminant band inside which two coincident roots collapse to one.
 TANGENCY_TOL = 1e-12
@@ -48,15 +47,6 @@ class SubproblemSolutions:
     @property
     def multiplicity(self) -> int:
         return len(self.solutions)
-
-
-def _finite_point(name: str, v) -> np.ndarray:
-    """`v` as a float 3-vector, or DomainError naming `name` on any other
-    shape or a NaN or inf."""
-    v = _vector3(name, v)
-    if not all(map(math.isfinite, v.tolist())):
-        raise DomainError(f"{name}: expected finite entries, got {v}")
-    return v
 
 
 def _rotation_axis_terms(omega, p):
@@ -103,7 +93,9 @@ def _rotation_angle_to(terms, q, tol: float) -> float:
         + wz * (ppx * qpy - ppy * qpx)
     )
     dot = ppx * qpx + ppy * qpy + ppz * qpz
-    return normalize_angle(math.atan2(triple, dot))
+    # `normalize_angle`'s wrap, unchecked: a NaN target's angle stays NaN here.
+    theta = math.atan2(triple, dot) % _TWO_PI
+    return theta - _TWO_PI if theta > math.pi else theta
 
 
 def subproblem1(xi: Twist, p, q) -> SubproblemSolutions:
@@ -111,8 +103,8 @@ def subproblem1(xi: Twist, p, q) -> SubproblemSolutions:
     Rotate p onto q about the axis of a revolute twist through the origin.
     Returns the single angle solution.
     """
-    p = _finite_point("p", p)
-    q = _finite_point("q", q)
+    p = floats("p", p, (3,))
+    q = floats("q", q, (3,))
     terms = _rotation_axis_terms(xi.angular, p)
     return SubproblemSolutions((_rotation_angle_to(terms, q, _MATCH_TOL),))
 
@@ -184,8 +176,8 @@ def subproblem2(xi1: Twist, xi2: Twist, p, q) -> SubproblemSolutions:
     at the origin. Returns up to two (t1, t2) pairs, sorted lexicographically.
     """
     w1, w2 = xi1.angular, xi2.angular
-    p = _finite_point("p", p)
-    q = _finite_point("q", q)
+    p = floats("p", p, (3,))
+    q = floats("q", q, (3,))
     terms = _two_axis_terms(w1, w2, p)
     if terms[6] < 1e-18 or _two_axis_parallel(terms):
         raise DegenerateAxesError("rotation axes are parallel")
@@ -211,10 +203,10 @@ def subproblem3prime(v, p, q, delta: float) -> SubproblemSolutions:
     around zero collapses the two roots into the single tangent solution.
     """
     v = unit(v)
-    if not 0.0 < delta < math.inf:
-        raise DomainError(f"delta must be positive and finite, got {delta}")
-    p = _finite_point("p", p)
-    q = _finite_point("q", q)
+    if not real("delta", delta) > 0.0:
+        raise DomainError(f"delta must be positive, got {delta}")
+    p = floats("p", p, (3,))
+    q = floats("q", q, (3,))
 
     u = q - p
     utv = float(u @ v)

@@ -16,6 +16,7 @@ import math
 import numpy as np
 
 from . import csvfile
+from ._inputs import floats
 from .band import TiltExtremes, tilt_extremes  # noqa: F401 (re-exported)
 from .configfile import DEFAULT_PRECISION
 from .errors import DegenerateGeometryError, DomainError
@@ -48,15 +49,15 @@ def dot_profile(geom: MechanismGeometry, theta2):
     """
     cos(polar angle) of the tip direction as a function of theta2 alone;
     rotation about omega1 cancels out of the inner product with omega1.
-    Accepts scalar or array theta2.
+    Accepts scalar or array theta2 of finite real numbers.
     """
-    r = rotate_about(geom.omega2, theta2, geom.v4)
+    r = rotate_about(geom.omega2, floats("theta2", theta2), geom.v4)
     return r @ geom.omega1
 
 
 def dot_profile_derivatives(geom: MechanismGeometry, theta2):
     """Analytic first and second derivatives of dot_profile w.r.t. theta2."""
-    r = rotate_about(geom.omega2, theta2, geom.v4)
+    r = rotate_about(geom.omega2, floats("theta2", theta2), geom.v4)
     w2 = geom.omega2
     first = r @ np.cross(geom.omega1, w2)
     second = np.cross(w2, np.cross(w2, r)) @ geom.omega1

@@ -236,7 +236,7 @@ class TestTelemetryLog:
         )
         with pytest.raises(InvalidLogError) as exc:
             load_telemetry_csv(path)
-        assert str(exc.value) == f"{path}: telemetry torque contains non-finite values"
+        assert str(exc.value) == f"{path}: telemetry torque: expected finite entries, got nan"
 
     def test_csv_loader_names_out_of_range_joint_id(self, tmp_path):
         path = tmp_path / "telemetry.csv"

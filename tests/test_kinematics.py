@@ -61,7 +61,7 @@ class TestBuildGeometry:
     def test_non_finite_reference_orientation_rejected(self, value):
         r0 = np.eye(3)
         r0[1, 2] = value
-        with pytest.raises(DomainError, match="must be finite"):
+        with pytest.raises(DomainError, match="expected finite entries"):
             build_geometry(DEG(30), DEG(110), r0)
 
     def test_custom_reference_orientation(self):
@@ -147,14 +147,17 @@ class TestGeometryConstants:
         (7.0, DEG(110)), (DEG(30), -3.0), (0.0, DEG(110)), (DEG(30), math.pi),
         (math.nan, DEG(110)), (DEG(30), math.inf)])
     def test_axis_angle_outside_open_interval_rejected_at_construction(self, alpha, beta):
-        with pytest.raises(DomainError, match="must lie in \\(0, pi\\)"):
+        # A NaN or inf angle fails the finite-number rule before the range check.
+        match = ("must lie in \\(0, pi\\)" if math.isfinite(alpha) and math.isfinite(beta)
+                 else f"^{'alpha' if math.isnan(alpha) else 'beta'}: expected a finite number")
+        with pytest.raises(DomainError, match=match):
             MechanismGeometry(alpha, beta)
-        with pytest.raises(DomainError, match="must lie in \\(0, pi\\)"):
+        with pytest.raises(DomainError, match=match):
             dataclasses.replace(design_geometry(), alpha=alpha, beta=beta)
 
     @pytest.mark.parametrize("r0, match", [
         (2.0 * np.eye(3), "not orthonormal"), (np.diag([1.0, 1.0, -1.0]), "reflection"),
-        (np.eye(2), "3x3"), (np.full((3, 3), math.nan), "must be finite")])
+        (np.eye(2), "3x3"), (np.full((3, 3), math.nan), "expected finite entries")])
     def test_non_rotation_r0_rejected_at_construction(self, r0, match):
         with pytest.raises(DomainError, match=match):
             MechanismGeometry(DEG(30), DEG(110), r0)
@@ -251,23 +254,6 @@ class TestRecords:
         state = JointState(1.0, 2.0, 3.0, 4.0)
         assert dataclasses.replace(state, theta1=0.5) == JointState(0.5, 2.0, 3.0, 4.0)
         assert state != JointState(1.0, 2.0, 3.0, 4.5)
-
-    def test_pickle_of_the_unslotted_records_loads(self):
-        # pickle.dumps(IkSolutionSet((JointState(0.5, -0.25, 1.0, 0.03),),
-        # ((0.0, 0.0),), True), protocol=4) when the records kept a __dict__:
-        # each record's state is its field dict.
-        old = (
-            b"\x80\x04\x95\xcb\x00\x00\x00\x00\x00\x00\x00\x8c\x11ssmkit.kinematics\x94"
-            b"\x8c\rIkSolutionSet\x94\x93\x94)\x81\x94}\x94(\x8c\x08branches\x94h\x00"
-            b"\x8c\nJointState\x94\x93\x94)\x81\x94}\x94(\x8c\x06theta1\x94"
-            b"G?\xe0\x00\x00\x00\x00\x00\x00\x8c\x06theta2\x94G\xbf\xd0\x00\x00\x00\x00\x00\x00"
-            b"\x8c\x06theta3\x94G?\xf0\x00\x00\x00\x00\x00\x00\x8c\x06theta4\x94"
-            b"G?\x9e\xb8Q\xeb\x85\x1e\xb8ub\x85\x94\x8c\tresiduals\x94"
-            b"G\x00\x00\x00\x00\x00\x00\x00\x00G\x00\x00\x00\x00\x00\x00\x00\x00\x86\x94\x85\x94"
-            b"\x8c\x08singular\x94\x88ub."
-        )
-        assert pickle.loads(old) == IkSolutionSet((JointState(0.5, -0.25, 1.0, 0.03),),
-                                                  ((0.0, 0.0),), True)
 
     def test_ik_branch_equals_a_joint_state_of_its_floats(self):
         branch, _ = self._records()

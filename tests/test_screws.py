@@ -49,7 +49,7 @@ class TestRodrigues:
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_axis_rejected(self, value):
-        with pytest.raises(DomainError, match="must be unit"):
+        with pytest.raises(DomainError, match="expected finite entries"):
             rodrigues(np.array([0.0, value, 1.0]), 0.3)
 
     def test_output_orthonormal(self):
@@ -123,7 +123,7 @@ class TestValidation:
     def test_ensure_rotation_rejects_non_finite_entries(self, value):
         r = np.eye(3)
         r[0, 0] = value
-        with pytest.raises(DomainError, match="must be finite"):
+        with pytest.raises(DomainError, match="expected finite entries"):
             ensure_rotation(r)
 
     def test_normalize_angle_edges(self):
