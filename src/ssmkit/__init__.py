@@ -13,9 +13,9 @@ __version__ = "0.1.0"
 _EXPORTS = {
     name: module
     for module, names in (
-        ("dynamics", ("Direction", "FrictionParams", "JointTrajectory", "TorqueTrace",
-                      "TransmissionKind", "TransmissionSpec", "inverse_dynamics",
+        ("dynamics", ("Direction", "JointTrajectory", "TorqueTrace", "inverse_dynamics",
                       "is_self_locking", "nrmsd", "payload_curve")),
+        ("transmission", ("FrictionParams", "TransmissionKind", "TransmissionSpec")),
         ("identification", ("FitReport", "TelemetryLog", "TorqueVelocityMap",
                             "evaluate_model", "extract_steady_segments", "fit_friction",
                             "load_telemetry_csv")),

@@ -12,7 +12,9 @@ from .errors import DomainError
 def real(name: str, x, error=DomainError) -> float:
     """`x` as a finite float, or `error` naming `name`."""
     try:
-        if isinstance(x, (str, bytes, complex)) or getattr(x, "ndim", 0):
+        # A numpy complex scalar of any width has a dtype of kind "c".
+        if (isinstance(x, (str, bytes, complex)) or getattr(x, "ndim", 0)
+                or getattr(getattr(x, "dtype", None), "kind", "") == "c"):
             raise TypeError
         value = float(x)
     except (TypeError, ValueError, OverflowError):
@@ -35,6 +37,8 @@ def floats(name: str, v, shape=None, error=DomainError, finite=True):
         array = array.astype(float, copy=False)
     except (TypeError, ValueError, OverflowError):
         raise error(f"{name}: expected {what} of real numbers, got {v!r:.60}") from None
+    if shape and shape[0] is None and array.shape == (0,):
+        array = array.reshape((0, *shape[1:]))  # an empty sequence: no rows
     if shape and (array.ndim != len(shape) or array.shape[1:] != shape[1:]
                   or shape[0] not in (None, array.shape[0])):
         raise error(f"{name}: expected {what}, got shape {array.shape}")

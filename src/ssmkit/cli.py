@@ -15,7 +15,9 @@ target is unreachable.
 
 numpy and the modules built on it are imported inside the subcommands
 that use them, so `workspace A B` and `--help` run without numpy; nor do
-they load `dataclasses`, since `ProjectConfig` is a named tuple. Each
+they load `dataclasses`, since `ProjectConfig` is a named tuple. `fk`
+and `ik` run without numpy too: they print from the FK/IK row cores, and
+a project's drives are read by the numpy-free `transmission` module. Each
 call goes through its module (`dynamics.read_trace_csv(...)`), so a
 module attribute replaced at run time is the one called.
 """
@@ -60,7 +62,7 @@ def load_project_config(path) -> ProjectConfig:
     (paths to configs, validated by parsing them now), output_dir, and
     precision. Relative paths are taken from the project file's directory.
     """
-    from . import dynamics, kinematics
+    from . import kinematics, transmission
 
     joints = {f"joint{jid}": jid for jid in (1, 2, 3, 4)}
     kv = read_config(path, "project",
@@ -75,7 +77,7 @@ def load_project_config(path) -> ProjectConfig:
         return loader(file)
 
     geometry = load("mechanism", kinematics.load_mechanism_config) if "mechanism" in kv else None
-    drives = {jid: load(key, dynamics.load_transmission_config)
+    drives = {jid: load(key, transmission.load_transmission_config)
               for key, jid in joints.items() if key in kv}
     output_dir = base / kv["output_dir"] if "output_dir" in kv else None
     precision = (parse_precision(kv["precision"], "precision") if "precision" in kv
@@ -104,10 +106,10 @@ def _geometry_for(args, project):
 
 
 def _drive_for(args, project):
-    from . import dynamics
+    from . import transmission
 
     if args.transmission:
-        return dynamics.load_transmission_config(args.transmission)
+        return transmission.load_transmission_config(args.transmission)
     if args.joint in project.drives:
         return project.drives[args.joint]
     raise DomainError(
@@ -145,23 +147,14 @@ def cmd_workspace(args, project) -> int:
     return 0
 
 
-def _parse_theta(raw):
-    from . import kinematics
-
-    vals = parse_floats(raw, "--theta", 4)
-    return kinematics.JointState(
-        math.radians(vals[0]), math.radians(vals[1]), math.radians(vals[2]), vals[3]
-    )
-
-
 def _parse_pose(raw):
-    import numpy as np
-
+    """`--pose` as (rotation, three rows taken through `ensure_rotation`'s
+    row core, position), in floats."""
     from . import screws
 
     vals = parse_floats(raw, "--pose", 12)
-    rot = screws.ensure_rotation(np.array(vals[:9]).reshape(3, 3))
-    return screws.Pose(rot, np.array(vals[9:]))
+    rot = screws._ensure_rotation_rows(vals[:9])
+    return (rot[0:3], rot[3:6], rot[6:9]), vals[9:]
 
 
 def _norm3(x: float, y: float, z: float) -> float:
@@ -182,9 +175,10 @@ def cmd_fk(args, project) -> int:
 
     ff = lambda x: format_float(x, args.precision)
     geom = _geometry_for(args, project)
-    pose = kinematics.forward_kinematics(geom, _parse_theta(args.theta))
-    position = pose.position.tolist()
-    print("rotation =", " ".join(ff(v) for v in pose.rotation.ravel()))
+    t1, t2, t3, t4 = parse_floats(args.theta, "--theta", 4)
+    rotation, position = kinematics._forward_rows(
+        geom, math.radians(t1), math.radians(t2), math.radians(t3), t4)
+    print("rotation =", " ".join(ff(v) for v in rotation))
     print("position_m =", " ".join(ff(v) for v in position))
     print(f"position_norm_m = {ff(_norm3(*position))}")
     return 0
@@ -195,7 +189,7 @@ def cmd_ik(args, project) -> int:
 
     ff = lambda x: format_float(x, args.precision)
     geom = _geometry_for(args, project)
-    result = kinematics.inverse_kinematics(geom, _parse_pose(args.pose))
+    result = kinematics._inverse_rows(geom, *_parse_pose(args.pose))
     print(f"singular = {'yes' if result.singular else 'no'}")
     print(f"branches = {len(result.branches)}")
     print("branch theta1_deg theta2_deg theta3_deg theta4_m pos_err_m rot_err")

@@ -30,6 +30,10 @@ acceleration the output is the torque leaking through the transmission
 (zero for a self-locking drive), set to exactly zero whenever the bearing
 Coulomb level b_c can hold it; with commanded acceleration the output is
 the breakaway torque for the impending direction.
+
+The drive records (`TransmissionSpec`, `FrictionParams`) and their config
+file live in the numpy-free `transmission` module; this module re-exports
+them.
 """
 
 from __future__ import annotations
@@ -48,6 +52,13 @@ from .errors import (
     MisalignedTracesError,
     TrajectoryOverflowError,
 )
+from .transmission import (  # noqa: F401 (re-exported)
+    FrictionParams,
+    TransmissionKind,
+    TransmissionSpec,
+    load_transmission_config,
+    save_transmission_config,
+)
 
 # Karnopp zero-velocity band at the motor shaft, rad/s.
 STATIC_VELOCITY_BAND = 1e-6
@@ -56,49 +67,9 @@ _ACCEL_EPS = 1e-12
 _TIME_TOL = 1e-8
 
 
-class TransmissionKind(Enum):
-    WORM_GEAR = "wormgear"
-    LEAD_SCREW = "leadscrew"
-
-
 class Direction(Enum):
     DRIVING = "driving"
     OVERHAULING = "overhauling"
-
-
-@dataclass(frozen=True)
-class FrictionParams:
-    """Per-joint friction set: transmission mu_s/mu_c, bearing b_c/b_v."""
-
-    mu_s: float  # static transmission friction, dimensionless
-    mu_c: float  # Coulomb transmission friction, dimensionless
-    b_c: float   # bearing Coulomb torque, N*m
-    b_v: float   # bearing viscous coefficient, N*m*s/rad
-
-    def __post_init__(self):
-        for name in ("mu_s", "mu_c", "b_c", "b_v"):
-            if not real(name, getattr(self, name)) >= 0.0:
-                raise DomainError(f"{name} must be nonnegative")
-        if self.mu_s < self.mu_c:
-            raise DomainError("mu_s must be >= mu_c (breakaway >= sliding)")
-
-
-@dataclass(frozen=True)
-class TransmissionSpec:
-    """Self-locking drive geometry as seen from the motor shaft."""
-
-    kind: TransmissionKind
-    ratio: float              # rad motor per rad/m joint
-    lead_angle: float         # radians
-    reflected_inertia: float  # kg*m^2 at the motor shaft
-
-    def __post_init__(self):
-        if not real("ratio", self.ratio) > 0.0:
-            raise DomainError("ratio must be positive")
-        if not 0.0 < real("lead_angle", self.lead_angle) < math.pi / 2.0:
-            raise DomainError("lead_angle must lie in (0, pi/2)")
-        if not real("reflected_inertia", self.reflected_inertia) >= 0.0:
-            raise DomainError("reflected_inertia must be nonnegative")
 
 
 def is_self_locking(spec: TransmissionSpec, params: FrictionParams) -> bool:
@@ -304,38 +275,3 @@ def read_trajectory_csv(path) -> JointTrajectory:
     """Read a velocity trace CSV as a joint trajectory."""
     t, v = read_trace_csv(path)
     return JointTrajectory(t, v)
-
-
-_KIND_NAMES = {k.value: k for k in TransmissionKind}
-# Keys of a transmission config, in the order they are written; the last
-# four are the FrictionParams fields.
-_TRANSMISSION_KEYS = ("kind", "ratio", "lead_angle_deg", "reflected_inertia",
-                      "mu_s", "mu_c", "b_c", "b_v")
-
-
-def load_transmission_config(path):
-    """
-    Read a transmission/friction config with keys kind, ratio,
-    lead_angle_deg, reflected_inertia, mu_s, mu_c, b_c, b_v. Returns
-    (TransmissionSpec, FrictionParams). Unknown keys are rejected.
-    """
-    kv = configfile.read_config(path, "transmission config", _TRANSMISSION_KEYS)
-    num = lambda key: configfile.parse_float(kv[key], key)
-    kind = kv["kind"].lower()
-    if kind not in _KIND_NAMES:
-        raise DomainError(f"transmission config {path}: kind must be one of "
-                          f"{sorted(_KIND_NAMES)}, got {kind!r}")
-    spec = TransmissionSpec(_KIND_NAMES[kind], num("ratio"),
-                            math.radians(num("lead_angle_deg")), num("reflected_inertia"))
-    return spec, FrictionParams(*(num(key) for key in _TRANSMISSION_KEYS[4:]))
-
-
-def save_transmission_config(path, spec: TransmissionSpec, params: FrictionParams,
-                             comments=(),
-                             precision: int = configfile.DEFAULT_PRECISION) -> None:
-    """Write a config that load_transmission_config reads back unchanged."""
-    ff = lambda x: configfile.format_float(x, precision)
-    values = [spec.kind.value, ff(spec.ratio), ff(math.degrees(spec.lead_angle)),
-              ff(spec.reflected_inertia)]
-    values += [ff(getattr(params, key)) for key in _TRANSMISSION_KEYS[4:]]
-    configfile.write_kv(path, zip(_TRANSMISSION_KEYS, values), comments)

@@ -169,7 +169,8 @@ def _resolve_joint(log: TelemetryLog, joint_id):
         if len(ids) != 1:
             raise DomainError(f"log holds joints {ids}; pass joint_id explicitly")
         return ids[0]
-    return joint_id
+    joint_id = real("joint_id", joint_id)
+    return int(joint_id) if joint_id.is_integer() else joint_id
 
 
 def _segment_indices(v: np.ndarray, tol: float):
@@ -291,6 +292,10 @@ def extract_breakaway_samples(log: TelemetryLog, velocity_tolerance: float,
     of the plateau level. A rest gives at most one sample, to the first
     plateau after it. Returns a list of (direction, torque) pairs.
     """
+    velocity_tolerance = real("velocity_tolerance", velocity_tolerance)
+    min_duration_s = real("min_duration_s", min_duration_s)
+    rest_fraction = real("rest_fraction", rest_fraction)
+    min_rest_s = real("min_rest_s", min_rest_s)
     jid = _resolve_joint(log, joint_id)
     t, v, tau, runs = _joint_runs(log, jid, velocity_tolerance)
     times = t.tolist()
@@ -389,12 +394,13 @@ def fit_friction(tv_map: TorqueVelocityMap, spec: TransmissionSpec,
     """
     Fit (mu_c, b_c, b_v) to a torque-velocity map recorded under a
     constant joint-side `test_load`, plus mu_s from optional breakaway
-    samples [(direction, motor torque), ...]. Every present direction
+    samples [(direction, motor torque), ...], a list or an (n, 2) array
+    (empty or None: none). Every present direction
     needs at least 3 distinct velocities. A clamped or defaulted estimate
     is reported in the report's flags, never as a Python warning.
     """
     test_load = real("test_load", test_load)
-    breakaway = floats("breakaway", breakaway, (None, 2)).tolist() if breakaway else breakaway
+    breakaway = [] if breakaway is None else floats("breakaway", breakaway, (None, 2)).tolist()
     pos = tv_map.direction(+1)
     neg = tv_map.direction(-1)
     if not pos and not neg:

@@ -11,14 +11,18 @@ physical; the fixed frame makes configs portable and tests deterministic.
 
 Inverse kinematics reads what depends only on the geometry from the
 constants (`_IkConstants`) each `MechanismGeometry` computes once.
+
+FK and IK are row cores in Python floats (`_forward_rows`,
+`_inverse_rows`) under thin array wrappers. numpy is imported only where
+an array is built or read, so `ssmkit fk` and `ssmkit ik` run without it
+on a build whose config has no `r0`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import configfile
 from ._inputs import floats, real
@@ -26,10 +30,11 @@ from .band import check_axis_angles
 from .errors import (
     DegenerateGeometryError,
     DegenerateInputError,
+    DomainError,
     NoSolutionError,
     UnreachableError,
 )
-from .screws import Pose, _rotation_rows, ensure_rotation
+from .screws import Pose, _ensure_rotation_rows, _rotation_rows
 from .subproblems import (
     _rotation_angle_to,
     _rotation_axis_terms,
@@ -44,6 +49,11 @@ SINGULARITY_TOL = 1e-8
 
 _FIT_TOL = 1e-9
 
+_IDENTITY = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
+
+if TYPE_CHECKING:
+    import numpy as np
+
 
 @dataclass(frozen=True, eq=False)
 class MechanismGeometry:
@@ -51,27 +61,42 @@ class MechanismGeometry:
     (0, pi), and reference tool orientation r0 (None: the exact identity).
 
     Construction, `dataclasses.replace` included, raises DomainError on
-    other inputs, takes r0 through `ensure_rotation` (which may move a
-    non-identity r0 by an ulp), derives the read-only float arrays omega1,
-    omega2, omega3, v4 = omega3 and r0, and the constants IK needs, once.
+    other inputs, takes r0 through `ensure_rotation`'s row core (which may
+    move a non-identity r0 by an ulp) and computes the constants IK needs,
+    once, in Python floats. The read-only float arrays omega1, omega2,
+    omega3, v4 = omega3 and r0 are built from those floats on first read,
+    so a build without r0 needs no numpy.
     """
 
     alpha: float
     beta: float
-    r0: np.ndarray | None = None
+    r0: np.ndarray | None
 
-    def __post_init__(self):
-        alpha, beta = self.alpha, self.beta
+    def __init__(self, alpha: float, beta: float, r0=None):
+        # The r0 field is read through __getattr__, as an array.
         check_axis_angles(alpha, beta)
-        omega3 = np.array([math.sin(alpha + beta), 0.0, math.cos(alpha + beta)])
-        arrays = {"r0": np.eye(3) if self.r0 is None else ensure_rotation(self.r0),
-                  "omega1": np.array([0.0, 0.0, 1.0]),
-                  "omega2": np.array([math.sin(alpha), 0.0, math.cos(alpha)]),
-                  "omega3": omega3, "v4": omega3}
-        for name, array in arrays.items():
+        if r0 is not None:
+            r0 = _ensure_rotation_rows(floats("rotation", r0, (3, 3)).ravel().tolist())
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "_ik", _IkConstants(alpha, beta, r0))
+
+    def __getattr__(self, name):
+        """omega1, omega2, omega3, v4 (= omega3) and r0 as read-only float
+        arrays, all built from the constants' tuples on the first read of
+        one, and kept."""
+        if name not in ("omega1", "omega2", "omega3", "v4", "r0"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        import numpy as np
+
+        k = self._ik
+        omega3 = np.array(k.w3)
+        arrays = {"r0": np.array(k.r0 or _IDENTITY).reshape(3, 3), "omega1": np.array(k.w1),
+                  "omega2": np.array(k.w2), "omega3": omega3, "v4": omega3}
+        for key, array in arrays.items():
             array.flags.writeable = False
-            object.__setattr__(self, name, array)
-        object.__setattr__(self, "_ik", _IkConstants(self))
+            object.__setattr__(self, key, array)
+        return arrays[name]
 
 
 class _IkConstants:
@@ -88,13 +113,13 @@ class _IkConstants:
     __slots__ = ("w1", "w2", "w3", "v4", "r0", "r0v4", "r0ey",
                  "two_axis", "theta2", "theta3", "degenerate")
 
-    def __init__(self, geom: MechanismGeometry):
-        self.w1 = w1 = tuple(geom.omega1.tolist())
-        self.w2 = w2 = tuple(geom.omega2.tolist())
-        self.w3 = w3 = tuple(geom.omega3.tolist())
-        self.v4 = v4 = tuple(geom.v4.tolist())
-        r0 = tuple(geom.r0.ravel().tolist())
-        a0, a1, a2, b0, b1, b2, c0, c1, c2 = r0
+    def __init__(self, alpha: float, beta: float, r0):
+        """Constants of the build (alpha, beta, r0), r0 a checked flat
+        row-major 9-tuple or None for the identity."""
+        self.w1 = w1 = (0.0, 0.0, 1.0)
+        self.w2 = w2 = (math.sin(alpha), 0.0, math.cos(alpha))
+        self.w3 = w3 = self.v4 = v4 = (math.sin(alpha + beta), 0.0, math.cos(alpha + beta))
+        a0, a1, a2, b0, b1, b2, c0, c1, c2 = r0 = r0 or _IDENTITY
         vx, vy, vz = v4
         self.r0v4 = (a0 * vx + b0 * vy + c0 * vz,
                      a1 * vx + b1 * vy + c1 * vz,
@@ -102,11 +127,11 @@ class _IkConstants:
         self.r0ey = (b0, b1, b2)
         # A product by the identity changes at most the sign of an exact
         # zero, which IK's squared residuals do not see; FK skips it too.
-        self.r0 = None if r0 == (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0) else r0
+        self.r0 = None if r0 == _IDENTITY else r0
         self.two_axis = _two_axis_terms(w1, w2, v4)
         self.theta2 = _rotation_axis_terms(w2, v4)
         self.theta3 = _rotation_axis_terms(w3, (0.0, 1.0, 0.0))
-        if abs(math.sin(geom.beta)) < 1e-9:
+        if abs(math.sin(beta)) < 1e-9:
             self.degenerate = "beta ~ 0 or pi puts the tool axis on the second joint axis"
         elif _two_axis_parallel(self.two_axis):
             self.degenerate = "alpha ~ 0 or pi puts the second joint axis on the first"
@@ -163,12 +188,6 @@ _set_branches, _set_residuals, _set_singular = (
 build_geometry = MechanismGeometry
 
 
-def _read_target(target: Pose):
-    """An IK target's rotation and position, read by the input rule."""
-    return (floats("target rotation", target.rotation, (3, 3)),
-            floats("target position", target.position, (3,)))
-
-
 def probe_point_defaults(geom: MechanismGeometry):
     """
     Probe points of the probe-point IK reduction, which `inverse_kinematics`
@@ -176,6 +195,8 @@ def probe_point_defaults(geom: MechanismGeometry):
     do. p1 on the tool axis, p2 on the third joint axis, p3 = +y off it,
     exactly perpendicular to omega3, which lies in the xz-plane.
     """
+    import numpy as np
+
     if geom._ik.degenerate is not None:
         raise DegenerateGeometryError(geom._ik.degenerate)
     return geom.v4.copy(), geom.v4.copy(), np.array([0.0, 1.0, 0.0])
@@ -217,25 +238,127 @@ def _tool_pose_rows(k: _IkConstants, r12, theta3: float, theta4: float):
                  o0 * tx + o1 * ty + o2 * tz)
 
 
+def _forward_rows(geom: MechanismGeometry, t1, t2, t3, t4):
+    """The FK row core: the tool pose of joint values t1..t4 as (rotation,
+    a flat row-major 9-tuple, tip, a 3-tuple). R1 R2 by `_matmul_rows`,
+    then `_tool_pose_rows`, the kernel IK checks its branches with. A joint
+    value that is not a finite real number raises DomainError."""
+    k = geom._ik
+    # Anything but four finite floats is read by the input rule: `isfinite`
+    # alone would pass a numpy complex scalar with a warning.
+    if not (type(t1) is float and type(t2) is float and type(t3) is float
+            and type(t4) is float and math.isfinite(t1) and math.isfinite(t2)
+            and math.isfinite(t3) and math.isfinite(t4)):
+        t1, t2, t3, t4 = (real(f"theta{i}", t) for i, t in enumerate((t1, t2, t3, t4), 1))
+    r12 = _matmul_rows(_rotation_rows(k.w1, t1), _rotation_rows(k.w2, t2))
+    return _tool_pose_rows(k, r12, t3, t4)
+
+
 def forward_kinematics(geom: MechanismGeometry, theta: JointState) -> Pose:
     """Tool pose for a joint state: R1 R2 R3 r0, and the tip R1 R2 (v4
     theta4), obtained by rotating the tool-axis translation with the first
-    two joints only (spin about the tool axis does not move the tip).
-    R1 R2 by `_matmul_rows`, then `_tool_pose_rows`, the kernel IK checks
-    its branches with; the two arrays are built at the end. A joint value
-    that is not a finite real number raises DomainError."""
-    k = geom._ik
-    t1, t2, t3, t4 = theta.theta1, theta.theta2, theta.theta3, theta.theta4
-    try:
-        finite = (math.isfinite(t1) and math.isfinite(t2)
-                  and math.isfinite(t3) and math.isfinite(t4))
-    except (TypeError, OverflowError):
-        finite = False
-    if not finite:
-        t1, t2, t3, t4 = (real(f"theta{i}", t) for i, t in enumerate((t1, t2, t3, t4), 1))
-    r12 = _matmul_rows(_rotation_rows(k.w1, t1), _rotation_rows(k.w2, t2))
-    rot, tip = _tool_pose_rows(k, r12, t3, t4)
+    two joints only (spin about the tool axis does not move the tip). The
+    row core `_forward_rows` computes it; the two arrays are built here."""
+    import numpy as np
+
+    rot, tip = _forward_rows(geom, theta.theta1, theta.theta2, theta.theta3, theta.theta4)
     return Pose(np.array(rot).reshape(3, 3), np.array(tip))
+
+
+def _inverse_rows(geom: MechanismGeometry, rotation, position) -> IkSolutionSet:
+    """The IK row core, for a target rotation given as three rows of three
+    floats and a position of three (see `inverse_kinematics`). A NaN or inf
+    among the 12 floats raises DomainError."""
+    k = geom._ik
+    if k.degenerate is not None:
+        raise DegenerateGeometryError(k.degenerate)
+    (g00, g01, g02), (g10, g11, g12), (g20, g21, g22) = rotation
+    px, py, pz = position
+
+    # The target's tool axis u = R (r0^T v4) and its +y column yt = R (r0^T e_y),
+    # which is R's own +y column when r0 is the identity.
+    bx, by, bz = k.r0v4
+    ux = g00 * bx + g01 * by + g02 * bz
+    uy = g10 * bx + g11 * by + g12 * bz
+    uz = g20 * bx + g21 * by + g22 * bz
+    u = (ux, uy, uz)
+    if k.r0 is None:
+        yx, yy, yz = g01, g11, g21
+    else:
+        b0, b1, b2 = k.r0ey
+        yx = g00 * b0 + g01 * b1 + g02 * b2
+        yy = g10 * b0 + g11 * b1 + g12 * b2
+        yz = g20 * b0 + g21 * b1 + g22 * b2
+    theta4 = px * ux + py * uy + pz * uz
+
+    w1, w2 = k.w1, k.w2
+    w1x, w1y, w1z = w1
+    cx = uy * w1z - uz * w1y
+    cy = uz * w1x - ux * w1z
+    cz = ux * w1y - uy * w1x
+    singular = math.sqrt(cx * cx + cy * cy + cz * cz) <= SINGULARITY_TOL
+
+    pairs = []
+    if singular:
+        try:
+            pairs.append((0.0, _rotation_angle_to(k.theta2, u, _FIT_TOL)))
+        except (NoSolutionError, DegenerateInputError):
+            pass
+    else:
+        for c in _two_axis_points_to(k.two_axis, u, _FIT_TOL):
+            try:
+                pairs.append((_rotation_angle_to(_rotation_axis_terms(w1, c), u, _FIT_TOL),
+                              _rotation_angle_to(k.theta2, c, _FIT_TOL)))
+            except (NoSolutionError, DegenerateInputError):
+                continue
+
+    branches: list[JointState] = []
+    residuals: list[tuple[float, float]] = []
+    for theta1, theta2 in pairs:
+        r12 = _matmul_rows(_rotation_rows(w1, theta1), _rotation_rows(w2, theta2))
+        m0, m1, m2, n0, n1, n2, o0, o1, o2 = r12
+        # +y column of (R1 R2)^T R r0^T, which is R3 e_y for the true theta3.
+        q3 = (m0 * yx + n0 * yy + o0 * yz,
+              m1 * yx + n1 * yy + o1 * yz,
+              m2 * yx + n2 * yy + o2 * yz)
+        try:
+            theta3 = _rotation_angle_to(k.theta3, q3, _FIT_TOL)
+        except (NoSolutionError, DegenerateInputError):
+            continue
+
+        # Pose minus target; the squared rotation row norms add up in row order.
+        (f00, f01, f02, f10, f11, f12, f20, f21, f22), (x, y, z) = \
+            _tool_pose_rows(k, r12, theta3, theta4)
+        dx, dy, dz = x - px, y - py, z - pz
+        pos_err = math.sqrt(dx * dx + dy * dy + dz * dz)
+        d0, d1, d2 = f00 - g00, f01 - g01, f02 - g02
+        e0, e1, e2 = f10 - g10, f11 - g11, f12 - g12
+        h0, h1, h2 = f20 - g20, f21 - g21, f22 - g22
+        rot_err = math.sqrt((d0 * d0 + d1 * d1 + d2 * d2)
+                            + (e0 * e0 + e1 * e1 + e2 * e2)
+                            + (h0 * h0 + h1 * h1 + h2 * h2))
+        if pos_err < _FIT_TOL and rot_err < _FIT_TOL:
+            # theta1..theta3 are normalized already: `_rotation_angle_to`
+            # returns them so, and the singular path's theta1 is 0.0.
+            branches.append(JointState(theta1, theta2, theta3, theta4))
+            residuals.append((pos_err, rot_err))
+
+    if not branches:
+        # A NaN or inf among the 12 target floats makes theta4 = p . u NaN
+        # or inf, so a finite theta4 clears the target without the check.
+        if not (math.isfinite(theta4) or all(map(math.isfinite, (
+                g00, g01, g02, g10, g11, g12, g20, g21, g22, px, py, pz)))):
+            raise DomainError("target: expected finite entries")
+        raise UnreachableError("no joint-space branch reproduces the target pose")
+
+    # At most two branches: put them in (theta1, theta2, theta3) order, a
+    # tie keeping the order found, and their residuals with them.
+    if len(branches) == 2:
+        a, b = branches
+        if (b.theta1, b.theta2, b.theta3) < (a.theta1, a.theta2, a.theta3):
+            branches.reverse()
+            residuals.reverse()
+    return IkSolutionSet(tuple(branches), tuple(residuals), singular)
 
 
 def inverse_kinematics(geom: MechanismGeometry, target: Pose) -> IkSolutionSet:
@@ -247,110 +370,23 @@ def inverse_kinematics(geom: MechanismGeometry, target: Pose) -> IkSolutionSet:
     the angle of (R1 R2)^T R r0^T about omega3. A candidate branch is kept
     only when its pose from FK's kernel, `_tool_pose_rows`, is within
     `_FIT_TOL` of the target in both position and rotation.
-    Scalar arithmetic throughout: the target is read into floats once, and
-    the geometry-only terms (r0^T v4, r0^T e_y, the axis terms of the
-    two-axis solve and of the theta2 and theta3 solves) come from the
-    constants the read-only geometry computed at construction. A build
-    whose first two axes or whose tool axis and second axis coincide raises
-    DegenerateGeometryError; a target that is not a finite 3x3 and 3-vector
-    raises DomainError, checked only once the scalar solve fails.
+    Scalar arithmetic throughout, in the row core `_inverse_rows`: the
+    target is read into floats once, and the geometry-only terms (r0^T v4,
+    r0^T e_y, the axis terms of the two-axis solve and of the theta2 and
+    theta3 solves) come from the constants the read-only geometry computed
+    at construction. A build whose first two axes or whose tool axis and
+    second axis coincide raises DegenerateGeometryError; a target that is
+    not a finite 3x3 and 3-vector raises DomainError, checked only once the
+    scalar solve fails.
     """
-    k = geom._ik
-    if k.degenerate is not None:
-        raise DegenerateGeometryError(k.degenerate)
     try:  # A text, None or complex entry fails in the arithmetic, not in the read.
-        rot = target.rotation.tolist()
-        px, py, pz = target.position.tolist()
-        (g00, g01, g02), (g10, g11, g12), (g20, g21, g22) = rot
-
-        # The target's tool axis u = R (r0^T v4) and its +y column yt = R (r0^T e_y),
-        # which is R's own +y column when r0 is the identity.
-        bx, by, bz = k.r0v4
-        ux = g00 * bx + g01 * by + g02 * bz
-        uy = g10 * bx + g11 * by + g12 * bz
-        uz = g20 * bx + g21 * by + g22 * bz
-        u = (ux, uy, uz)
-        if k.r0 is None:
-            yx, yy, yz = g01, g11, g21
-        else:
-            b0, b1, b2 = k.r0ey
-            yx = g00 * b0 + g01 * b1 + g02 * b2
-            yy = g10 * b0 + g11 * b1 + g12 * b2
-            yz = g20 * b0 + g21 * b1 + g22 * b2
-        theta4 = px * ux + py * uy + pz * uz
-
-        w1, w2 = k.w1, k.w2
-        w1x, w1y, w1z = w1
-        cx = uy * w1z - uz * w1y
-        cy = uz * w1x - ux * w1z
-        cz = ux * w1y - uy * w1x
-        singular = math.sqrt(cx * cx + cy * cy + cz * cz) <= SINGULARITY_TOL
-
-        pairs = []
-        if singular:
-            try:
-                pairs.append((0.0, _rotation_angle_to(k.theta2, u, _FIT_TOL)))
-            except (NoSolutionError, DegenerateInputError):
-                pass
-        else:
-            for c in _two_axis_points_to(k.two_axis, u, _FIT_TOL):
-                try:
-                    pairs.append((_rotation_angle_to(_rotation_axis_terms(w1, c), u, _FIT_TOL),
-                                  _rotation_angle_to(k.theta2, c, _FIT_TOL)))
-                except (NoSolutionError, DegenerateInputError):
-                    continue
-
-        branches: list[JointState] = []
-        residuals: list[tuple[float, float]] = []
-        for theta1, theta2 in pairs:
-            r12 = _matmul_rows(_rotation_rows(w1, theta1), _rotation_rows(w2, theta2))
-            m0, m1, m2, n0, n1, n2, o0, o1, o2 = r12
-            # +y column of (R1 R2)^T R r0^T, which is R3 e_y for the true theta3.
-            q3 = (m0 * yx + n0 * yy + o0 * yz,
-                  m1 * yx + n1 * yy + o1 * yz,
-                  m2 * yx + n2 * yy + o2 * yz)
-            try:
-                theta3 = _rotation_angle_to(k.theta3, q3, _FIT_TOL)
-            except (NoSolutionError, DegenerateInputError):
-                continue
-
-            # Pose minus target; the squared rotation row norms add up in row order.
-            (f00, f01, f02, f10, f11, f12, f20, f21, f22), (x, y, z) = \
-                _tool_pose_rows(k, r12, theta3, theta4)
-            dx, dy, dz = x - px, y - py, z - pz
-            pos_err = math.sqrt(dx * dx + dy * dy + dz * dz)
-            d0, d1, d2 = f00 - g00, f01 - g01, f02 - g02
-            e0, e1, e2 = f10 - g10, f11 - g11, f12 - g12
-            h0, h1, h2 = f20 - g20, f21 - g21, f22 - g22
-            rot_err = math.sqrt((d0 * d0 + d1 * d1 + d2 * d2)
-                                + (e0 * e0 + e1 * e1 + e2 * e2)
-                                + (h0 * h0 + h1 * h1 + h2 * h2))
-            if pos_err < _FIT_TOL and rot_err < _FIT_TOL:
-                # theta1..theta3 are normalized already: `_rotation_angle_to`
-                # returns them so, and the singular path's theta1 is 0.0.
-                branches.append(JointState(theta1, theta2, theta3, theta4))
-                residuals.append((pos_err, rot_err))
-
-        if not branches:
-            # A NaN or inf among the 12 target floats makes theta4 = p . u NaN
-            # or inf, so a finite theta4 clears the target without the check.
-            if not math.isfinite(theta4):
-                _read_target(target)
-            raise UnreachableError("no joint-space branch reproduces the target pose")
-
-        # At most two branches: put them in (theta1, theta2, theta3) order, a
-        # tie keeping the order found, and their residuals with them.
-        if len(branches) == 2:
-            a, b = branches
-            if (b.theta1, b.theta2, b.theta3) < (a.theta1, a.theta2, a.theta3):
-                branches.reverse()
-                residuals.reverse()
-        return IkSolutionSet(tuple(branches), tuple(residuals), singular)
+        return _inverse_rows(geom, target.rotation.tolist(), target.position.tolist())
     except (AttributeError, TypeError, ValueError, OverflowError) as exc:
         fault = exc
     # Not two finite float arrays: the readers name the fault, or read the
     # target anew. If they return its own arrays, the fault lies elsewhere.
-    rotation, position = _read_target(target)
+    rotation = floats("target rotation", target.rotation, (3, 3))
+    position = floats("target position", target.position, (3,))
     if rotation is target.rotation and position is target.position:
         raise fault
     return inverse_kinematics(geom, Pose(rotation, position))
@@ -366,5 +402,6 @@ def load_mechanism_config(path) -> MechanismGeometry:
     beta = math.radians(configfile.parse_float(kv["beta_deg"], "beta_deg"))
     r0 = None
     if "r0" in kv:
-        r0 = np.array(configfile.parse_floats(kv["r0"], "r0", 9)).reshape(3, 3)
+        r0 = configfile.parse_floats(kv["r0"], "r0", 9)
+        r0 = [r0[0:3], r0[3:6], r0[6:9]]
     return build_geometry(alpha, beta, r0)

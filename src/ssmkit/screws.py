@@ -6,24 +6,30 @@ the pose record that forward and inverse kinematics exchange.
 Conventions used throughout the package:
 - rotations at the public API (`Pose`, `rodrigues`, `ensure_rotation`)
   are 3x3 numpy arrays; on the FK/IK path they are flat row-major
-  9-tuples of floats (`_rotation_rows`). Positions are numpy 3-vectors
-  (meters) at the API,
+  9-tuples of floats (`_rotation_rows`), except the IK target, which the
+  row core takes as the three rows `.tolist()` gives. Positions are numpy
+  3-vectors (meters) at the API,
 - every revolute axis passes through the origin (the remote center of
   motion), so revolute twists carry a zero linear part,
 - joint angles returned by any solver live in (-pi, pi],
 - unit-norm and orthonormality are accepted within 1e-9 on input and
   guaranteed within 1e-12 on constructor output.
+
+numpy is imported inside the functions that build arrays, so the FK/IK
+row cores and `ssmkit fk`/`ssmkit ik` run without it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from ._inputs import floats, real
 from .errors import DomainError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 UNIT_TOL = 1e-9
 
@@ -67,25 +73,56 @@ def _rotation_rows(axis, angle: float):
 def rodrigues(axis, angle: float) -> np.ndarray:
     """Rotation matrix for a rotation by a finite `angle` about a unit
     `axis`."""
+    import numpy as np
+
     return np.array(_rotation_rows(unit(axis).tolist(), real("angle", angle))).reshape(3, 3)
+
+
+def _ensure_rotation_rows(m):
+    """
+    The nearest rotation to a finite 3x3 matrix given as a flat row-major
+    sequence of nine floats, as a 9-tuple: DomainError unless the
+    orthonormality defect max|X^T X - I| is within UNIT_TOL, then two
+    Bjorck steps X <- X (3I - X^T X) / 2 (Bjorck & Bowie, SIAM J. Numer.
+    Anal. 8, 1971), then DomainError if the determinant is negative. Each
+    step squares the defect, so the output's is at rounding level; the
+    floats are summed in a fixed order, so the bits do not depend on the
+    host's LAPACK, and an exact identity comes back exact.
+    """
+    s00, s01, s02, s11, s12, s22 = _gram(m)
+    defect = max(abs(s00 - 1.0), abs(s11 - 1.0), abs(s22 - 1.0), abs(s01), abs(s02), abs(s12))
+    if not defect <= UNIT_TOL:
+        raise DomainError(f"matrix is not orthonormal (defect {defect:.3e})")
+    for _ in range(2):
+        # Row (x, y, z) of X times 3I - X^T X, each entry's diagonal term first.
+        s00, s01, s02, s11, s12, s22 = _gram(m)
+        m00, m11, m22 = 3.0 - s00, 3.0 - s11, 3.0 - s22
+        m = tuple(0.5 * v for x, y, z in (m[0:3], m[3:6], m[6:9])
+                  for v in (x * m00 - y * s01 - z * s02, y * m11 - x * s01 - z * s12,
+                            z * m22 - x * s02 - y * s12))
+    a, b, c, d, e, f, g, h, i = m
+    if a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) < 0.0:
+        raise DomainError("matrix is a reflection, not a rotation")
+    return m
+
+
+def _gram(m):
+    """The six distinct entries of X^T X for X given as a flat row-major
+    9-tuple: (00, 01, 02, 11, 12, 22), each summed over the rows in order."""
+    a, b, c, d, e, f, g, h, i = m
+    return (a * a + d * d + g * g, a * b + d * e + g * h, a * c + d * f + g * i,
+            b * b + e * e + h * h, b * c + e * f + h * i, c * c + f * f + i * i)
 
 
 def ensure_rotation(r) -> np.ndarray:
     """
     Validate a 3x3 rotation matrix and return its nearest orthonormal
-    representative (so downstream code sees orthonormality at 1e-12).
-    Non-finite entries are rejected before the SVD, which may not return
-    on an infinite one.
+    representative, by `_ensure_rotation_rows`, as a new array.
     """
-    r = floats("rotation", r, (3, 3))
-    defect = np.abs(r.T @ r - np.eye(3)).max()
-    if not defect <= UNIT_TOL:
-        raise DomainError(f"matrix is not orthonormal (defect {defect:.3e})")
-    u, _, vt = np.linalg.svd(r)
-    out = u @ vt
-    if np.linalg.det(out) < 0.0:
-        raise DomainError("matrix is a reflection, not a rotation")
-    return out
+    import numpy as np
+
+    rows = _ensure_rotation_rows(floats("rotation", r, (3, 3)).ravel().tolist())
+    return np.array(rows).reshape(3, 3)
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,7 +145,7 @@ class Twist:
 
 def revolute_twist(omega) -> Twist:
     """Twist of a revolute joint whose axis passes through the origin."""
-    return Twist(np.zeros(3), omega)
+    return Twist((0.0, 0.0, 0.0), omega)
 
 
 @dataclass(frozen=True, eq=False)

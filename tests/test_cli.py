@@ -1144,6 +1144,37 @@ class TestImports:
         assert "usage" in result.stdout
         assert result.stdout.splitlines()[-1] == "False"
 
+    _CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+    _GENERIC_POSE = ("--pose=0.25,-0.8660254037844386,0.4330127018922193,0.8660254037844386,"
+                     "0,-0.5,0.4330127018922193,0.5,0.75,0,0,0")
+
+    @pytest.mark.parametrize("argv, code, expect", [
+        (["fk", "--theta", "10,-35,120,0.07", "--project", "project.cfg"], 0,
+         "position_norm_m = 0.07"),
+        (["ik", _GENERIC_POSE, "--project", "project.cfg"], 0, "branches = 2"),
+        (["fk", "--theta", "10,-35,120,0.07", "--config", "mechanism.cfg"], 0,
+         "position_norm_m = 0.07"),
+        (["ik", _GENERIC_POSE, "--config", "mechanism.cfg"], 0, "branches = 2"),
+        (["ik", "--pose=1.1,0,0,0,1,0,0,0,1,0,0,0", "--config", "mechanism.cfg"], 2, ""),
+    ], ids=["fk-project", "ik-project", "fk-config", "ik-config", "ik-not-a-rotation"])
+    def test_kinematics_commands_load_no_numpy(self, argv, code, expect):
+        # The project also loads the joint drive files.
+        argv = [str(self._CONFIGS / a) if a.endswith(".cfg") else a for a in argv]
+        probe = (
+            "import runpy, sys\n"
+            f"sys.argv = ['ssmkit', *{argv!r}]\n"
+            "try:\n"
+            "    runpy.run_module('ssmkit', run_name='__main__', alter_sys=True)\n"
+            "finally:\n"
+            f"    {_NUMPY_LOADED}\n"
+        )
+        result = _fresh_python(probe)
+        assert result.returncode == code, result.stderr
+        assert expect in result.stdout
+        assert result.stdout.splitlines()[-1] == "False"
+        if code:
+            assert result.stderr.startswith("error: matrix is not orthonormal")
+
     def test_package_import_loads_no_numpy(self):
         result = _fresh_python(f"import sys, ssmkit; {_NUMPY_LOADED}")
         assert result.returncode == 0, result.stderr

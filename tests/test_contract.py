@@ -25,7 +25,7 @@ NAN, INF = math.nan, math.inf
 X, Y, Z = np.eye(3)
 
 # Scalar slots get each of these.
-SCALARS = ("a", 1 + 0j, None, [1.0], NAN, INF, -INF)
+SCALARS = ("a", 1 + 0j, np.complex64(1 + 2j), None, [1.0], NAN, INF, -INF)
 
 
 class Real:
@@ -40,11 +40,11 @@ class Real:
 
 class Array:
     """An array slot: ragged, text, complex and None-holding entries, NaN and
-    inf entries, text and complex numpy arrays (`numpy`), and `wrong`, an
+    inf entries, text and complex numpy arrays, and `wrong`, an
     array of the wrong shape or length (None where any shape is valid)."""
 
-    def __init__(self, name, good, wrong=None, numpy=True):
-        self.name, self.good, self.wrong, self.numpy = name, good, wrong, numpy
+    def __init__(self, name, good, wrong=None):
+        self.name, self.good, self.wrong = name, good, wrong
 
     def _first(self, value):
         """`good` as nested lists with its first entry replaced by `value`."""
@@ -59,8 +59,7 @@ class Array:
         first = np.asarray(self.good).flat[0]
         values = [self._first([first]), self._first("a"), self._first(1 + 0j),
                   self._first(None), self._first(NAN), self._first(INF), self._first(-INF)]
-        if self.numpy:
-            values += [np.asarray(self.good).astype(str), np.asarray(self.good, dtype=complex)]
+        values += [np.asarray(self.good).astype(str), np.asarray(self.good, dtype=complex)]
         if self.wrong is not None:
             values.append(self.wrong)
         return values
@@ -148,11 +147,11 @@ TABLE = {
     "extract_steady_segments": (lambda tol, duration, discard: ssmkit.extract_steady_segments(
         LOG, tol, duration, discard_s=discard),
         [Real("velocity_tolerance", 0.5), Real("min_duration_s", 0.5), Real("discard_s", 0.25)]),
-    # The breakaway samples are documented as a list of pairs.
+    # The breakaway samples: (direction, torque) pairs, here as an (n, 2) array.
     "fit_friction": (lambda load, breakaway: ssmkit.fit_friction(MAP, SPEC, load, breakaway),
                      [Real("test_load", 0.2),
-                      Array("breakaway", [[1.0, 0.05], [-1.0, -0.05]], [[1.0, 0.05, 0.0]],
-                            numpy=False)]),
+                      Array("breakaway", np.array([[1.0, 0.05], [-1.0, -0.05]]),
+                            [[1.0, 0.05, 0.0]])]),
     # Records are checked where they are read: a JointState by FK, a Pose by IK.
     "JointState": (_fk, _FK_SLOTS),
     "forward_kinematics": (_fk, _FK_SLOTS),

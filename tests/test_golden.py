@@ -19,9 +19,11 @@ locates the first line that differs.
 
 The table records the host it was made on: numpy's SIMD `sin`/`cos` can
 differ by an ulp between CPUs, which can flip a digit of the workspace
-file. `fk` no longer depends on the host's BLAS: `forward_kinematics` is
-scalar float arithmetic, and a test below pins it to the Rodrigues product
-written out here, bit for bit. A change that means to alter an output regenerates the table with
+file. `fk` and `ik` no longer depend on the host's BLAS or LAPACK: FK and
+IK are scalar float arithmetic, `ensure_rotation` (which every `ik` pose
+and every `r0` passes) is two Bjorck steps in a fixed order rather than an
+SVD, and a test below pins FK to the Rodrigues product written out here,
+bit for bit. A change that means to alter an output regenerates the table with
 `PYTHONPATH=src python tests/test_golden.py` and says why.
 """
 

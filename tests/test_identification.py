@@ -379,6 +379,19 @@ class TestFitFriction:
         assert abs(fitted.b_c - params.b_c) / params.b_c < 1e-9
         assert abs(fitted.b_v - params.b_v) / params.b_v < 1e-9
 
+    def test_breakaway_array_fits_as_the_equal_list(self):
+        spec, params = JOINT_SPECS[1], JOINT_PARAMS[1]
+        tv = make_map(spec, params, 1.0, BOTH_DIRECTIONS)
+        pairs = [(+1, breakaway_torque(spec, params, 1.0, +1.0)),
+                 (-1, breakaway_torque(spec, params, 1.0, -1.0))]
+        listed = fit_friction(tv, spec, test_load=1.0, breakaway=pairs)
+        assert fit_friction(tv, spec, test_load=1.0, breakaway=np.array(pairs)) == listed
+        assert "mu_s defaulted" not in " ".join(listed.flags)
+        # No pairs, in any form, is no breakaway samples.
+        none = fit_friction(tv, spec, test_load=1.0)
+        for empty in ([], (), np.empty((0, 2))):
+            assert fit_friction(tv, spec, test_load=1.0, breakaway=empty) == none
+
     def test_rank_deficient_two_velocities_one_direction(self):
         spec, params = JOINT_SPECS[1], JOINT_PARAMS[1]
         tv = make_map(spec, params, 0.0, MOTOR_SPEEDS[:2])
@@ -666,6 +679,31 @@ class TestBreakawayExtraction:
         fresh = TelemetryLog(t, np.ones(v.size, int), v, np.arange(v.size, dtype=float))
         assert extract_steady_segments(fresh, 0.05, 0.5) == steady
         assert calls == [0.05, 0.02, 0.05]
+
+    @pytest.mark.parametrize("slot", ["velocity_tolerance", "min_duration_s",
+                                      "rest_fraction", "min_rest_s"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, "a", [1.0]])
+    def test_scalars_are_read(self, slot, value):
+        v = np.array([0.0] * 100 + [1.0] * 200)
+        log = TelemetryLog(np.arange(v.size) / 200.0, np.ones(v.size, int), v, np.zeros(v.size))
+        args = {"velocity_tolerance": 0.05, "min_duration_s": 0.5}
+        if slot in args:
+            args[slot] = value
+            call = lambda: extract_breakaway_samples(log, **args)
+        else:
+            call = lambda: extract_breakaway_samples(log, 0.05, 0.5, **{slot: value})
+        with pytest.raises(DomainError, match=slot):
+            call()
+
+    @pytest.mark.parametrize("extract", [extract_breakaway_samples, extract_steady_segments])
+    def test_joint_id_is_read(self, extract):
+        v = np.array([0.0] * 100 + [1.0] * 200)
+        log = TelemetryLog(np.arange(v.size) / 200.0, np.ones(v.size, int), v, np.zeros(v.size))
+        for bad in ([1.0], math.nan, "1", 1 + 0j):
+            with pytest.raises(DomainError, match="joint_id"):
+                extract(log, 0.05, 0.5, joint_id=bad)
+        for same in (1.0, np.int64(1), True):
+            assert extract(log, 0.05, 0.5, joint_id=same) == extract(log, 0.05, 0.5)
 
     def test_no_rest_means_no_sample(self):
         rate = 200.0

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 
 from helpers import angles, expm_series, hat, random_rotation, unit_vectors
 from ssmkit.errors import DomainError
-from ssmkit.screws import ensure_rotation, normalize_angle, revolute_twist, rodrigues
+from ssmkit.screws import UNIT_TOL, ensure_rotation, normalize_angle, revolute_twist, rodrigues
 
 X = np.array([1.0, 0.0, 0.0])
 Y = np.array([0.0, 1.0, 0.0])
@@ -112,6 +112,47 @@ class TestValidation:
         noisy = r + rng.normal(scale=1e-10, size=(3, 3))
         fixed = ensure_rotation(noisy)
         assert np.abs(fixed.T @ fixed - np.eye(3)).max() < 1e-12
+
+    def test_ensure_rotation_reaches_rounding_level_inside_the_band(self):
+        rng = np.random.default_rng(20261020)
+        for _ in range(2000):
+            r = random_rotation(rng)
+            # Entries moved by at most 1.5e-10 keep the defect below 1e-9.
+            noise = rng.normal(size=(3, 3))
+            noisy = r + noise * (rng.uniform(0.0, 1.5e-10) / np.abs(noise).max())
+            assert np.abs(noisy.T @ noisy - np.eye(3)).max() <= UNIT_TOL
+            fixed = ensure_rotation(noisy)
+            assert np.abs(fixed.T @ fixed - np.eye(3)).max() <= 1e-15
+            assert np.abs(fixed - noisy).max() <= UNIT_TOL
+
+    def test_ensure_rotation_keeps_an_exact_identity(self):
+        assert ensure_rotation(np.eye(3)).tobytes() == np.eye(3).tobytes()
+
+    def test_ensure_rotation_rejects_reflections_and_defects_above_the_band(self):
+        r = random_rotation(np.random.default_rng(5))
+        # The last one's squares overflow: rejected without a numpy warning.
+        for bad in (-r, r * np.array([1.0, 1.0, -1.0]), r * (1.0 + 1e-9), r * 1e200):
+            with pytest.raises(DomainError):
+                ensure_rotation(bad)
+        with pytest.raises(DomainError, match="reflection"):
+            ensure_rotation(-np.eye(3))
+
+    def test_ensure_rotation_calls_no_linear_algebra_routine(self, monkeypatch):
+        """The result does not depend on the host's LAPACK: with every
+        numpy.linalg routine replaced by one that fails, it has the same bits."""
+        rng = np.random.default_rng(8)
+        noisy = random_rotation(rng) + rng.uniform(-1e-10, 1e-10, (3, 3))
+        want = ensure_rotation(noisy)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("numpy.linalg was called")
+
+        for name in np.linalg.__all__:
+            if not isinstance(getattr(np.linalg, name), type):
+                monkeypatch.setattr(np.linalg, name, fail)
+        with pytest.raises(AssertionError):
+            np.linalg.svd(noisy)
+        assert ensure_rotation(noisy).tobytes() == want.tobytes()
 
     def test_ensure_rotation_rejects_garbage(self):
         with pytest.raises(DomainError):
