@@ -92,7 +92,8 @@ class JointTrajectory:
         object.__setattr__(self, "velocity", v)
         if t.shape != v.shape or t.size < 2:
             raise DomainError("trajectory needs matching 1-d time/velocity arrays")
-        if np.any(np.diff(t) <= 0.0):
+        # Compared, not differenced: a span past the float range overflows.
+        if np.any(t[1:] <= t[:-1]):
             raise DomainError("trajectory time must be strictly increasing")
         if self.acceleration is not None:
             a = floats("trajectory acceleration", self.acceleration, (None,))
@@ -103,7 +104,10 @@ class JointTrajectory:
     def accelerations(self) -> np.ndarray:
         if self.acceleration is not None:
             return self.acceleration
-        return np.gradient(self.velocity, self.time)
+        # Without warnings: a time step past the float range is inf, which
+        # leaves a slope of 0, or NaN beside a finite step.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.gradient(self.velocity, self.time)
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,9 +228,11 @@ def payload_curve(spec: TransmissionSpec, params: FrictionParams,
 
 def nrmsd(simulated: TorqueTrace, measured: TorqueTrace) -> float:
     """Root-mean-square deviation normalized by the measured range."""
-    if simulated.time.shape != measured.time.shape or not np.allclose(
-        simulated.time, measured.time, rtol=_TIME_TOL, atol=_TIME_TOL
-    ):
+    # Times a span past the float range apart differ by inf: not close.
+    with np.errstate(over="ignore"):
+        aligned = simulated.time.shape == measured.time.shape and np.allclose(
+            simulated.time, measured.time, rtol=_TIME_TOL, atol=_TIME_TOL)
+    if not aligned:
         raise MisalignedTracesError("traces do not share a time grid")
     spread = float(measured.torque.max()) - float(measured.torque.min())
     if not math.isfinite(spread):

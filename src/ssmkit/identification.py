@@ -101,9 +101,12 @@ class TelemetryLog:
         index = {}
         for j in np.flatnonzero(np.bincount(jid)).tolist():
             index[j] = np.flatnonzero(jid == j)
-            dt = np.diff(t[index[j]])
-            if np.any(dt <= 0.0):
+            tj = t[index[j]]
+            if np.any(tj[1:] <= tj[:-1]):
                 raise InvalidLogError(f"joint {j}: timestamps not strictly increasing")
+            # A step past the float range is inf, so its rate is 0 Hz.
+            with np.errstate(over="ignore"):
+                dt = np.diff(tj)
             if dt.size:
                 rate = 1.0 / _median(dt)
                 if abs(rate - nominal) > 0.10 * nominal:
@@ -533,7 +536,8 @@ def _half_widths(xw, yw, coef, both, spec, test_load, flags):
     if both and test_load != 0.0:
         def transform(c):
             scratch: list[str] = []
-            mu = _solve_mu_c(c[0] + c[1], spec, test_load, scratch)
+            # A Python float: its division overflows to inf silently, numpy's warns.
+            mu = _solve_mu_c(float(c[0] + c[1]), spec, test_load, scratch)
             bc = c[0] - dynamics.reflect_load(spec, mu, test_load, +1.0)
             return np.array([mu, bc, c[2]])
 

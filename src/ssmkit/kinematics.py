@@ -227,7 +227,7 @@ def _tool_pose_rows(k: _IkConstants, r12, theta3: float, theta4: float):
     BLAS. An identity r0 (`k.r0` None) leaves R12 R3 as it is, where the
     product would change at most the sign of an exact zero. FK returns this
     pose; IK checks each candidate branch against it."""
-    rot = _matmul_rows(r12, _rotation_rows(k.w3, theta3))
+    rot = _matmul_rows(r12, _rotation_rows(k.w3, math.cos(theta3), math.sin(theta3)))
     if k.r0 is not None:
         rot = _matmul_rows(rot, k.r0)
     m0, m1, m2, n0, n1, n2, o0, o1, o2 = r12
@@ -250,7 +250,8 @@ def _forward_rows(geom: MechanismGeometry, t1, t2, t3, t4):
             and type(t4) is float and math.isfinite(t1) and math.isfinite(t2)
             and math.isfinite(t3) and math.isfinite(t4)):
         t1, t2, t3, t4 = (real(f"theta{i}", t) for i, t in enumerate((t1, t2, t3, t4), 1))
-    r12 = _matmul_rows(_rotation_rows(k.w1, t1), _rotation_rows(k.w2, t2))
+    r12 = _matmul_rows(_rotation_rows(k.w1, math.cos(t1), math.sin(t1)),
+                       _rotation_rows(k.w2, math.cos(t2), math.sin(t2)))
     return _tool_pose_rows(k, r12, t3, t4)
 
 
@@ -315,7 +316,8 @@ def _inverse_rows(geom: MechanismGeometry, rotation, position) -> IkSolutionSet:
     branches: list[JointState] = []
     residuals: list[tuple[float, float]] = []
     for theta1, theta2 in pairs:
-        r12 = _matmul_rows(_rotation_rows(w1, theta1), _rotation_rows(w2, theta2))
+        r12 = _matmul_rows(_rotation_rows(w1, math.cos(theta1), math.sin(theta1)),
+                           _rotation_rows(w2, math.cos(theta2), math.sin(theta2)))
         m0, m1, m2, n0, n1, n2, o0, o1, o2 = r12
         # +y column of (R1 R2)^T R r0^T, which is R3 e_y for the true theta3.
         q3 = (m0 * yx + n0 * yy + o0 * yz,

@@ -16,7 +16,10 @@ Conventions used throughout the package:
   guaranteed within 1e-12 on constructor output.
 
 numpy is imported inside the functions that build arrays, so the FK/IK
-row cores and `ssmkit fk`/`ssmkit ik` run without it.
+row cores and `ssmkit fk`/`ssmkit ik` run without it. `_rotation_rows`
+is the one Rodrigues formula: it takes the cosine and sine from its
+caller, floats from FK, IK and `rodrigues`, numpy arrays from the
+workspace sampler.
 """
 
 from __future__ import annotations
@@ -55,15 +58,15 @@ def unit(v) -> np.ndarray:
     return v / n
 
 
-def _rotation_rows(axis, angle: float):
+def _rotation_rows(axis, c, s):
     """
-    Rodrigues rotation by `angle` about an axis already known to be unit,
-    as one flat row-major 9-tuple of floats: the IK hot path does its 3x3
-    products on these without building arrays or row tuples.
+    Rodrigues rotation about an axis already known to be unit, by the angle
+    whose cosine and sine the caller passes as c and s, as one flat
+    row-major 9-tuple: of floats for float c and s, which the FK/IK hot
+    path multiplies without building arrays or row tuples, or of arrays for
+    numpy arrays of cosines and sines, entry by entry the same arithmetic.
     """
     x, y, z = axis
-    c = math.cos(angle)
-    s = math.sin(angle)
     k = 1.0 - c
     return (c + k * x * x, k * x * y - s * z, k * x * z + s * y,
             k * x * y + s * z, c + k * y * y, k * y * z - s * x,
@@ -75,7 +78,8 @@ def rodrigues(axis, angle: float) -> np.ndarray:
     `axis`."""
     import numpy as np
 
-    return np.array(_rotation_rows(unit(axis).tolist(), real("angle", angle))).reshape(3, 3)
+    a = real("angle", angle)
+    return np.array(_rotation_rows(unit(axis).tolist(), math.cos(a), math.sin(a))).reshape(3, 3)
 
 
 def _ensure_rotation_rows(m):

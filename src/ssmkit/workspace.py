@@ -5,8 +5,8 @@ With the tool extended one unit through the remote center, the reachable
 tip directions form a band on the unit sphere that is rotationally
 symmetric about the roll axis. The band edges follow in closed form from
 the axis angles (`band.tilt_extremes`, re-exported here). A dense
-sampling routine provides the brute-force counterpart used to
-cross-check the formulas.
+sampling routine on FK's own Rodrigues kernel provides the brute-force
+counterpart used to cross-check the formulas.
 """
 
 from __future__ import annotations
@@ -21,43 +21,30 @@ from .band import TiltExtremes, tilt_extremes  # noqa: F401 (re-exported)
 from .configfile import DEFAULT_PRECISION
 from .errors import DegenerateGeometryError, DomainError
 from .kinematics import MechanismGeometry
+from .screws import _rotation_rows
 
 
-def rotate_about(axis: np.ndarray, theta, vec: np.ndarray) -> np.ndarray:
-    """
-    e^(hat(axis) theta) vec for every angle and every vector (unit axis
-    assumed). theta is a scalar or an n-vector, vec a 3-vector or an
-    (m, 3) stack; the result has shape theta.shape + vec.shape, so
-    result[i, j] rotates vec[j] by theta[i].
-    """
-    theta = np.asarray(theta, dtype=float)
-    vec = np.asarray(vec, dtype=float)
-    lift = theta.shape + (1,) * vec.ndim
-    c = np.cos(theta).reshape(lift)
-    s = np.sin(theta).reshape(lift)
-    axv = np.cross(axis, vec)
-    axial = (vec @ axis)[..., None] * axis
-    # c * vec + s * axv + (1 - c) * axial, summed in place in that order:
-    # the same bits, with one full-size temporary fewer.
-    out = c * vec
-    out += s * axv
-    out += (1.0 - c) * axial
-    return out
+def _turn(axis, theta, v):
+    """e^(hat(axis) theta) v as three components, by FK's Rodrigues kernel
+    `_rotation_rows` on the cosines and sines of theta; axis is a unit
+    3-vector, and theta and v's components broadcast."""
+    m = _rotation_rows(axis, np.cos(theta), np.sin(theta))
+    x, y, z = v
+    return tuple(m[i] * x + m[i + 1] * y + m[i + 2] * z for i in (0, 3, 6))
 
 
 def dot_profile(geom: MechanismGeometry, theta2):
     """
-    cos(polar angle) of the tip direction as a function of theta2 alone;
-    rotation about omega1 cancels out of the inner product with omega1.
-    Accepts scalar or array theta2 of finite real numbers.
+    cos(polar angle) of the tip direction as a function of theta2 alone:
+    the z of v4 turned about omega2, as omega1 = +z. Accepts scalar or
+    array theta2 of finite real numbers.
     """
-    r = rotate_about(geom.omega2, floats("theta2", theta2), geom.v4)
-    return r @ geom.omega1
+    return _turn(geom.omega2, floats("theta2", theta2), geom.v4)[2]
 
 
 def dot_profile_derivatives(geom: MechanismGeometry, theta2):
     """Analytic first and second derivatives of dot_profile w.r.t. theta2."""
-    r = rotate_about(geom.omega2, floats("theta2", theta2), geom.v4)
+    r = np.stack(_turn(geom.omega2, floats("theta2", theta2), geom.v4), axis=-1)
     w2 = geom.omega2
     first = r @ np.cross(geom.omega1, w2)
     second = np.cross(w2, np.cross(w2, r)) @ geom.omega1
@@ -94,11 +81,15 @@ def sample_workspace_grid(geom: MechanismGeometry, n1: int, n2: int):
     check_grid_samples(n1, n2)
     theta1 = np.linspace(-math.pi, math.pi, n1, endpoint=False)
     theta2 = np.linspace(-math.pi, math.pi, n2, endpoint=False)
-    ring = rotate_about(geom.omega2, theta2, geom.v4)
-    points = rotate_about(geom.omega1, theta1, ring).reshape(-1, 3)
-    polar = points @ geom.omega1
+    # v4 about omega2 for each theta2, then that ring about omega1 for each theta1.
+    tips = _turn(geom.omega1, theta1[:, None], _turn(geom.omega2, theta2, geom.v4))
+    points = np.empty((n1, n2, 3))
+    for i, component in enumerate(tips):
+        points[:, :, i] = component
+    # omega1 is +z: the polar angle is that of the z component.
+    polar = tips[2].reshape(-1)
     np.arccos(np.clip(polar, -1.0, 1.0, out=polar), out=polar)
-    return theta1, theta2, points, polar
+    return theta1, theta2, points.reshape(-1, 3), polar
 
 
 def write_workspace_csv(path, geom: MechanismGeometry, n1: int, n2: int,

@@ -460,6 +460,17 @@ class TestSimulateCommand:
         assert code == 0
         assert capsys.readouterr().err == ""
 
+    def test_time_span_past_the_float_range_without_warnings(self, tmp_path, drive_cfg,
+                                                              capsys):
+        traj = tmp_path / "traj.csv"
+        write_trace_csv(traj, np.array([-1.7e308, 1.7e308]), np.array([0.0, 1.0]), precision=17)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["simulate", str(traj), "--transmission", str(drive_cfg),
+                             "--measured", str(traj), "--out", str(tmp_path / "torque.csv")])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+
     def test_measured_equal_gives_zero_nrmsd(self, tmp_path, drive_cfg, capsys):
         traj = tmp_path / "traj.csv"
         t = np.linspace(0.0, 1.0, 101)

@@ -370,6 +370,40 @@ class TestNrmsd:
             nrmsd(TorqueTrace(t, t), TorqueTrace(t[:5], t[:5]))
 
 
+class TestTimeSpanPastTheFloatRange:
+    """Times whose differences overflow are ordered by comparison and
+    differenced without numpy warnings; what they mean stays the same."""
+
+    WIDE = [-1.7e308, 1.7e308]
+
+    def test_trajectory_and_its_accelerations(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = JointTrajectory(self.WIDE, [0.0, 1.0])
+            assert traj.accelerations().tolist() == [0.0, 0.0]
+            assert inverse_dynamics(J1_SPEC, J1_PARAMS, None, traj).torque.shape == (2,)
+            with pytest.raises(DomainError, match="strictly increasing"):
+                JointTrajectory(self.WIDE[::-1], [0.0, 1.0])
+
+    def test_slope_beside_a_finite_step_overflows_the_trace(self):
+        traj = JointTrajectory(self.WIDE + [1.7000001e308], [0.0, 1.0, 3.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isnan(traj.accelerations()[1])
+            with pytest.raises(TrajectoryOverflowError):
+                inverse_dynamics(J1_SPEC, J1_PARAMS, None, traj)
+
+    def test_nrmsd_of_grids_an_overflow_apart(self):
+        simulated = TorqueTrace([-1.7e308, 0.0], [0.0, 1.0])
+        measured = TorqueTrace([1.7e308, 1.75e308], [0.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MisalignedTracesError):
+                nrmsd(simulated, measured)
+            assert nrmsd(TorqueTrace(self.WIDE, [0.0, 1.0]),
+                         TorqueTrace(self.WIDE, [0.0, 2.0])) == math.sqrt(0.125)
+
+
 class TestTorqueTrace:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_samples_rejected(self, bad):

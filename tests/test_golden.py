@@ -19,8 +19,10 @@ locates the first line that differs.
 
 The table records the host it was made on: numpy's SIMD `sin`/`cos` can
 differ by an ulp between CPUs, which can flip a digit of the workspace
-file. `fk` and `ik` no longer depend on the host's BLAS or LAPACK: FK and
-IK are scalar float arithmetic, `ensure_rotation` (which every `ik` pose
+file. That file does not depend on the host's BLAS: the grid turns v4
+with FK's Rodrigues kernel in elementwise numpy arithmetic and reads the
+polar angle from z. `fk` and `ik` depend on neither BLAS nor LAPACK: FK
+and IK are scalar float arithmetic, `ensure_rotation` (which every `ik` pose
 and every `r0` passes) is two Bjorck steps in a fixed order rather than an
 SVD, and a test below pins FK to the Rodrigues product written out here,
 bit for bit. A change that means to alter an output regenerates the table with

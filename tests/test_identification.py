@@ -133,6 +133,15 @@ class TestTelemetryLog:
         with pytest.raises(InvalidLogError):
             TelemetryLog([0.0, 0.0], [1, 1], [0.0, 0.0], [0.0, 0.0])
 
+    def test_time_span_past_the_float_range(self):
+        # The step overflows to inf without a warning: a rate of 0 Hz.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidLogError, match="sample rate 0.0 Hz"):
+                TelemetryLog([-1.7e308, 1.7e308], [1, 1], [0.0, 0.0], [0.0, 0.0])
+            with pytest.raises(InvalidLogError, match="not strictly increasing"):
+                TelemetryLog([1.7e308, -1.7e308], [1, 1], [0.0, 0.0], [0.0, 0.0])
+
     def test_off_nominal_rate_rejected(self):
         t = np.arange(100) * 0.02  # 50 Hz against a 200 Hz nominal
         with pytest.raises(InvalidLogError):
@@ -471,6 +480,15 @@ class TestFitFriction:
         assert report.params.mu_c == 0.0
         assert report.params.b_c == 0.0
         assert any("clamped" in f for f in report.flags)
+
+    @pytest.mark.parametrize("load", [1e-310, -1e-310, 5e-324])
+    def test_tiny_test_load_clamps_mu_c_without_warnings(self, load):
+        spec, params = JOINT_SPECS[1], JOINT_PARAMS[1]
+        tv = make_map(spec, params, math.copysign(1.0, load), BOTH_DIRECTIONS)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = fit_friction(tv, spec, test_load=load)
+        assert "mu_c estimate clamped at the driving-domain limit" in report.flags
 
     def test_fit_idempotence(self):
         spec, params = JOINT_SPECS[1], JOINT_PARAMS[1]

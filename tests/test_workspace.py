@@ -8,14 +8,13 @@ from hypothesis import strategies as st
 from helpers import angles
 from ssmkit import band
 from ssmkit.errors import DegenerateGeometryError, DomainError, UnreachableError
-from ssmkit.kinematics import build_geometry, inverse_kinematics
+from ssmkit.kinematics import JointState, build_geometry, forward_kinematics, inverse_kinematics
 from ssmkit.screws import Pose, revolute_twist, rodrigues
 from ssmkit.subproblems import subproblem1
 from ssmkit.workspace import (
     critical_directions,
     dot_profile,
     dot_profile_derivatives,
-    rotate_about,
     sample_workspace_grid,
     tilt_extremes,
     write_workspace_csv,
@@ -28,27 +27,32 @@ def design_geometry():
     return build_geometry(DEG(30), DEG(110))
 
 
-class TestRotateAbout:
-    def test_matches_rodrigues_for_every_angle_and_vector(self):
-        rng = np.random.default_rng(7)
-        for alpha, beta in ((30, 110), (60, 60), (5, 170), (120, 45)):
-            g = build_geometry(DEG(alpha), DEG(beta))
-            thetas = rng.uniform(-math.pi, math.pi, 6)
-            stack = rng.normal(size=(5, 3))
-            stack /= np.linalg.norm(stack, axis=1)[:, None]
-            for axis in (g.omega1, g.omega2, g.omega3):
-                got = rotate_about(axis, thetas, stack)
-                assert got.shape == (6, 5, 3)
-                for i, theta in enumerate(thetas):
-                    r = rodrigues(axis, theta)
-                    for j, v in enumerate(stack):
-                        assert np.abs(got[i, j] - r @ v).max() <= 1e-15
-                        single = rotate_about(axis, theta, v)
-                        assert single.shape == (3,)
-                        assert np.abs(single - r @ v).max() <= 1e-15
-                ring = rotate_about(axis, thetas, stack[0])
-                assert ring.shape == (6, 3)
-                assert np.abs(ring - got[:, 0]).max() <= 1e-15
+class TestGridMatchesForwardKinematics:
+    """The sampled tips are FK's: grid point (i, j) is the tip of the joint
+    state (theta1_i, theta2_j, 0, 1), and dot_profile(theta2_j) its z."""
+
+    @staticmethod
+    def check(alpha, beta, n1=7, n2=9):
+        geom = build_geometry(alpha, beta)
+        theta1, theta2, points, _ = sample_workspace_grid(geom, n1, n2)
+        grid = points.reshape(n1, n2, 3)
+        profile = dot_profile(geom, theta2)
+        for i, t1 in enumerate(theta1.tolist()):
+            for j, t2 in enumerate(theta2.tolist()):
+                tip = forward_kinematics(geom, JointState(t1, t2, 0.0, 1.0)).position
+                assert np.abs(grid[i, j] - tip).max() <= 1e-15
+                assert abs(profile[j] - tip[2]) <= 1e-15
+
+    @pytest.mark.parametrize("alpha, beta", [(30, 110), (60, 60), (70, 110)])
+    def test_named_builds(self, alpha, beta):
+        # 70 + 110 = 180: v4 is the roll axis, pointing down.
+        self.check(DEG(alpha), DEG(beta))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(0.0, math.pi, exclude_min=True, exclude_max=True),
+           st.floats(0.0, math.pi, exclude_min=True, exclude_max=True))
+    def test_any_build(self, alpha, beta):
+        self.check(alpha, beta, 5, 6)
 
 
 class TestDotProfile:
