@@ -275,6 +275,9 @@ def cmd_payload(args, project) -> int:
     spec, params = _drive_for(args, project)
     if args.points < 1:
         raise DomainError("--points must be at least 1")
+    if args.points * 2 * 8 > sys.maxsize:
+        # numpy would fail with a ValueError or an IndexError, not a MemoryError.
+        raise MemoryError(f"a curve of {args.points} points does not fit in the address space")
     if args.vmax <= 0.0:
         raise DomainError("--vmax must be positive")
     grid = np.linspace(args.vmax / args.points, args.vmax, args.points)

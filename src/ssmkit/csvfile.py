@@ -16,13 +16,16 @@ it as `path:lineno`; the loop also accepts the few spellings `float()`
 reads and `loadtxt` does not (quoted fields, digit separators such as
 `1_000`).
 
-The writer formats a block of rows per `%` call. In a block where a
-column repeats its values, such as a grid angle, each distinct value is
-formatted once and its text reused; the bytes are those of `np.savetxt`.
+The writer opens a table with `_table`, which writes its header line,
+and formats a block of rows per `%` call; the bytes are those of
+`np.savetxt`. Every number is `%.<precision>g` text (`_number_format`,
+`_texts`), so a writer that knows its table's repeated columns, such as
+the workspace grid, composes its rows from the same pieces.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import os
@@ -33,10 +36,6 @@ import numpy as np
 
 # Rows formatted per write call by `write_numeric_csv`.
 _WRITE_BLOCK_ROWS = 4096
-
-# A block of a column is written from the text of its distinct values when
-# it holds at most this many distinct values per row.
-_TEXT_COLUMN_MAX_DISTINCT_SHARE = 0.5
 
 # Suffixes that numpy's `np.loadtxt` decompresses when it opens a path.
 _COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
@@ -89,57 +88,37 @@ def write_numeric_csv(path, columns, data, precision: int) -> None:
 
     Each block of `_WRITE_BLOCK_ROWS` rows is formatted by one `%` call on
     a row format repeated per row; the blocks keep the tuple of arguments
-    a few thousand rows long. A column whose first block repeats its
-    values is passed as text in every block where it still does: each
-    distinct value of the block is formatted once, and the rows holding
-    it reuse the text. The bytes are those of formatting every number."""
+    a few thousand rows long."""
     data = np.asarray(data, dtype=np.float64)
     if data.ndim == 1:
         data = data[:, None]
-    num = "%.{}g".format(precision)
-    repeating = range(data.shape[1])
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(columns) + "\n")
+    row_fmt = ",".join([_number_format(precision)] * data.shape[1]) + "\n"
+    with _table(path, columns) as fh:
         for start in range(0, data.shape[0], _WRITE_BLOCK_ROWS):
             block = data[start:start + _WRITE_BLOCK_ROWS]
-            texts = {j: _repeated_text(block[:, j], num) for j in repeating}
-            texts = {j: text for j, text in texts.items() if text is not None}
-            if start == 0:
-                # Later blocks try only the columns that repeat in the first.
-                repeating = list(texts)
-            row_fmt = ",".join("%s" if j in texts else num
-                               for j in range(data.shape[1])) + "\n"
-            # Without text columns the floats go straight to `%`: an object
-            # array would slow those blocks by about 10%.
-            args = block
-            if texts:
-                args = np.empty(block.shape, dtype=object)
-                numeric = [j for j in range(data.shape[1]) if j not in texts]
-                args[:, numeric] = block[:, numeric]
-                for j, text in texts.items():
-                    args[:, j] = text
-            fh.write((row_fmt * block.shape[0]) % tuple(args.ravel().tolist()))
+            fh.write((row_fmt * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
-def _repeated_text(values, num):
-    """The text of each of the float64 `values`, as an object array, or None
-    when more than `_TEXT_COLUMN_MAX_DISTINCT_SHARE` of them are distinct.
-    Each distinct value is formatted once, with `num`.
+def _number_format(precision: int) -> str:
+    """The `%` format of one number with `precision` significant digits."""
+    return "%.{}g".format(precision)
 
-    Values are told apart by their bit patterns: -0.0 == 0.0, but the two
-    print differently. `np.unique` is not used: its first call imports
-    `numpy.ma`."""
-    keys = values.view(np.int64)
-    ordered = np.sort(keys)
-    first = np.empty(ordered.size, dtype=bool)
-    first[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    distinct = ordered[first]
-    if distinct.size > _TEXT_COLUMN_MAX_DISTINCT_SHARE * keys.size:
-        return None
-    floats = distinct.view(np.float64).tolist()
-    text = ((num + "\n") * len(floats) % tuple(floats)).split("\n")[:-1]
-    return np.array(text, dtype=object)[np.searchsorted(distinct, keys)]
+
+def _texts(values, precision: int) -> list:
+    """The text of each number of the 1-D array `values`, as written in a
+    table with `precision` significant digits."""
+    values = np.asarray(values, dtype=np.float64).tolist()
+    line = _number_format(precision) + "\n"
+    return (line * len(values) % tuple(values)).split("\n")[:-1]
+
+
+@contextlib.contextmanager
+def _table(path, columns):
+    """`path` opened for a UTF-8 table with LF line ends, its header line
+    of `columns` written."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(columns) + "\n")
+        yield fh
 
 
 def _reopenable_path(path):

@@ -114,12 +114,14 @@ class TestWorkspaceCommand:
         assert "grid needs at least 2 samples per joint" in captured.err
         assert not out_csv.exists()
 
-    def test_grid_too_large_for_memory_exits_2(self, tmp_path, capsys):
-        # 10**14 samples per joint: the first linspace asks for 727 TiB, more
-        # than any address space, so the allocation fails at once.
+    @pytest.mark.parametrize("samples", [10**14, 10**20 - 1, 2**63 - 1, 2**63])
+    def test_grid_too_large_for_memory_exits_2(self, tmp_path, capsys, samples):
+        # 10**14 samples per joint: the grid's points ask for 10**28 floats,
+        # more than any address space; numpy's own errors for the larger
+        # counts are ValueErrors, so the count is checked before numpy.
         out_csv = tmp_path / "w.csv"
         code = cli.main(
-            ["workspace", "30", "110", "--samples", str(10**14), "--csv", str(out_csv)]
+            ["workspace", "30", "110", "--samples", str(samples), "--csv", str(out_csv)]
         )
         assert code == 2
         err = capsys.readouterr().err
@@ -711,12 +713,15 @@ class TestPayloadCommand:
         assert abs(fitted[1] - J1_PARAMS.b_c) < 1e-12
         assert abs(fitted[0] - J1_PARAMS.b_v) < 1e-12
 
-    def test_point_count_too_large_for_memory_exits_2(self, tmp_path, drive_cfg, capsys):
-        # 10**14 points ask for 727 TiB, more than any address space.
+    @pytest.mark.parametrize("points", [10**14, 10**20 - 1, 2**63 - 1, 2**63])
+    def test_point_count_too_large_for_memory_exits_2(self, tmp_path, drive_cfg, capsys,
+                                                        points):
+        # 10**14 points ask for 727 TiB, more than any address space; numpy
+        # fails on the larger counts with a ValueError or an IndexError.
         out = tmp_path / "curve.csv"
         code = cli.main(
             ["payload", "--transmission", str(drive_cfg), "--vmax", "1",
-             "--points", str(10**14), "--out", str(out)]
+             "--points", str(points), "--out", str(out)]
         )
         assert code == 2
         captured = capsys.readouterr()
@@ -1218,7 +1223,7 @@ class TestImports:
         assert not hasattr(ssmkit, "no_such_name")
 
     def test_workspace_csv_loads_no_numpy_ma(self, tmp_path):
-        # The writer finds distinct values without `np.unique`, whose first
+        # Nothing on the workspace path may call `np.unique`, whose first
         # call imports `numpy.ma` and raises peak memory.
         out_csv = tmp_path / "w.csv"
         probe = (

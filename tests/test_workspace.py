@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import angles
-from ssmkit import band
+from ssmkit import band, csvfile
 from ssmkit.errors import DegenerateGeometryError, DomainError, UnreachableError
 from ssmkit.kinematics import JointState, build_geometry, forward_kinematics, inverse_kinematics
 from ssmkit.screws import Pose, revolute_twist, rodrigues
@@ -284,10 +285,10 @@ class TestSampling:
 
     def test_fixed_theta2_rows_share_polar_angle(self):
         g = design_geometry()
-        _, theta2, _, polar = sample_workspace_grid(g, 8, 6)
+        _, theta2, _, polar = sample_workspace_grid(g, 16, 6)
         # theta2 varies fastest: column j of the (n1, n2) view holds theta2[j].
         assert theta2.shape == (6,)
-        assert np.ptp(polar.reshape(8, 6), axis=0).max() < 1e-12
+        assert (polar.reshape(16, 6) == polar[:6]).all()
 
     def test_grid_extremes_match_formula(self):
         g = design_geometry()
@@ -313,3 +314,56 @@ class TestSampling:
         assert len(lines) == 1 + 16 * 16
         first = [float(tok) for tok in lines[1].split(",")]
         assert len(first) == 6
+
+
+_COLUMNS = ("theta1_rad", "theta2_rad", "x", "y", "z", "polar_deg")
+
+
+class TestGridWriter:
+    """The grid writer formats each theta1, theta2, z and polar angle once;
+    its bytes are those of `csvfile.write_numeric_csv` on the whole table."""
+
+    @staticmethod
+    def check(tmp_path, geom, n1, n2, precision):
+        write_workspace_csv(tmp_path / "grid.csv", geom, n1, n2, precision)
+        theta1, theta2, points, polar = sample_workspace_grid(geom, n1, n2)
+        table = np.column_stack([np.repeat(theta1, n2), np.tile(theta2, n1), points,
+                                 np.degrees(polar)])
+        csvfile.write_numeric_csv(tmp_path / "table.csv", _COLUMNS, table, precision)
+        assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "table.csv").read_bytes()
+
+    @pytest.mark.parametrize("precision", [1, 9, 17])
+    @pytest.mark.parametrize("alpha, beta", [(30, 110), (60, 60), (70, 110)])
+    @pytest.mark.parametrize("n1, n2", [(2, 2), (7, 12), (13, 5)])
+    def test_named_builds(self, tmp_path, alpha, beta, n1, n2, precision):
+        self.check(tmp_path, build_geometry(DEG(alpha), DEG(beta)), n1, n2, precision)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(0.0, math.pi, exclude_min=True, exclude_max=True),
+           st.floats(0.0, math.pi, exclude_min=True, exclude_max=True),
+           st.integers(2, 24), st.integers(2, 24), st.integers(1, 17))
+    def test_any_build(self, tmp_path_factory, alpha, beta, n1, n2, precision):
+        self.check(tmp_path_factory.mktemp("grid"), build_geometry(alpha, beta), n1, n2,
+                   precision)
+
+    @pytest.mark.parametrize("alpha, beta", [(30, 110), (60, 60), (70, 110)])
+    def test_every_line_holds_the_rings_z_and_polar_angle(self, alpha, beta):
+        geom = build_geometry(DEG(alpha), DEG(beta))
+        _, theta2, points, polar = sample_workspace_grid(geom, 64, 48)
+        z = points[:, 2].reshape(64, 48)
+        assert (z.view(np.int64) == dot_profile(geom, theta2).view(np.int64)).all()
+        assert (polar.reshape(64, 48).view(np.int64) == polar[:48].view(np.int64)).all()
+
+    def test_write_peaks_within_a_megabyte_of_the_sampler(self, tmp_path):
+        # The (n, 6) table alone would add 12.6 MB at 512 x 512.
+        geom = design_geometry()
+        peaks = []
+        for run in (lambda: sample_workspace_grid(geom, 512, 512),
+                    lambda: write_workspace_csv(tmp_path / "w.csv", geom, 512, 512)):
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 1_000_000
