@@ -148,8 +148,8 @@ def cmd_workspace(args, project) -> int:
 
 
 def _parse_pose(raw):
-    """`--pose` as (rotation, three rows taken through `ensure_rotation`'s
-    row core, position), in floats."""
+    """`--pose` as (rotation, three rows taken to the nearest rotation by
+    `_ensure_rotation_rows`, position), in floats."""
     from . import screws
 
     vals = parse_floats(raw, "--pose", 12)

@@ -22,9 +22,14 @@ def format_float(x: float, precision: int = DEFAULT_PRECISION) -> str:
     return "%.*g" % (precision, x)
 
 
-def read_kv(path) -> dict[str, str]:
-    """Parse a key = value file into a dict (later keys win)."""
-    out: dict[str, str] = {}
+def read_config(path, kind: str, required=(), optional=()) -> dict[str, str]:
+    """
+    The key = value pairs of a `kind` config file (later keys win). A line
+    without '=', a required key that is absent (the first in `required`
+    order), then any key in neither list, raises DomainError naming the
+    file.
+    """
+    kv: dict[str, str] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError:
@@ -36,17 +41,7 @@ def read_kv(path) -> dict[str, str]:
         if "=" not in line:
             raise DomainError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
-    return out
-
-
-def read_config(path, kind: str, required=(), optional=()) -> dict[str, str]:
-    """
-    The key = value pairs of a `kind` config file. A required key that is
-    absent (the first in `required` order), then any key in neither list,
-    raises DomainError naming the file.
-    """
-    kv = read_kv(path)
+        kv[key.strip()] = value.strip()
     for key in required:
         if key not in kv:
             raise DomainError(f"{kind} {path}: missing key {key!r}")

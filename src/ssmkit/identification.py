@@ -469,7 +469,7 @@ def fit_friction(tv_map: TorqueVelocityMap, spec: TransmissionSpec,
         if mask.any():
             by_dir[name] = _range_nrmsd(predicted[mask], y[mask], flags)
 
-    half_widths = _half_widths(xw, yw, coef, both, spec, test_load, flags)
+    half_widths = _half_widths(xw, yw, coef, both, spec, test_load)
     return FitReport(params, residual, half_widths, by_dir, tuple(flags))
 
 
@@ -527,11 +527,11 @@ def _fit_mu_s(breakaway, spec, test_load, mu_c, b_c, flags):
     return mu_s
 
 
-def _half_widths(xw, yw, coef, both, spec, test_load, flags):
+def _half_widths(xw, yw, coef, both, spec, test_load):
+    # fit_friction needs 3 distinct velocities per direction present, so
+    # the n points outnumber the k coefficients: n >= 3 > 2, or n >= 6 > 3.
     n, k = xw.shape
     dof = n - k
-    if dof <= 0:
-        flags.append("no degrees of freedom for confidence intervals")
 
     if both and test_load != 0.0:
         def transform(c):
@@ -577,7 +577,7 @@ def _half_widths(xw, yw, coef, both, spec, test_load, flags):
 
 def _param_variances(resid, dof, xw, jac):
     """Diagonal of jac cov jac^T, cov the least-squares covariance of `resid`."""
-    sigma2 = float(resid @ resid) / dof if dof > 0 else 0.0
+    sigma2 = float(resid @ resid) / dof
     cov_lin = sigma2 * np.linalg.inv(xw.T @ xw)
     return np.diag(jac @ cov_lin @ jac.T)
 

@@ -9,13 +9,11 @@ omega3 (= the tool direction v4) lies in the same plane at angle beta
 from omega2, on the far side from omega1. Only the relative angles are
 physical; the fixed frame makes configs portable and tests deterministic.
 
-Inverse kinematics reads what depends only on the geometry from the
-constants (`_IkConstants`) each `MechanismGeometry` computes once.
-
 FK and IK are row cores in Python floats (`_forward_rows`,
-`_inverse_rows`) under thin array wrappers. numpy is imported only where
-an array is built or read, so `ssmkit fk` and `ssmkit ik` run without it
-on a build whose config has no `r0`.
+`_inverse_rows`) under thin array wrappers; what depends only on the
+build they read from the float tuples `MechanismGeometry` computes once.
+numpy is imported only where an array is built or read, so `ssmkit fk`
+and `ssmkit ik` run without it on a build whose config has no `r0`.
 """
 
 from __future__ import annotations
@@ -47,6 +45,8 @@ from .subproblems import (
 # indeterminate; the solver then pins theta1 = 0 and flags the result.
 SINGULARITY_TOL = 1e-8
 
+# IK keeps a branch whose pose is this close to the target in rotation and
+# this times max(1, |theta4|) in position.
 _FIT_TOL = 1e-9
 
 _IDENTITY = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
@@ -55,88 +55,85 @@ if TYPE_CHECKING:
     import numpy as np
 
 
+class _AxisArray:
+    """One of omega1, omega2, omega3, v4 (= omega3) and r0 as a read-only
+    float array. The first read of any builds all five from the record's
+    tuples and keeps them in the instance `__dict__`, which shadows this
+    non-data descriptor from then on."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, geom, owner=None):
+        if geom is None:
+            return self
+        import numpy as np
+
+        omega3 = np.array(geom._w3)
+        arrays = {"r0": np.array(geom._r0 or _IDENTITY).reshape(3, 3), "omega3": omega3,
+                  "omega1": np.array(geom._w1), "omega2": np.array(geom._w2), "v4": omega3}
+        for array in arrays.values():
+            array.flags.writeable = False
+        geom.__dict__.update(arrays)
+        return arrays[self.name]
+
+
 @dataclass(frozen=True, eq=False)
 class MechanismGeometry:
     """One mechanism build: axis angles alpha and beta (radians), each in
     (0, pi), and reference tool orientation r0 (None: the exact identity).
 
     Construction, `dataclasses.replace` included, raises DomainError on
-    other inputs, takes r0 through `ensure_rotation`'s row core (which may
-    move a non-identity r0 by an ulp) and computes the constants IK needs,
-    once, in Python floats. The read-only float arrays omega1, omega2,
-    omega3, v4 = omega3 and r0 are built from those floats on first read,
-    so a build without r0 needs no numpy.
+    other inputs, takes r0 through `_ensure_rotation_rows` (which may move
+    a non-identity r0 by an ulp) and computes what FK and IK need of the
+    build, once, in Python floats, as private attributes: the axes as
+    float 3-tuples (`_w3` is the tool direction v4 too), r0 as a flat
+    row-major 9-tuple, or None when it equals the identity entry for entry,
+    r0^T v4 and r0^T e_y, the geometry-only terms of the two-axis solve (v4
+    onto the target axis about omega1, omega2), the fixed-point terms of
+    the theta2 solve (v4 about omega2) and of the theta3 solve (e_y about
+    omega3), and `_degenerate`: why IK cannot solve on this build (None if
+    it can). The read-only float arrays omega1, omega2, omega3, v4 and r0
+    are built from those tuples on first read, so a build without r0 needs
+    no numpy.
     """
 
     alpha: float
     beta: float
-    r0: np.ndarray | None
+    r0: np.ndarray | None = _AxisArray()
+
+    omega1 = _AxisArray()
+    omega2 = _AxisArray()
+    omega3 = _AxisArray()
+    v4 = _AxisArray()
 
     def __init__(self, alpha: float, beta: float, r0=None):
-        # The r0 field is read through __getattr__, as an array.
         check_axis_angles(alpha, beta)
         if r0 is not None:
             r0 = _ensure_rotation_rows(floats("rotation", r0, (3, 3)).ravel().tolist())
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "_ik", _IkConstants(alpha, beta, r0))
-
-    def __getattr__(self, name):
-        """omega1, omega2, omega3, v4 (= omega3) and r0 as read-only float
-        arrays, all built from the constants' tuples on the first read of
-        one, and kept."""
-        if name not in ("omega1", "omega2", "omega3", "v4", "r0"):
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        import numpy as np
-
-        k = self._ik
-        omega3 = np.array(k.w3)
-        arrays = {"r0": np.array(k.r0 or _IDENTITY).reshape(3, 3), "omega1": np.array(k.w1),
-                  "omega2": np.array(k.w2), "omega3": omega3, "v4": omega3}
-        for key, array in arrays.items():
-            array.flags.writeable = False
-            object.__setattr__(self, key, array)
-        return arrays[name]
-
-
-class _IkConstants:
-    """What `inverse_kinematics` needs of a geometry, computed once: the
-    axes and v4 as float 3-tuples, r0 as a flat row-major 9-tuple, or None
-    when it equals the identity entry for entry, r0^T v4 and r0^T e_y, the
-    geometry-only terms of the two-axis solve (v4 onto the target axis
-    about omega1, omega2), the fixed-point terms of the theta2 solve (v4
-    about omega2) and of the theta3 solve (e_y about omega3), and
-    `degenerate`: why IK cannot solve on this build (None if it can). FK
-    and IK's branch check read the same tuples through one kernel,
-    `_tool_pose_rows`."""
-
-    __slots__ = ("w1", "w2", "w3", "v4", "r0", "r0v4", "r0ey",
-                 "two_axis", "theta2", "theta3", "degenerate")
-
-    def __init__(self, alpha: float, beta: float, r0):
-        """Constants of the build (alpha, beta, r0), r0 a checked flat
-        row-major 9-tuple or None for the identity."""
-        self.w1 = w1 = (0.0, 0.0, 1.0)
-        self.w2 = w2 = (math.sin(alpha), 0.0, math.cos(alpha))
-        self.w3 = w3 = self.v4 = v4 = (math.sin(alpha + beta), 0.0, math.cos(alpha + beta))
+        w1 = (0.0, 0.0, 1.0)
+        w2 = (math.sin(alpha), 0.0, math.cos(alpha))
+        w3 = (math.sin(alpha + beta), 0.0, math.cos(alpha + beta))
         a0, a1, a2, b0, b1, b2, c0, c1, c2 = r0 = r0 or _IDENTITY
-        vx, vy, vz = v4
-        self.r0v4 = (a0 * vx + b0 * vy + c0 * vz,
-                     a1 * vx + b1 * vy + c1 * vz,
-                     a2 * vx + b2 * vy + c2 * vz)
-        self.r0ey = (b0, b1, b2)
-        # A product by the identity changes at most the sign of an exact
-        # zero, which IK's squared residuals do not see; FK skips it too.
-        self.r0 = None if r0 == _IDENTITY else r0
-        self.two_axis = _two_axis_terms(w1, w2, v4)
-        self.theta2 = _rotation_axis_terms(w2, v4)
-        self.theta3 = _rotation_axis_terms(w3, (0.0, 1.0, 0.0))
+        vx, vy, vz = w3
+        two_axis = _two_axis_terms(w1, w2, w3)
         if abs(math.sin(beta)) < 1e-9:
-            self.degenerate = "beta ~ 0 or pi puts the tool axis on the second joint axis"
-        elif _two_axis_parallel(self.two_axis):
-            self.degenerate = "alpha ~ 0 or pi puts the second joint axis on the first"
+            degenerate = "beta ~ 0 or pi puts the tool axis on the second joint axis"
+        elif _two_axis_parallel(two_axis):
+            degenerate = "alpha ~ 0 or pi puts the second joint axis on the first"
         else:
-            self.degenerate = None
+            degenerate = None
+        self.__dict__.update(
+            alpha=alpha, beta=beta, _w1=w1, _w2=w2, _w3=w3,
+            # A product by the identity changes at most the sign of an exact
+            # zero, which IK's squared residuals do not see; FK skips it too.
+            _r0=None if r0 == _IDENTITY else r0,
+            _r0v4=(a0 * vx + b0 * vy + c0 * vz, a1 * vx + b1 * vy + c1 * vz,
+                   a2 * vx + b2 * vy + c2 * vz),
+            _r0ey=(b0, b1, b2), _two_axis=two_axis,
+            _theta2=_rotation_axis_terms(w2, w3),
+            _theta3=_rotation_axis_terms(w3, (0.0, 1.0, 0.0)),
+            _degenerate=degenerate)
 
 
 @dataclass(frozen=True, slots=True)
@@ -197,8 +194,8 @@ def probe_point_defaults(geom: MechanismGeometry):
     """
     import numpy as np
 
-    if geom._ik.degenerate is not None:
-        raise DegenerateGeometryError(geom._ik.degenerate)
+    if geom._degenerate is not None:
+        raise DegenerateGeometryError(geom._degenerate)
     return geom.v4.copy(), geom.v4.copy(), np.array([0.0, 1.0, 0.0])
 
 
@@ -219,19 +216,20 @@ def _matmul_rows(a, b):
             a20 * b02 + a21 * b12 + a22 * b22)
 
 
-def _tool_pose_rows(k: _IkConstants, r12, theta3: float, theta4: float):
+def _tool_pose_rows(geom: MechanismGeometry, r12, theta3: float, theta4: float):
     """Tool pose of a joint state whose R1 R2 is the flat row-major
     9-tuple `r12`: the rotation (R12 R3) r0, a flat row-major 9-tuple, and
     the tip R12 (v4 theta4), a 3-tuple, each 3x3 product summed in
     `_matmul_rows`' fixed order, so the bits do not depend on the host's
-    BLAS. An identity r0 (`k.r0` None) leaves R12 R3 as it is, where the
+    BLAS. An identity r0 (`geom._r0` None) leaves R12 R3 as it is, where the
     product would change at most the sign of an exact zero. FK returns this
     pose; IK checks each candidate branch against it."""
-    rot = _matmul_rows(r12, _rotation_rows(k.w3, math.cos(theta3), math.sin(theta3)))
-    if k.r0 is not None:
-        rot = _matmul_rows(rot, k.r0)
+    v4 = geom._w3
+    rot = _matmul_rows(r12, _rotation_rows(v4, math.cos(theta3), math.sin(theta3)))
+    if geom._r0 is not None:
+        rot = _matmul_rows(rot, geom._r0)
     m0, m1, m2, n0, n1, n2, o0, o1, o2 = r12
-    vx, vy, vz = k.v4
+    vx, vy, vz = v4
     tx, ty, tz = vx * theta4, vy * theta4, vz * theta4
     return rot, (m0 * tx + m1 * ty + m2 * tz,
                  n0 * tx + n1 * ty + n2 * tz,
@@ -243,16 +241,15 @@ def _forward_rows(geom: MechanismGeometry, t1, t2, t3, t4):
     a flat row-major 9-tuple, tip, a 3-tuple). R1 R2 by `_matmul_rows`,
     then `_tool_pose_rows`, the kernel IK checks its branches with. A joint
     value that is not a finite real number raises DomainError."""
-    k = geom._ik
     # Anything but four finite floats is read by the input rule: `isfinite`
     # alone would pass a numpy complex scalar with a warning.
     if not (type(t1) is float and type(t2) is float and type(t3) is float
             and type(t4) is float and math.isfinite(t1) and math.isfinite(t2)
             and math.isfinite(t3) and math.isfinite(t4)):
         t1, t2, t3, t4 = (real(f"theta{i}", t) for i, t in enumerate((t1, t2, t3, t4), 1))
-    r12 = _matmul_rows(_rotation_rows(k.w1, math.cos(t1), math.sin(t1)),
-                       _rotation_rows(k.w2, math.cos(t2), math.sin(t2)))
-    return _tool_pose_rows(k, r12, t3, t4)
+    r12 = _matmul_rows(_rotation_rows(geom._w1, math.cos(t1), math.sin(t1)),
+                       _rotation_rows(geom._w2, math.cos(t2), math.sin(t2)))
+    return _tool_pose_rows(geom, r12, t3, t4)
 
 
 def forward_kinematics(geom: MechanismGeometry, theta: JointState) -> Pose:
@@ -270,29 +267,28 @@ def _inverse_rows(geom: MechanismGeometry, rotation, position) -> IkSolutionSet:
     """The IK row core, for a target rotation given as three rows of three
     floats and a position of three (see `inverse_kinematics`). A NaN or inf
     among the 12 floats raises DomainError."""
-    k = geom._ik
-    if k.degenerate is not None:
-        raise DegenerateGeometryError(k.degenerate)
+    if geom._degenerate is not None:
+        raise DegenerateGeometryError(geom._degenerate)
     (g00, g01, g02), (g10, g11, g12), (g20, g21, g22) = rotation
     px, py, pz = position
 
     # The target's tool axis u = R (r0^T v4) and its +y column yt = R (r0^T e_y),
     # which is R's own +y column when r0 is the identity.
-    bx, by, bz = k.r0v4
+    bx, by, bz = geom._r0v4
     ux = g00 * bx + g01 * by + g02 * bz
     uy = g10 * bx + g11 * by + g12 * bz
     uz = g20 * bx + g21 * by + g22 * bz
     u = (ux, uy, uz)
-    if k.r0 is None:
+    if geom._r0 is None:
         yx, yy, yz = g01, g11, g21
     else:
-        b0, b1, b2 = k.r0ey
+        b0, b1, b2 = geom._r0ey
         yx = g00 * b0 + g01 * b1 + g02 * b2
         yy = g10 * b0 + g11 * b1 + g12 * b2
         yz = g20 * b0 + g21 * b1 + g22 * b2
     theta4 = px * ux + py * uy + pz * uz
 
-    w1, w2 = k.w1, k.w2
+    w1, w2 = geom._w1, geom._w2
     w1x, w1y, w1z = w1
     cx = uy * w1z - uz * w1y
     cy = uz * w1x - ux * w1z
@@ -302,14 +298,14 @@ def _inverse_rows(geom: MechanismGeometry, rotation, position) -> IkSolutionSet:
     pairs = []
     if singular:
         try:
-            pairs.append((0.0, _rotation_angle_to(k.theta2, u, _FIT_TOL)))
+            pairs.append((0.0, _rotation_angle_to(geom._theta2, u)))
         except (NoSolutionError, DegenerateInputError):
             pass
     else:
-        for c in _two_axis_points_to(k.two_axis, u, _FIT_TOL):
+        for c in _two_axis_points_to(geom._two_axis, u):
             try:
-                pairs.append((_rotation_angle_to(_rotation_axis_terms(w1, c), u, _FIT_TOL),
-                              _rotation_angle_to(k.theta2, c, _FIT_TOL)))
+                pairs.append((_rotation_angle_to(_rotation_axis_terms(w1, c), u),
+                              _rotation_angle_to(geom._theta2, c)))
             except (NoSolutionError, DegenerateInputError):
                 continue
 
@@ -324,13 +320,13 @@ def _inverse_rows(geom: MechanismGeometry, rotation, position) -> IkSolutionSet:
               m1 * yx + n1 * yy + o1 * yz,
               m2 * yx + n2 * yy + o2 * yz)
         try:
-            theta3 = _rotation_angle_to(k.theta3, q3, _FIT_TOL)
+            theta3 = _rotation_angle_to(geom._theta3, q3)
         except (NoSolutionError, DegenerateInputError):
             continue
 
         # Pose minus target; the squared rotation row norms add up in row order.
         (f00, f01, f02, f10, f11, f12, f20, f21, f22), (x, y, z) = \
-            _tool_pose_rows(k, r12, theta3, theta4)
+            _tool_pose_rows(geom, r12, theta3, theta4)
         dx, dy, dz = x - px, y - py, z - pz
         pos_err = math.sqrt(dx * dx + dy * dy + dz * dz)
         d0, d1, d2 = f00 - g00, f01 - g01, f02 - g02
@@ -339,7 +335,7 @@ def _inverse_rows(geom: MechanismGeometry, rotation, position) -> IkSolutionSet:
         rot_err = math.sqrt((d0 * d0 + d1 * d1 + d2 * d2)
                             + (e0 * e0 + e1 * e1 + e2 * e2)
                             + (h0 * h0 + h1 * h1 + h2 * h2))
-        if pos_err < _FIT_TOL and rot_err < _FIT_TOL:
+        if pos_err < _FIT_TOL * max(1.0, abs(theta4)) and rot_err < _FIT_TOL:
             # theta1..theta3 are normalized already: `_rotation_angle_to`
             # returns them so, and the singular path's theta1 is 0.0.
             branches.append(JointState(theta1, theta2, theta3, theta4))
@@ -371,12 +367,14 @@ def inverse_kinematics(geom: MechanismGeometry, target: Pose) -> IkSolutionSet:
     two-axis rotation solve takes v4 onto u (theta1, theta2), and theta3 is
     the angle of (R1 R2)^T R r0^T about omega3. A candidate branch is kept
     only when its pose from FK's kernel, `_tool_pose_rows`, is within
-    `_FIT_TOL` of the target in both position and rotation.
+    `_FIT_TOL` of the target in rotation and within `_FIT_TOL` times
+    max(1, |theta4|) in position, since FK's rounding of the tip grows
+    with the extension.
     Scalar arithmetic throughout, in the row core `_inverse_rows`: the
     target is read into floats once, and the geometry-only terms (r0^T v4,
     r0^T e_y, the axis terms of the two-axis solve and of the theta2 and
-    theta3 solves) come from the constants the read-only geometry computed
-    at construction. A build whose first two axes or whose tool axis and
+    theta3 solves) come from the tuples the read-only geometry computed at
+    construction. A build whose first two axes or whose tool axis and
     second axis coincide raises DegenerateGeometryError; a target that is
     not a finite 3x3 and 3-vector raises DomainError, checked only once the
     scalar solve fails.

@@ -4,11 +4,11 @@ zero-pitch twist record that `subproblem1` and `subproblem2` take, and
 the pose record that forward and inverse kinematics exchange.
 
 Conventions used throughout the package:
-- rotations at the public API (`Pose`, `rodrigues`, `ensure_rotation`)
-  are 3x3 numpy arrays; on the FK/IK path they are flat row-major
-  9-tuples of floats (`_rotation_rows`), except the IK target, which the
-  row core takes as the three rows `.tolist()` gives. Positions are numpy
-  3-vectors (meters) at the API,
+- rotations at the public API (`Pose`, `rodrigues`) are 3x3 numpy
+  arrays; on the FK/IK path they are flat row-major 9-tuples of floats
+  (`_rotation_rows`, `_ensure_rotation_rows`), except the IK target,
+  which the row core takes as the three rows `.tolist()` gives. Positions
+  are numpy 3-vectors (meters) at the API,
 - every revolute axis passes through the origin (the remote center of
   motion), so revolute twists carry a zero linear part,
 - joint angles returned by any solver live in (-pi, pi],
@@ -116,17 +116,6 @@ def _gram(m):
     a, b, c, d, e, f, g, h, i = m
     return (a * a + d * d + g * g, a * b + d * e + g * h, a * c + d * f + g * i,
             b * b + e * e + h * h, b * c + e * f + h * i, c * c + f * f + i * i)
-
-
-def ensure_rotation(r) -> np.ndarray:
-    """
-    Validate a 3x3 rotation matrix and return its nearest orthonormal
-    representative, by `_ensure_rotation_rows`, as a new array.
-    """
-    import numpy as np
-
-    rows = _ensure_rotation_rows(floats("rotation", r, (3, 3)).ravel().tolist())
-    return np.array(rows).reshape(3, 3)
 
 
 @dataclass(frozen=True, eq=False)

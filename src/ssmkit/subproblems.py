@@ -9,9 +9,10 @@ Closed-form geometric subproblems (Paden-Kahan, in Murray, Li & Sastry
   from another point (`subproblem3prime`).
 
 Each rotation formula is one pair of scalar kernels: `_*_terms` holds what
-depends only on the axes and p, `_*_to` finishes the solve for q. IK calls
-the kernels with terms computed once per geometry; `subproblem1`/`2` wrap
-them for `Twist` records.
+depends only on the axes and p, `_*_to` finishes the solve for q, each test
+within `_MATCH_TOL` times the scale of p and q. IK calls the kernels with
+terms computed once per geometry; `subproblem1`/`2` wrap them for `Twist`
+records.
 
 Solutions are returned sorted ascending so that downstream branch
 enumeration is deterministic. Angle solutions are normalized to (-pi, pi];
@@ -35,6 +36,7 @@ from .screws import _TWO_PI, Twist, unit
 # Squared-discriminant band inside which two coincident roots collapse to one.
 TANGENCY_TOL = 1e-12
 
+# Relative band of the kernels' on-axis, radius and axial-offset tests.
 _MATCH_TOL = 1e-9
 
 
@@ -67,10 +69,10 @@ def _rotation_axis_terms(omega, p):
     return (wx, wy, wz), ap, (ppx, ppy, ppz), npp, pscale
 
 
-def _rotation_angle_to(terms, q, tol: float) -> float:
+def _rotation_angle_to(terms, q) -> float:
     """Angle theta with e^(hat(omega) theta) p = q for the axis and the point
     p of `terms`. Raises if p sits on the axis or no rotation maps p onto q,
-    each test within `tol` times max(1, |p|, |q|)."""
+    each test within `_MATCH_TOL` times max(1, |p|, |q|)."""
     (wx, wy, wz), ap, (ppx, ppy, ppz), npp, scale = terms
     qx, qy, qz = q
     aq = wx * qx + wy * qy + wz * qz
@@ -81,9 +83,10 @@ def _rotation_angle_to(terms, q, tol: float) -> float:
     qn = math.sqrt(qx * qx + qy * qy + qz * qz)
     if qn > scale:
         scale = qn
-    if npp <= tol * scale or nqq <= tol * scale:
+    tol = _MATCH_TOL * scale
+    if npp <= tol or nqq <= tol:
         raise DegenerateInputError("point lies on the rotation axis")
-    if abs(ap - aq) > tol * scale or abs(npp - nqq) > tol * scale:
+    if abs(ap - aq) > tol or abs(npp - nqq) > tol:
         raise NoSolutionError(
             "no rotation maps p onto q (axial component or radius differs)"
         )
@@ -106,7 +109,7 @@ def subproblem1(xi: Twist, p, q) -> SubproblemSolutions:
     p = floats("p", p, (3,))
     q = floats("q", q, (3,))
     terms = _rotation_axis_terms(xi.angular, p)
-    return SubproblemSolutions((_rotation_angle_to(terms, q, _MATCH_TOL),))
+    return SubproblemSolutions((_rotation_angle_to(terms, q),))
 
 
 def _two_axis_terms(w1, w2, p):
@@ -137,7 +140,7 @@ def _two_axis_parallel(terms) -> bool:
     return den == 0.0 or crn2 * crn2 == 0.0
 
 
-def _two_axis_points_to(terms, q, tol: float) -> list:
+def _two_axis_points_to(terms, q) -> list:
     """
     Intersection points c of the circle p sweeps about w2 with the circle q
     sweeps about w1, for the non-parallel axes and the point p of `terms`:
@@ -148,7 +151,7 @@ def _two_axis_points_to(terms, q, tol: float) -> list:
     qx, qy, qz = q
     qn = math.sqrt(qx * qx + qy * qy + qz * qz)
     scale = max(1.0, pn, qn)
-    if abs(pn - qn) > tol * scale:
+    if abs(pn - qn) > _MATCH_TOL * scale:
         return []
     w1q = w1x * qx + w1y * qy + w1z * qz
     a = (dw2p - w1q) / den
@@ -181,15 +184,15 @@ def subproblem2(xi1: Twist, xi2: Twist, p, q) -> SubproblemSolutions:
     terms = _two_axis_terms(w1, w2, p)
     if terms[6] < 1e-18 or _two_axis_parallel(terms):
         raise DegenerateAxesError("rotation axes are parallel")
-    points = _two_axis_points_to(terms, q, _MATCH_TOL)
+    points = _two_axis_points_to(terms, q)
     if not points:
         raise NoSolutionError(
             "no rotation pair maps p onto q (|p| != |q| or the circles miss)"
         )
     p_terms = _rotation_axis_terms(w2, p)
     return SubproblemSolutions(tuple(sorted(
-        (_rotation_angle_to(_rotation_axis_terms(w1, c), q, _MATCH_TOL),
-         _rotation_angle_to(p_terms, c, _MATCH_TOL))
+        (_rotation_angle_to(_rotation_axis_terms(w1, c), q),
+         _rotation_angle_to(p_terms, c))
         for c in points
     )))
 

@@ -173,15 +173,17 @@ def mu_s_oracle(torque, b_c, s, load, ratio, lam):
     )
 
 
-def probe_point_ik_oracle(geom, target, tol=1e-9):
+def probe_point_ik_oracle(geom, target):
     """
     The probe-point IK reduction, as a reference for `inverse_kinematics`:
     theta4 from the distance of a transformed tool-axis probe point to the
     remote center (`subproblem3prime`), (theta1, theta2) from a two-axis
     solve on a second probe point, theta3 from a single-axis solve on a
-    third, each root checked against forward kinematics. Returns an
-    IkSolutionSet or raises UnreachableError.
+    third, each root checked against forward kinematics within 1e-9 in
+    position and rotation. Returns an IkSolutionSet or raises
+    UnreachableError.
     """
+    tol = 1e-9
     p1, p2, p3 = probe_point_defaults(geom)
     p2_terms = _rotation_axis_terms(geom.omega2, p2)
     p3_terms = _rotation_axis_terms(geom.omega3, p3)
@@ -204,14 +206,14 @@ def probe_point_ik_oracle(geom, target, tol=1e-9):
         pairs = []
         if singular:
             try:
-                pairs.append((0.0, _rotation_angle_to(p2_terms, q2, tol)))
+                pairs.append((0.0, _rotation_angle_to(p2_terms, q2)))
             except (NoSolutionError, DegenerateInputError):
                 pass
         else:
-            for c in _two_axis_points_to(two_axis, q2, tol):
+            for c in _two_axis_points_to(two_axis, q2):
                 try:
-                    pairs.append((_rotation_angle_to(_rotation_axis_terms(geom.omega1, c), q2, tol),
-                                  _rotation_angle_to(p2_terms, c, tol)))
+                    pairs.append((_rotation_angle_to(_rotation_axis_terms(geom.omega1, c), q2),
+                                  _rotation_angle_to(p2_terms, c)))
                 except (NoSolutionError, DegenerateInputError):
                     continue
         for theta1, theta2 in pairs:
@@ -219,7 +221,7 @@ def probe_point_ik_oracle(geom, target, tol=1e-9):
             r2 = rodrigues(geom.omega2, theta2)
             q3 = r2.T @ (r1.T @ (r1g @ (p3 - geom.v4 * theta4) + t1g))
             try:
-                theta3 = _rotation_angle_to(p3_terms, q3, tol)
+                theta3 = _rotation_angle_to(p3_terms, q3)
             except (NoSolutionError, DegenerateInputError):
                 continue
             r12 = r1 @ r2

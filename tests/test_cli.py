@@ -238,6 +238,12 @@ class TestFkIkCommands:
         assert exc.value.code == 2
         assert f"argument {option}: expected one argument" in capsys.readouterr().err
 
+    def test_short_theta_exits_2(self, mech_cfg, capsys):
+        assert cli.main(["fk", "--config", str(mech_cfg), "--theta", "1,2,3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: key '--theta': expected 4 numbers, got 3\n"
+
     def test_nan_theta_exits_2(self, mech_cfg, capsys):
         code = cli.main(["fk", "--config", str(mech_cfg), "--theta", "nan,2,3,0.01"])
         assert code == 2
@@ -348,6 +354,16 @@ class TestIdentifyCommand:
         captured = capsys.readouterr()
         assert "flag: non-physical mu_c estimate clamped to 0" in captured.out
         assert captured.err == ""
+
+    def test_breakaway_without_a_load_flags_mu_s(self, tmp_path, drive_cfg, capsys):
+        log_path = tmp_path / "telemetry.csv"
+        self._write_log(log_path, load=0.0, rest_s=0.5)
+        code = cli.main(["identify", str(log_path), "--transmission", str(drive_cfg),
+                         "--breakaway"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "flag: mu_s not identifiable from breakaway without a test load" in out
+        assert parse_kv_stdout(out)["mu_s"] == parse_kv_stdout(out)["mu_c"]
 
     @pytest.mark.parametrize("mu_c", ["0", "0.13"])
     def test_underflowing_reflection_flags_breakaway(self, tmp_path, capsys, mu_c):
@@ -712,6 +728,20 @@ class TestPayloadCommand:
         fitted = np.polyfit(data[:, 0], data[:, 1], 1)
         assert abs(fitted[1] - J1_PARAMS.b_c) < 1e-12
         assert abs(fitted[0] - J1_PARAMS.b_v) < 1e-12
+
+    @pytest.mark.parametrize("option, value, message", [
+        ("--points", "0", "--points must be at least 1"),
+        ("--vmax", "0", "--vmax must be positive")])
+    def test_empty_or_non_positive_grid_exits_2(self, tmp_path, drive_cfg, capsys,
+                                                option, value, message):
+        out = tmp_path / "curve.csv"
+        argv = ["payload", "--transmission", str(drive_cfg), "--vmax", "1", "--points", "5",
+                "--out", str(out), option, value]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("points", [10**14, 10**20 - 1, 2**63 - 1, 2**63])
     def test_point_count_too_large_for_memory_exits_2(self, tmp_path, drive_cfg, capsys,
@@ -1286,7 +1316,7 @@ class TestModuleEntryPoint:
                                               monkeypatch):
         monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-        # An r0 build, so that the SVD of `ensure_rotation` runs.
+        # An r0 build, so that the nearest-rotation step runs on a non-identity r0.
         r0 = ((0.6, -0.64, 0.48), (0.8, 0.48, -0.36), (0.0, 0.6, 0.8))
         mech = tmp_path / "mech.cfg"
         mech.write_text("alpha_deg = 30\nbeta_deg = 110\nr0 = "

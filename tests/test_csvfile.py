@@ -179,7 +179,7 @@ class TestReaderRoute:
         assert sources == [os.path.abspath(path)]
         self._same_as_row_loop(path, fast)
 
-    @pytest.mark.parametrize("as_type", [str, Path], ids=["str", "Path"])
+    @pytest.mark.parametrize("as_type", [str, Path, os.fsencode], ids=["str", "Path", "bytes"])
     def test_str_and_pathlib_arguments(self, tmp_path, monkeypatch, as_type):
         path = tmp_path / "log.csv"
         path.write_text(_LOG, encoding="utf-8")
@@ -188,6 +188,12 @@ class TestReaderRoute:
             with mock.patch.object(csvfile, "_read_rows", side_effect=AssertionError):
                 fast = _read(arg)
             self._same_as_row_loop(path, fast)
+
+    def test_file_descriptor_argument(self, tmp_path):
+        # Not a path numpy could open again: read through the handle.
+        path = tmp_path / "log.csv"
+        path.write_text(_LOG, encoding="utf-8")
+        self._same_as_row_loop(path, _read(os.open(path, os.O_RDONLY)))
 
     def test_relative_name_that_parses_as_a_url(self, tmp_path, monkeypatch):
         # `http://localhost/log.csv` is also the relative path http:/localhost/log.csv.

@@ -64,6 +64,8 @@ class TestParamsValidation:
             TransmissionSpec(TransmissionKind.WORM_GEAR, 0.0, DEG(5), 1e-5)
         with pytest.raises(DomainError):
             TransmissionSpec(TransmissionKind.LEAD_SCREW, 10.0, math.pi / 2, 1e-5)
+        with pytest.raises(DomainError, match="^reflected_inertia must be nonnegative$"):
+            TransmissionSpec(TransmissionKind.WORM_GEAR, 120.0, DEG(5), -1e-5)
 
     def test_self_locking_boundary(self):
         params = FrictionParams(mu_s=0.15, mu_c=0.13, b_c=0.0, b_v=0.0)
@@ -303,6 +305,8 @@ class TestPayloadCurve:
             payload_curve(J1_SPEC, J1_PARAMS, 0.0, [0.0, 1.0])
         with pytest.raises(DomainError):
             payload_curve(J1_SPEC, J1_PARAMS, 0.0, [2.0, 1.0])
+        with pytest.raises(DomainError, match="^velocity grid must be a non-empty 1-d array$"):
+            payload_curve(J1_SPEC, J1_PARAMS, 0.0, [])
 
 
 class TestNrmsd:

@@ -22,10 +22,10 @@ differ by an ulp between CPUs, which can flip a digit of the workspace
 file. That file does not depend on the host's BLAS: the grid turns v4
 with FK's Rodrigues kernel in elementwise numpy arithmetic and reads the
 polar angle from z. `fk` and `ik` depend on neither BLAS nor LAPACK: FK
-and IK are scalar float arithmetic, `ensure_rotation` (which every `ik` pose
-and every `r0` passes) is two Bjorck steps in a fixed order rather than an
-SVD, and a test below pins FK to the Rodrigues product written out here,
-bit for bit. A change that means to alter an output regenerates the table with
+and IK are scalar float arithmetic, the nearest-rotation step (which every
+`ik` pose and every `r0` passes) is two Bjorck steps in a fixed order
+rather than an SVD, and a test below pins FK to the Rodrigues product
+written out here, bit for bit. A change that means to alter an output regenerates the table with
 `PYTHONPATH=src python tests/test_golden.py` and says why.
 """
 
@@ -202,6 +202,26 @@ def test_fk_matches_the_written_out_product():
             rot = _matmul(_matmul(r12, _rot(w3, t3)), ref)
             assert pose.rotation.tolist() == [list(row) for row in rot], (alpha, beta, r0)
             assert pose.position.tolist() == list(_apply(r12, tuple(x * t4 for x in v4)))
+
+
+def test_ik_round_trips_at_large_extension():
+    """IK's position check is 1e-9 max(1, |theta4|), since FK's rounding of
+    the tip grows with the extension: FK poses with |theta4| up to 1e12 m
+    round-trip on every sweep build IK solves on."""
+    rng = np.random.default_rng(SEED + 3)
+    builds = dict.fromkeys((alpha, beta, r0) for alpha, beta, r0, _, _ in
+                           _sweep_cases(np.random.default_rng(SEED + 1)))
+    for alpha, beta, r0 in builds:
+        if abs(math.sin(beta)) < 1e-9:
+            continue  # the two degenerate builds: IK raises on every target
+        geom = build_geometry(alpha, beta, r0)
+        for t4 in (1e3, 1e6, 1e7, 1e8, 1e10, 1e12):
+            t1, t2, t3 = rng.uniform(-math.pi, math.pi, 3).tolist()
+            t4 *= float(rng.choice([-1.0, 1.0]))
+            result = inverse_kinematics(geom, forward_kinematics(geom, JointState(t1, t2, t3, t4)))
+            assert any(abs(b.theta4 - t4) <= 1e-12 * abs(t4) for b in result.branches)
+            for pos_err, rot_err in result.residuals:
+                assert pos_err < 1e-9 * abs(t4) and rot_err < 1e-9
 
 
 def _write_series(path, time, value):

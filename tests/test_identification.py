@@ -129,6 +129,10 @@ class TestMedian:
 
 
 class TestTelemetryLog:
+    def test_empty_log_rejected(self):
+        with pytest.raises(InvalidLogError, match="^telemetry log is empty$"):
+            TelemetryLog([], [], [], [])
+
     def test_non_increasing_time_rejected(self):
         with pytest.raises(InvalidLogError):
             TelemetryLog([0.0, 0.0], [1, 1], [0.0, 0.0], [0.0, 0.0])
@@ -307,6 +311,14 @@ class TestExtractSteadySegments:
         tv = extract_steady_segments(log, 0.01, 0.5)
         assert [p.velocity for p in tv.points] == [1.0]
 
+    def test_run_left_short_by_the_discard_skipped(self):
+        # 8 samples at 2.0 keep 2 or 3 after a 0.025 s discard: fewer than a
+        # plateau needs, though no minimum duration rules the run out.
+        v = np.concatenate([np.full(400, 1.0), np.full(8, 2.0), np.full(400, 3.0)])
+        log = TelemetryLog(np.arange(v.size) / 200.0, np.ones(v.size, int), v, np.ones(v.size))
+        tv = extract_steady_segments(log, 0.01, 0.0, discard_s=0.025)
+        assert [p.velocity for p in tv.points] == [1.0, 3.0]
+
     def test_rest_periods_dropped(self):
         rate = 200.0
         v = np.concatenate([np.zeros(400), np.full(400, 1.5), np.zeros(400)])
@@ -400,6 +412,21 @@ class TestFitFriction:
         none = fit_friction(tv, spec, test_load=1.0)
         for empty in ([], (), np.empty((0, 2))):
             assert fit_friction(tv, spec, test_load=1.0, breakaway=empty) == none
+
+    @pytest.mark.parametrize("points", [(), (MapPoint(0.0, 0.1, 0.0, 10),)])
+    def test_map_without_moving_points_rejected(self, points):
+        with pytest.raises(InsufficientDataError, match="^map has no nonzero-velocity points$"):
+            fit_friction(TorqueVelocityMap(points), JOINT_SPECS[1])
+
+    def test_breakaway_below_mu_c_clamped_with_a_flag(self):
+        spec, params = JOINT_SPECS[1], JOINT_PARAMS[1]
+        tv = make_map(spec, params, 1.0, BOTH_DIRECTIONS)
+        slippery = FrictionParams(mu_s=0.05, mu_c=0.05, b_c=params.b_c, b_v=params.b_v)
+        breakaway = [(s, breakaway_torque(spec, slippery, 1.0, s)) for s in (+1.0, -1.0)]
+        report = fit_friction(tv, spec, test_load=1.0, breakaway=breakaway)
+        assert "mu_s estimate below mu_c; clamped to mu_c" in report.flags
+        assert report.params.mu_s == report.params.mu_c
+        assert abs(report.params.mu_c - params.mu_c) < 1e-6
 
     def test_rank_deficient_two_velocities_one_direction(self):
         spec, params = JOINT_SPECS[1], JOINT_PARAMS[1]

@@ -59,10 +59,11 @@ class TestBuildGeometry:
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_reference_orientation_rejected(self, value):
-        r0 = np.eye(3)
-        r0[1, 2] = value
-        with pytest.raises(DomainError, match="expected finite entries"):
-            build_geometry(DEG(30), DEG(110), r0)
+        for index in ((0, 0), (1, 2)):
+            r0 = np.eye(3)
+            r0[index] = value
+            with pytest.raises(DomainError, match="expected finite entries"):
+                build_geometry(DEG(30), DEG(110), r0)
 
     def test_custom_reference_orientation(self):
         r0 = rodrigues(np.array([0.0, 0.0, 1.0]), 0.3)
@@ -136,7 +137,7 @@ class TestGeometryConstants:
             for name in ("omega1", "omega2", "omega3", "v4"):
                 assert getattr(replaced, name).tobytes() == getattr(fresh, name).tobytes(), name
             if r0 is None:
-                assert replaced.r0.tobytes() == np.eye(3).tobytes() and replaced._ik.r0 is None
+                assert replaced.r0.tobytes() == np.eye(3).tobytes() and replaced._r0 is None
             assert np.abs(replaced.r0 - base.r0).max() <= 1e-15
             for d in critical_directions(replaced):
                 assert abs(np.linalg.norm(d) - 1.0) < 1e-12
@@ -166,7 +167,7 @@ class TestGeometryConstants:
 
     def test_identity_r0_skips_the_product(self, tmp_path):
         """An identity r0, given or left out, stays exact through
-        `ensure_rotation`, and FK and IK skip the product by it."""
+        the nearest-rotation step, and FK and IK skip the product by it."""
         path = tmp_path / "mech.cfg"
         path.write_text("alpha_deg = 30\nbeta_deg = 110\nr0 = 1 0 0 0 1 0 0 0 1\n",
                         encoding="utf-8")
@@ -175,7 +176,7 @@ class TestGeometryConstants:
         states = [JointState(0.4, -1.1, 0.3, 0.05), JointState(0.0, 0.0, 0.0, 0.02),
                   JointState(-2.0, math.pi, -0.5, 0.0)]
         for g in [omitted] + builds:
-            assert g._ik.r0 is None
+            assert g._r0 is None
             assert g.r0.tobytes() == np.eye(3).tobytes()
         for g in builds:
             for state in states:
@@ -431,6 +432,21 @@ class TestInverseKinematics:
         with pytest.raises(DegenerateGeometryError):
             inverse_kinematics(g, Pose(np.eye(3), np.zeros(3)))
 
+    @pytest.mark.parametrize("t4", [0.0, 0.03, -1.0, 1e3, -1e7, 1e12])
+    def test_tip_off_the_tool_axis_unreachable_at_any_extension(self, t4):
+        """The position check is 1e-9 max(1, |theta4|): a tip twice that far
+        off the tool axis is rejected, however far out the tool is."""
+        g = build_geometry(DEG(30), DEG(110), rodrigues(np.array([0.0, 0.6, 0.8]), 0.7))
+        pose = forward_kinematics(g, JointState(0.7, -1.3, 2.1, t4))
+        u = pose.rotation @ g.r0.T @ g.v4
+        side = np.cross(u, g.omega1)
+        side /= np.linalg.norm(side)
+        # The shift, not the extension, makes the target unreachable.
+        assert inverse_kinematics(g, pose).branches
+        shifted = Pose(pose.rotation, pose.position + 2e-9 * max(1.0, abs(t4)) * side)
+        with pytest.raises(UnreachableError):
+            inverse_kinematics(g, shifted)
+
     def test_unreachable_when_position_norm_inconsistent(self):
         g = design_geometry()
         state = JointState(0.7, -0.4, 0.2, 0.03)
@@ -449,6 +465,17 @@ class TestInverseKinematics:
         arrays[part][index] = value
         with pytest.raises(DomainError, match=f"^target {part}: expected finite entries"):
             inverse_kinematics(g, Pose(arrays["rotation"], arrays["position"]))
+
+    def test_fault_outside_a_finite_float_target_re_raised(self):
+        """A valid target that the solve still fails on: the readers hand back
+        its own arrays, so the original fault is raised, not a retry."""
+        g = design_geometry()
+        pose = forward_kinematics(g, JointState(0.4, -1.1, 0.3, 0.05))
+        with pytest.raises(AttributeError):
+            inverse_kinematics(object(), pose)
+        with mock.patch.object(kinematics, "_inverse_rows", side_effect=TypeError("inner")):
+            with pytest.raises(TypeError, match="^inner$"):
+                inverse_kinematics(g, pose)
 
     def test_all_nan_rotation_rejected(self):
         g = design_geometry()
@@ -551,8 +578,8 @@ class TestBranchOrder:
         kernel = kinematics._tool_pose_rows
         checked = []
 
-        def recording_kernel(k, r12, theta3, theta4):
-            rows, tip = kernel(k, r12, theta3, theta4)
+        def recording_kernel(geom, r12, theta3, theta4):
+            rows, tip = kernel(geom, r12, theta3, theta4)
             checked.append((normalize_angle(theta3), theta4,
                             _loop_residual((rows[0:3], rows[3:6], rows[6:9]), tip, target)))
             return rows, tip
