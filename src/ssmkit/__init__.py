@@ -17,8 +17,7 @@ _EXPORTS = {
                       "is_self_locking", "nrmsd", "payload_curve")),
         ("transmission", ("FrictionParams", "TransmissionKind", "TransmissionSpec")),
         ("identification", ("FitReport", "TelemetryLog", "TorqueVelocityMap",
-                            "evaluate_model", "extract_steady_segments", "fit_friction",
-                            "load_telemetry_csv")),
+                            "extract_steady_segments", "fit_friction", "load_telemetry_csv")),
         ("kinematics", ("IkSolutionSet", "JointState", "MechanismGeometry",
                         "build_geometry", "forward_kinematics", "inverse_kinematics",
                         "probe_point_defaults")),

@@ -10,7 +10,7 @@ On a map with points in both rotation directions the kinetic model
     tau(w) = b_c sign(w) + b_v w + reflect(load, sign(w); mu_c)
 
 is linear in the per-direction intercepts (A+, A-) and the slope b_v, so
-those are solved by weighted least squares. The intercept sum
+those are solved by weighted least squares in closed form. The intercept sum
 A+ + A- = (load / ratio) * (1/eta_driving + eta_overhauling) depends on
 the load only through the transmission friction, and the bracketed factor
 is strictly increasing in the friction angle and inverts in closed form
@@ -414,39 +414,49 @@ def fit_friction(tv_map: TorqueVelocityMap, spec: TransmissionSpec,
                 f"{name} direction has fewer than 3 distinct velocities"
             )
 
-    flags: list[str] = []
-    pts = list(pos) + list(neg)
-    w = np.array([p.velocity for p in pts])
-    y = np.array([p.torque_mean for p in pts])
-    wt = np.sqrt(np.array([p.count for p in pts], dtype=float))
-
-    both = bool(pos) and bool(neg)
-    if both:
-        x = np.column_stack([(w > 0).astype(float), (w < 0).astype(float), w])
-    else:
-        x = np.column_stack([np.ones_like(w), w])
-    with np.errstate(over="ignore", invalid="ignore"):
-        xw = x * wt[:, None]
-        yw = y * wt
-        finite = bool(np.all(np.isfinite(xw.T @ xw)) and np.all(np.isfinite(xw.T @ yw)))
-    if not finite:
+    # Weighted least squares from centered sums (Bjorck, Numerical Methods
+    # for Least Squares Problems, 1996, sec. 2.2), in Python floats added in
+    # a fixed order, so the fit has the same bits on every host.
+    groups = [pts for pts in (pos, neg) if pts]
+    means = []
+    sxx = sxy = 0.0
+    for pts in groups:
+        n_d = sum_w = sum_y = 0.0
+        for p in pts:
+            n_d += p.count
+            sum_w += p.count * p.velocity
+            sum_y += p.count * p.torque_mean
+        w_bar, y_bar = sum_w / n_d, sum_y / n_d
+        means.append((n_d, w_bar, y_bar))
+        for p in pts:
+            dw = p.velocity - w_bar
+            sxx += p.count * dw * dw
+            sxy += p.count * dw * (p.torque_mean - y_bar)
+    if sxx == 0.0:
+        raise RankDeficientError("map velocities are too close together to fit a slope")
+    b_v = sxy / sxx
+    coef = tuple(y_bar - b_v * w_bar for _, w_bar, y_bar in means) + (b_v,)
+    if not all(map(math.isfinite, (sxx, sxy) + coef)):
         raise DomainError("map velocities or torques are too large to fit")
-    coef, *_ = np.linalg.lstsq(xw, yw, rcond=None)
+    resid = [(p.count, (p.torque_mean - y_bar) - b_v * (p.velocity - w_bar))
+             for pts, (_, w_bar, y_bar) in zip(groups, means) for p in pts]
 
-    if both:
-        a_pos, a_neg, b_v = (float(c) for c in coef)
+    flags: list[str] = []
+    if pos and neg:
+        a_pos, a_neg, _ = coef
         if test_load == 0.0:
             mu_c = 0.0
             b_c = 0.5 * (a_pos - a_neg)
             flags.append("mu_c not identifiable without a test load; set to 0")
         else:
-            mu_c = _solve_mu_c(a_pos + a_neg, spec, test_load, flags)
+            # A+ + A- from the means: b_v drops out where the mean velocities are opposite.
+            (_, w_pos, y_pos), (_, w_neg, y_neg) = means
+            mu_c = _solve_mu_c(y_pos + y_neg - b_v * (w_pos + w_neg), spec, test_load, flags)
             b_c = a_pos - dynamics.reflect_load(spec, mu_c, test_load, +1.0)
     else:
         s = 1.0 if pos else -1.0
-        intercept, b_v = (float(c) for c in coef)
         mu_c = 0.0
-        b_c = s * (intercept - test_load / spec.ratio)
+        b_c = s * (coef[0] - test_load / spec.ratio)
         flags.append(
             "one-direction fit: mu_c not identifiable, assumed 0; "
             "b_c uses a frictionless load reflection"
@@ -462,21 +472,19 @@ def fit_friction(tv_map: TorqueVelocityMap, spec: TransmissionSpec,
     mu_s = _fit_mu_s(breakaway, spec, test_load, mu_c, b_c, flags)
     params = FrictionParams(mu_s=mu_s, mu_c=mu_c, b_c=b_c, b_v=b_v)
 
-    predicted = _predict_map_torque(params, spec, test_load, w)
+    pts = pos + neg
+    w = np.array([p.velocity for p in pts])
+    y = np.array([p.torque_mean for p in pts])
+    sgn = np.sign(w)
+    predicted = b_c * sgn + b_v * w + dynamics.reflect_load(spec, mu_c, test_load, sgn)
     residual = _range_nrmsd(predicted, y, flags)
     by_dir = {}
     for name, mask in (("positive", w > 0), ("negative", w < 0)):
         if mask.any():
             by_dir[name] = _range_nrmsd(predicted[mask], y[mask], flags)
 
-    half_widths = _half_widths(xw, yw, coef, both, spec, test_load)
+    half_widths = _half_widths(coef, means, sxx, resid, spec, test_load)
     return FitReport(params, residual, half_widths, by_dir, tuple(flags))
-
-
-def _predict_map_torque(params, spec, test_load, w):
-    sgn = np.sign(w)
-    reflected = dynamics.reflect_load(spec, params.mu_c, test_load, sgn)
-    return params.b_c * sgn + params.b_v * w + reflected
 
 
 def _range_nrmsd(predicted, observed, flags):
@@ -527,68 +535,50 @@ def _fit_mu_s(breakaway, spec, test_load, mu_c, b_c, flags):
     return mu_s
 
 
-def _half_widths(xw, yw, coef, both, spec, test_load):
+def _half_widths(coef, means, sxx, resid, spec, test_load):
+    """
+    95% half-widths: the diagonal of J C J^T, J the Jacobian of the reported
+    coefficients in (A_d..., b_v) and C = sigma^2 (diag(1/N_d..., 0) + u u^T
+    / Sxx) their covariance, u = (wbar_d..., -1).
+    """
     # fit_friction needs 3 distinct velocities per direction present, so
     # the n points outnumber the k coefficients: n >= 3 > 2, or n >= 6 > 3.
-    n, k = xw.shape
-    dof = n - k
-
-    if both and test_load != 0.0:
+    dof = len(resid) - len(coef)
+    if len(coef) == 2:
+        jac = {"b_c": (1.0, 0.0), "b_v": (0.0, 1.0)}
+    elif test_load == 0.0:
+        # mu_c pinned at 0, b_c = (A+ - A-)/2, b_v direct.
+        jac = {"mu_c": (0.0, 0.0, 0.0), "b_c": (0.5, -0.5, 0.0), "b_v": (0.0, 0.0, 1.0)}
+    else:
         def transform(c):
-            scratch: list[str] = []
-            # A Python float: its division overflows to inf silently, numpy's warns.
-            mu = _solve_mu_c(float(c[0] + c[1]), spec, test_load, scratch)
-            bc = c[0] - dynamics.reflect_load(spec, mu, test_load, +1.0)
-            return np.array([mu, bc, c[2]])
+            mu = _solve_mu_c(c[0] + c[1], spec, test_load, [])
+            return (mu, c[0] - dynamics.reflect_load(spec, mu, test_load, +1.0), c[2])
 
-        jac = np.zeros((3, 3))
+        columns = []
         for j in range(3):
             step = max(1e-8, 1e-6 * abs(coef[j]))
-            up = coef.copy()
-            dn = coef.copy()
-            up[j] += step
-            dn[j] -= step
-            jac[:, j] = (transform(up) - transform(dn)) / (2.0 * step)
-        names = ("mu_c", "b_c", "b_v")
-    elif both:
-        # test_load == 0: mu_c pinned at 0, b_c = (A+ - A-)/2, b_v direct.
-        jac = np.array([[0.0, 0.0, 0.0], [0.5, -0.5, 0.0], [0.0, 0.0, 1.0]])
-        names = ("mu_c", "b_c", "b_v")
-    else:
-        jac = np.array([[1.0, 0.0], [0.0, 1.0]])
-        names = ("b_c", "b_v")
+            up = [c + step * (i == j) for i, c in enumerate(coef)]
+            dn = [c - step * (i == j) for i, c in enumerate(coef)]
+            columns.append([(u - d) / (2.0 * step) for u, d in zip(transform(up), transform(dn))])
+        jac = dict(zip(("mu_c", "b_c", "b_v"), zip(*columns)))
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        resid = yw - xw @ coef
-        scale = 1.0
-        var = _param_variances(resid, dof, xw, jac)
-        if not np.all(np.isfinite(var)):
-            # Overflowing squares: the variances of resid / scale, rescaled below.
-            scale = float(np.max(np.abs(resid)))
-            var = _param_variances(resid / scale, dof, xw, jac)
-    halves = {}
-    for nm, v in zip(names, var.tolist()):
+    # The residuals over the power of two at their largest, an exact scaling:
+    # squares past the float range stay finite, and no other bit moves.
+    scale = math.ldexp(1.0, math.frexp(max(abs(r) for _, r in resid))[1])
+    sigma2 = 0.0
+    for n, r in resid:
+        sigma2 += n * (r / scale) * (r / scale)
+    # A one-direction map has no mu_c row: its half-width is inf.
+    halves = {"mu_c": math.inf}
+    for name, row in jac.items():
+        diag, ju = 0.0, -row[-1]
+        for j_d, (n_d, w_d, _) in zip(row, means):
+            diag += j_d * j_d / n_d
+            ju += j_d * w_d
+        var = sigma2 / dof * (diag + ju * ju / sxx)
         # inf where the half-width itself exceeds the float range.
-        halves[nm] = _Z95 * math.sqrt(max(0.0, v)) * scale if math.isfinite(v) else math.inf
-    if "mu_c" not in halves:
-        halves["mu_c"] = math.inf
+        halves[name] = _Z95 * math.sqrt(max(0.0, var)) * scale if math.isfinite(var) else math.inf
     return halves
-
-
-def _param_variances(resid, dof, xw, jac):
-    """Diagonal of jac cov jac^T, cov the least-squares covariance of `resid`."""
-    sigma2 = float(resid @ resid) / dof
-    cov_lin = sigma2 * np.linalg.inv(xw.T @ xw)
-    return np.diag(jac @ cov_lin @ jac.T)
-
-
-def evaluate_model(report: FitReport, spec: TransmissionSpec,
-                   traj: dynamics.JointTrajectory,
-                   measured: dynamics.TorqueTrace,
-                   load_torque_fn=None) -> float:
-    """NRMSD between the fitted model's torque prediction and a measured trace."""
-    simulated = dynamics.inverse_dynamics(spec, report.params, load_torque_fn, traj)
-    return dynamics.nrmsd(simulated, measured)
 
 
 def save_fit_report(path, report: FitReport, spec: TransmissionSpec,

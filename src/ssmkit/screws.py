@@ -94,8 +94,10 @@ def _ensure_rotation_rows(m):
     host's LAPACK, and an exact identity comes back exact.
     """
     s00, s01, s02, s11, s12, s22 = _gram(m)
-    defect = max(abs(s00 - 1.0), abs(s11 - 1.0), abs(s22 - 1.0), abs(s01), abs(s02), abs(s12))
-    if not defect <= UNIT_TOL:
+    defects = (abs(s00 - 1.0), abs(s11 - 1.0), abs(s22 - 1.0), abs(s01), abs(s02), abs(s12))
+    if not all(d <= UNIT_TOL for d in defects):
+        # `max` keeps its first argument past a later NaN, so NaN is named apart.
+        defect = math.nan if any(map(math.isnan, defects)) else max(defects)
         raise DomainError(f"matrix is not orthonormal (defect {defect:.3e})")
     for _ in range(2):
         # Row (x, y, z) of X times 3I - X^T X, each entry's diagonal term first.

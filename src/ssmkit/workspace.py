@@ -95,7 +95,8 @@ def sample_workspace_grid(geom: MechanismGeometry, n1: int, n2: int):
     points = np.empty((n1, n2, 3))
     points[:, :, 0], points[:, :, 1] = _turn(geom.omega1, theta1[:, None], ring, 2)
     points[:, :, 2] = ring[2]
-    polar = np.arccos(np.clip(ring[2], -1.0, 1.0))
+    # math.acos, not np.arccos, whose SIMD kernels can round differently by CPU.
+    polar = np.array([math.acos(z) for z in np.clip(ring[2], -1.0, 1.0).tolist()])
     return theta1, theta2, points.reshape(-1, 3), np.tile(polar, n1)
 
 

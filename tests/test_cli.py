@@ -1138,8 +1138,8 @@ def _fresh_python(code):
 _PACKAGE_EXPORTS = {
     "Direction", "FrictionParams", "JointTrajectory", "TorqueTrace", "TransmissionKind",
     "TransmissionSpec", "inverse_dynamics", "is_self_locking", "nrmsd", "payload_curve",
-    "FitReport", "TelemetryLog", "TorqueVelocityMap", "evaluate_model",
-    "extract_steady_segments", "fit_friction", "load_telemetry_csv", "IkSolutionSet",
+    "FitReport", "TelemetryLog", "TorqueVelocityMap", "extract_steady_segments",
+    "fit_friction", "load_telemetry_csv", "IkSolutionSet",
     "JointState", "MechanismGeometry", "build_geometry", "forward_kinematics",
     "inverse_kinematics", "probe_point_defaults", "Pose", "Twist",
     "normalize_angle", "revolute_twist", "rodrigues", "SubproblemSolutions",

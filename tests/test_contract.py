@@ -80,8 +80,6 @@ SPEC = ssmkit.TransmissionSpec(ssmkit.TransmissionKind.WORM_GEAR, 120.0, math.ra
 PARAMS = ssmkit.FrictionParams(0.15, 0.13, 3.82e-3, 7.18e-5)
 T = np.linspace(0.0, 0.04, 5)
 TRAJ = ssmkit.JointTrajectory(T, np.full(5, 0.2))
-MEASURED = ssmkit.TorqueTrace(T, np.linspace(0.0, 0.01, 5))
-REPORT = ssmkit.FitReport(PARAMS, 0.0, {}, {}, ())
 TW_X, TW_Z = ssmkit.revolute_twist(X), ssmkit.revolute_twist(Z)
 SP2_Q = ssmkit.rodrigues(X, 0.7) @ (ssmkit.rodrigues(Z, 0.4) @ Y)
 MAP = ssmkit.TorqueVelocityMap(tuple(
@@ -134,8 +132,6 @@ TABLE = {
                     [Array("time", T, T[:4]), Array("torque", np.zeros(5), np.zeros(4))]),
     "inverse_dynamics": (lambda load: ssmkit.inverse_dynamics(
         SPEC, PARAMS, lambda t: load, TRAJ), _LOAD_SLOT),
-    "evaluate_model": (lambda load: ssmkit.evaluate_model(
-        REPORT, SPEC, TRAJ, MEASURED, lambda t: load), _LOAD_SLOT),
     "payload_curve": (lambda load, grid: ssmkit.payload_curve(SPEC, PARAMS, load, grid),
                       [Real("load_torque", 0.1),
                        Array("velocity_grid", [1.0, 2.0, 3.0], [[1.0, 2.0, 3.0]])]),

@@ -17,15 +17,22 @@ default-precision runs, of each emitted file and of the sweep text must
 equal the committed table `golden_digests.json`; a short digest per line
 locates the first line that differs.
 
-The table records the host it was made on: numpy's SIMD `sin`/`cos` can
-differ by an ulp between CPUs, which can flip a digit of the workspace
-file. That file does not depend on the host's BLAS: the grid turns v4
-with FK's Rodrigues kernel in elementwise numpy arithmetic and reads the
-polar angle from z. `fk` and `ik` depend on neither BLAS nor LAPACK: FK
-and IK are scalar float arithmetic, the nearest-rotation step (which every
-`ik` pose and every `r0` passes) is two Bjorck steps in a fixed order
-rather than an SVD, and a test below pins FK to the Rodrigues product
-written out here, bit for bit. A change that means to alter an output regenerates the table with
+The table records the host it was made on. No output depends on the
+host's BLAS or LAPACK or on numpy's SIMD level. The workspace grid turns
+v4 with FK's Rodrigues kernel in elementwise numpy arithmetic and takes
+each polar angle with `math.acos`, not `np.arccos`, whose AVX-512 kernel
+rounds some values differently. The friction fit and its half-widths are
+a closed form in Python floats, with no design matrix and no LAPACK call.
+`fk` and `ik` are scalar float arithmetic, the nearest-rotation step
+(which every `ik` pose and every `r0` passes) is two Bjorck steps in a
+fixed order rather than an SVD, and a test below pins FK to the Rodrigues
+product written out here, bit for bit. Another runs `identify` and
+`workspace` at 17 digits under settings that switch numpy's BLAS and SIMD
+kernels and requires the same bytes. What the table still assumes is the
+host's libm: `ik_sweep` holds 17-digit `sin`, `cos`, `atan2` and `acos`
+results as an x86-64 glibc libm, with its FMA code paths, computes them,
+and the fit's mu_c and mu_s inversions call `math.tan` and `math.atan`.
+A change that means to alter an output regenerates the table with
 `PYTHONPATH=src python tests/test_golden.py` and says why.
 """
 
@@ -34,10 +41,14 @@ import hashlib
 import io
 import json
 import math
+import os
 import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from ssmkit import cli
 from ssmkit.kinematics import JointState, build_geometry, forward_kinematics, inverse_kinematics
@@ -94,6 +105,9 @@ ROLL_POSE = "0,0,-1,0,1,0,1,0,0,0,0,0.05"
 R0 = ((0.6, -0.64, 0.48), (0.8, 0.48, -0.36), (0.0, 0.6, 0.8))
 R0_MECHANISM = MECHANISM + "r0 = " + " ".join(repr(x) for row in R0 for x in row) + "\n"
 SWEEP_BUILDS = 200
+# numpy's dispatch targets above the x86-64 baseline: set as
+# NPY_DISABLE_CPU_FEATURES, numpy runs its baseline kernels instead.
+SIMD_TARGETS = "AVX512_SPR AVX512_ICL X86_V4 X86_V3"
 
 
 def _generic_pose_on_r0():
@@ -426,6 +440,64 @@ def test_outputs_match_the_golden_digests(tmp_path):
     assert not mismatches, (
         f"outputs differ from the table made on {table['host']} (this host: {host()}):\n"
         + "\n".join(mismatches))
+
+
+def _kernel_settings():
+    """The environment settings that change which BLAS or SIMD kernels
+    numpy runs on this host: OPENBLAS_CORETYPE where numpy's OpenBLAS is
+    built for several cores, and NPY_DISABLE_CPU_FEATURES where the CPU has
+    one of the targets it turns off. None off x86-64."""
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        return []
+    settings = []
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.25 prints its config only
+        blas = {}
+    if "DYNAMIC_ARCH" in blas.get("openblas configuration", ""):
+        settings.append({"OPENBLAS_CORETYPE": "Haswell"})
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    if any(__cpu_features__.get(t) for t in SIMD_TARGETS.split() if t in __cpu_dispatch__):
+        settings.append({"NPY_DISABLE_CPU_FEATURES": SIMD_TARGETS})
+    return settings
+
+
+def test_outputs_do_not_depend_on_blas_or_simd_kernels(tmp_path):
+    """`identify --breakaway` on joints 1 and 4 of the telemetry log above
+    and a 300-sample `workspace`, all at 17 digits, print and write the same
+    bytes in fresh interpreters whichever BLAS kernels or SIMD paths numpy
+    is set to run on this host."""
+    settings = _kernel_settings()
+    if not settings:
+        pytest.skip("no setting changes numpy's BLAS or SIMD kernels on this host")
+    build_inputs(tmp_path)
+    p17 = ["--precision", "17"]
+    runs = {f"identify_joint{j}": ["identify", str(tmp_path / "telemetry.csv"), "--joint", str(j),
+                                   "--load", "1", "--breakaway", "--transmission",
+                                   str(tmp_path / "drive.cfg")] + p17
+            + ["--out", str(tmp_path / f"fit{j}.cfg")] for j in (1, 4)}
+    runs["workspace"] = (["workspace", "30", "110", "--samples", "300"] + p17
+                         + ["--csv", str(tmp_path / "workspace.csv")])
+    plain = {k: v for k, v in os.environ.items()
+             if k not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")}
+    plain["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+
+    def outputs(setting):
+        out = {}
+        for name, argv in runs.items():
+            done = subprocess.run([sys.executable, "-m", "ssmkit"] + argv, capture_output=True,
+                                  env=dict(plain, **setting), check=True)
+            out[f"{name}/stdout"] = done.stdout
+            out[f"{name}/file"] = Path(argv[-1]).read_bytes()
+        return out
+
+    want = outputs({})
+    for setting in settings:
+        got = outputs(setting)
+        assert not [k for k in want if got[k] != want[k]], f"differ under {setting}"
 
 
 if __name__ == "__main__":

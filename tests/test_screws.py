@@ -171,6 +171,19 @@ class TestValidation:
         with pytest.raises(DomainError):
             _nearest_rotation(np.diag([1.0, 1.0, -1.0]))
 
+    @pytest.mark.parametrize("entry", range(9))
+    def test_rotation_rows_reject_nan_in_any_entry(self, entry):
+        """A NaN anywhere in the identity is named in the error, not passed
+        on as nine NaNs: `max` alone keeps its first argument past a NaN."""
+        m = [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]
+        m[entry] = math.nan
+        with pytest.raises(DomainError, match="defect nan"):
+            _ensure_rotation_rows(m)
+
+    def test_rotation_rows_name_the_largest_finite_defect(self):
+        with pytest.raises(DomainError, match=r"not orthonormal \(defect 2\.100e-01\)"):
+            _ensure_rotation_rows([1.1, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0])
+
     def test_normalize_angle_edges(self):
         assert normalize_angle(math.pi) == math.pi
         assert normalize_angle(-math.pi) == math.pi
