@@ -25,7 +25,7 @@ _EXPORTS = {
         ("subproblems", ("SubproblemSolutions", "subproblem1", "subproblem2",
                          "subproblem3prime")),
         ("band", ("TiltExtremes", "tilt_extremes")),
-        ("workspace", ("critical_directions", "dot_profile", "dot_profile_derivatives")),
+        ("workspace", ("dot_profile",)),
     )
     for name in names
 }

@@ -218,8 +218,10 @@ def extract_steady_segments(log: TelemetryLog, velocity_tolerance: float,
     running mean; the first `discard_s` seconds of each run are dropped as
     transients, and runs shorter than `min_duration_s` (after trimming),
     with fewer than `_MIN_SAMPLES` samples, or centered within tolerance of
-    zero velocity (rest periods) are discarded. Plateaus whose mean
-    velocities agree within tolerance are merged count-weighted.
+    zero velocity (rest periods) are discarded. In velocity order, a
+    plateau joins the last point within tolerance of its mean velocity; a
+    point's velocity is the count-weighted mean of its plateaus', and its
+    torque mean and std are those of their kept samples taken together.
     """
     velocity_tolerance = real("velocity_tolerance", velocity_tolerance)
     min_duration_s = real("min_duration_s", min_duration_s)
@@ -227,9 +229,9 @@ def extract_steady_segments(log: TelemetryLog, velocity_tolerance: float,
     jid = _resolve_joint(log, joint_id)
     t, v, tau, runs = _joint_runs(log, jid, velocity_tolerance)
 
-    raw_points = []
-    # Torques near the float64 limit overflow the plateau sums to inf or nan
-    # without a warning; fit_friction rejects such a map.
+    plateaus = []
+    # Values near the float64 limit overflow the sums to inf or nan without
+    # a warning; fit_friction rejects such a map.
     with np.errstate(over="ignore", invalid="ignore"):
         for i0, i1 in runs:
             if i1 - i0 < _MIN_SAMPLES:
@@ -240,49 +242,33 @@ def extract_steady_segments(log: TelemetryLog, velocity_tolerance: float,
             if t[i1 - 1] - t[keep] < min_duration_s:
                 continue
             v_mean = float(np.mean(v[keep:i1]))
-            if abs(v_mean) <= velocity_tolerance:
-                continue
-            seg = tau[keep:i1]
-            tm = float(np.mean(seg))
-            ts = float(np.std(seg))
-            if not math.isfinite(ts):
-                # Overflowing squares: the rms about the mean, scaled as nrmsd does.
-                ts = dynamics._range_rms(seg, np.full_like(seg, tm), 1.0)
-            raw_points.append((v_mean, tm, ts, int(i1 - keep)))
-
-    if not raw_points:
+            if abs(v_mean) > velocity_tolerance:
+                plateaus.append((v_mean, keep, i1))
+    if not plateaus:
         raise InsufficientDataError("no steady segment satisfies the criteria")
 
-    raw_points.sort()
+    plateaus.sort()  # by velocity, ties in time order
     merged: list[list] = []
-    for vm, tm, ts, n in raw_points:
+    for vm, keep, i1 in plateaus:
+        n = i1 - keep
         if merged and abs(vm - merged[-1][0]) <= velocity_tolerance:
-            v0, t0, s0, n0 = merged[-1]
-            nt = n0 + n
-            vm_new = (v0 * n0 + vm * n) / nt
-            tm_new = (t0 * n0 + tm * n) / nt
-            merged[-1] = [vm_new, tm_new, _merged_std(t0, s0, n0, tm, ts, n, tm_new), nt]
+            v0, n0, parts = merged[-1]
+            merged[-1][:2] = (v0 * n0 + vm * n) / (n0 + n), n0 + n
+            parts.append(tau[keep:i1])
         else:
-            merged.append([vm, tm, ts, n])
+            merged.append([vm, n, [tau[keep:i1]]])
 
-    return TorqueVelocityMap(tuple(MapPoint(*m) for m in merged))
-
-
-def _merged_std(t0, s0, n0, t1, s1, n1, mean):
-    """
-    Std of two plateaus given as (mean, std, count), about their joint
-    `mean`. Squares that overflow are taken on values scaled into [-1, 1].
-    """
-    def var(scale):
-        a0, b0, a1, b1, m = (x / scale for x in (t0, s0, t1, s1, mean))
-        return (n0 * (b0 * b0 + a0 * a0) + n1 * (b1 * b1 + a1 * a1)) / (n0 + n1) - m * m
-
-    scale = 1.0
-    value = var(scale)
-    if not math.isfinite(value):
-        scale = max(abs(t0), s0, abs(t1), s1)
-        value = var(scale)
-    return scale * math.sqrt(max(0.0, value))
+    points = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for velocity, count, parts in merged:
+            samples = np.concatenate(parts)
+            mean = float(np.mean(samples))
+            std = float(np.std(samples))
+            if not math.isfinite(std):
+                # Overflowing squares: the rms about the mean, scaled as nrmsd does.
+                std = dynamics._range_rms(samples, np.full_like(samples, mean), 1.0)
+            points.append(MapPoint(velocity, mean, std, count))
+    return TorqueVelocityMap(tuple(points))
 
 
 def extract_breakaway_samples(log: TelemetryLog, velocity_tolerance: float,
@@ -398,9 +384,10 @@ def fit_friction(tv_map: TorqueVelocityMap, spec: TransmissionSpec,
     Fit (mu_c, b_c, b_v) to a torque-velocity map recorded under a
     constant joint-side `test_load`, plus mu_s from optional breakaway
     samples [(direction, motor torque), ...], a list or an (n, 2) array
-    (empty or None: none). Every present direction
-    needs at least 3 distinct velocities. A clamped or defaulted estimate
-    is reported in the report's flags, never as a Python warning.
+    (empty or None: none). Every map point's count must be a positive whole
+    number, and every present direction needs at least 3 distinct velocities.
+    A clamped or defaulted estimate is reported in the report's flags, never
+    as a Python warning.
     """
     test_load = real("test_load", test_load)
     breakaway = [] if breakaway is None else floats("breakaway", breakaway, (None, 2)).tolist()
@@ -408,6 +395,11 @@ def fit_friction(tv_map: TorqueVelocityMap, spec: TransmissionSpec,
     neg = tv_map.direction(-1)
     if not pos and not neg:
         raise InsufficientDataError("map has no nonzero-velocity points")
+    for p in tv_map.points:
+        name = f"map point at velocity {float(p.velocity)!r}: count"
+        count = real(name, p.count)
+        if count < 1.0 or not count.is_integer():
+            raise DomainError(f"{name} must be a positive whole number, got {p.count!r}")
     for pts, name in ((pos, "positive"), (neg, "negative")):
         if pts and len({p.velocity for p in pts}) < 3:
             raise RankDeficientError(

@@ -20,7 +20,7 @@ from . import csvfile
 from ._inputs import floats
 from .band import TiltExtremes, tilt_extremes  # noqa: F401 (re-exported)
 from .configfile import DEFAULT_PRECISION
-from .errors import DegenerateGeometryError, DomainError
+from .errors import DomainError
 from .kinematics import MechanismGeometry
 from .screws import _rotation_rows
 
@@ -41,30 +41,6 @@ def dot_profile(geom: MechanismGeometry, theta2):
     array theta2 of finite real numbers.
     """
     return _turn(geom.omega2, floats("theta2", theta2), geom.v4)[2]
-
-
-def dot_profile_derivatives(geom: MechanismGeometry, theta2):
-    """Analytic first and second derivatives of dot_profile w.r.t. theta2."""
-    r = np.stack(_turn(geom.omega2, floats("theta2", theta2), geom.v4), axis=-1)
-    w2 = geom.omega2
-    first = r @ np.cross(geom.omega1, w2)
-    second = np.cross(w2, np.cross(w2, r)) @ geom.omega1
-    return first, second
-
-
-def critical_directions(geom: MechanismGeometry):
-    """
-    The two unit directions in span{omega1, omega2} where the polar angle
-    of the tip attains its extremes. Their omega1-components are
-    cos(alpha - beta) and cos(alpha + beta) respectively.
-    """
-    sa = math.sin(geom.alpha)
-    if abs(sa) < 1e-9:
-        raise DegenerateGeometryError("sin(alpha) ~ 0: axes 1 and 2 coincide")
-    sb = math.sin(geom.beta)
-    d_plus = (sb / sa) * geom.omega1 + (math.sin(geom.alpha - geom.beta) / sa) * geom.omega2
-    d_minus = (-sb / sa) * geom.omega1 + (math.sin(geom.alpha + geom.beta) / sa) * geom.omega2
-    return d_plus, d_minus
 
 
 def check_grid_samples(n1: int, n2: int) -> None:

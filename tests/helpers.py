@@ -1,11 +1,17 @@
 """Shared test utilities: hypothesis strategies and independent oracles."""
 
 import math
+import statistics
 
 import numpy as np
 from hypothesis import strategies as st
 
-from ssmkit.errors import DegenerateInputError, NoSolutionError, UnreachableError
+from ssmkit.errors import (
+    DegenerateGeometryError,
+    DegenerateInputError,
+    NoSolutionError,
+    UnreachableError,
+)
 from ssmkit.kinematics import SINGULARITY_TOL, IkSolutionSet, JointState, probe_point_defaults
 from ssmkit.screws import normalize_angle, rodrigues
 from ssmkit.subproblems import (
@@ -51,6 +57,32 @@ def random_rotation(rng):
     return expm_series(hat(axis) * angle)
 
 
+def dot_profile_derivatives(geom, theta2):
+    """Analytic first and second derivatives of `workspace.dot_profile`
+    with respect to a scalar theta2, from cross products of v4 turned
+    about omega2."""
+    r = rodrigues(geom.omega2, theta2) @ geom.v4
+    w2 = geom.omega2
+    first = r @ np.cross(geom.omega1, w2)
+    second = np.cross(w2, np.cross(w2, r)) @ geom.omega1
+    return first, second
+
+
+def critical_directions(geom):
+    """
+    The two unit directions in span{omega1, omega2} where the polar angle
+    of the tip attains its extremes. Their omega1-components are
+    cos(alpha - beta) and cos(alpha + beta) respectively.
+    """
+    sa = math.sin(geom.alpha)
+    if abs(sa) < 1e-9:
+        raise DegenerateGeometryError("sin(alpha) ~ 0: axes 1 and 2 coincide")
+    sb = math.sin(geom.beta)
+    d_plus = (sb / sa) * geom.omega1 + (math.sin(geom.alpha - geom.beta) / sa) * geom.omega2
+    d_minus = (-sb / sa) * geom.omega1 + (math.sin(geom.alpha + geom.beta) / sa) * geom.omega2
+    return d_plus, d_minus
+
+
 def line_scan_multiplicity(v, p, q, delta, n=20001):
     """
     Count line-sphere intersections by densely sampling the point-to-line
@@ -84,6 +116,40 @@ def segment_oracle(v, tol):
             total += v[i]
     segments.append((start, v.size))
     return segments
+
+
+def steady_points_oracle(t, v, tau, tol, min_duration_s, discard_s=0.25):
+    """
+    Reference for `extract_steady_segments` on one joint, as a list of
+    (velocity, torque mean, torque std, count). Each plateau of
+    `segment_oracle` drops its first `discard_s` seconds and must then keep
+    5 samples over `min_duration_s` at a mean velocity beyond `tol`. In
+    velocity order, a plateau joins the last point while within `tol` of
+    the point's running count-weighted mean velocity; the torque statistics
+    are `statistics.fmean` and `statistics.pstdev` of the pooled samples.
+    """
+    plateaus = []
+    for i0, i1 in segment_oracle(v, tol):
+        keep = i0
+        while keep < i1 and t[keep] < t[i0] + discard_s:
+            keep += 1
+        if i1 - keep < 5 or t[i1 - 1] - t[keep] < min_duration_s:
+            continue
+        level = float(np.mean(v[keep:i1]))
+        if abs(level) > tol:
+            plateaus.append((level, keep, i1))
+    points = []
+    for level, keep, i1 in sorted(plateaus):
+        n = i1 - keep
+        samples = tau[keep:i1].tolist()
+        if points and abs(level - points[-1][0]) <= tol:
+            velocity, count, pooled = points[-1]
+            points[-1] = [(velocity * count + level * n) / (count + n), count + n,
+                          pooled + samples]
+        else:
+            points.append([level, n, samples])
+    return [(velocity, statistics.fmean(pooled), statistics.pstdev(pooled), count)
+            for velocity, count, pooled in points]
 
 
 def breakaway_walk_oracle(t, v, tau, velocity_tolerance, min_duration_s,

@@ -1134,7 +1134,7 @@ def _fresh_python(code):
                           capture_output=True, text=True)
 
 
-# Names `ssmkit` exported when it imported every submodule eagerly.
+# Names `ssmkit` exports, each resolved from its submodule on first access.
 _PACKAGE_EXPORTS = {
     "Direction", "FrictionParams", "JointTrajectory", "TorqueTrace", "TransmissionKind",
     "TransmissionSpec", "inverse_dynamics", "is_self_locking", "nrmsd", "payload_curve",
@@ -1144,7 +1144,7 @@ _PACKAGE_EXPORTS = {
     "inverse_kinematics", "probe_point_defaults", "Pose", "Twist",
     "normalize_angle", "revolute_twist", "rodrigues", "SubproblemSolutions",
     "subproblem1", "subproblem2", "subproblem3prime", "TiltExtremes",
-    "critical_directions", "dot_profile", "dot_profile_derivatives", "tilt_extremes",
+    "dot_profile", "tilt_extremes",
 }
 
 _NUMPY_LOADED = "print(any(m == 'numpy' or m.startswith('numpy.') for m in sys.modules))"

@@ -171,8 +171,6 @@ TABLE = {
                       [Real("alpha", math.radians(30)), Real("beta", math.radians(110))]),
     "dot_profile": (lambda theta2: ssmkit.dot_profile(GEOM, theta2),
                     [Reals("theta2", [0.1, 0.2])]),
-    "dot_profile_derivatives": (lambda theta2: ssmkit.dot_profile_derivatives(GEOM, theta2),
-                                [Reals("theta2", [0.1, 0.2])]),
 }
 
 # Callable exports without a numeric slot of their own, and why.
@@ -182,12 +180,12 @@ NO_SLOTS = {
     "is_self_locking": "takes only checked records",
     "nrmsd": "takes only checked records",
     "probe_point_defaults": "takes only a checked geometry",
-    "critical_directions": "takes only a checked geometry",
     "FitReport": "result-only record, built by fit_friction from checked values",
     "IkSolutionSet": "result-only record, built by inverse_kinematics",
     "SubproblemSolutions": "result-only record, built by the subproblems",
     "TiltExtremes": "result-only record, built by tilt_extremes",
-    "TorqueVelocityMap": "result-only record, built by extract_steady_segments",
+    "TorqueVelocityMap": "a record built by extract_steady_segments; fit_friction checks "
+                         "its point counts",
 }
 
 CASES = [pytest.param(name, i, id=f"{name}-{slot.name}")

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 import warnings
 from statistics import NormalDist
 
@@ -47,6 +49,7 @@ from helpers import (
     mu_s_oracle,
     reflection_sum_oracle,
     segment_oracle,
+    steady_points_oracle,
 )
 
 DEG = math.radians
@@ -280,12 +283,20 @@ class TestExtractSteadySegments:
             assert abs(point.torque_mean - expected) < 1e-12
             assert point.torque_std < 1e-15
 
-    def test_overflowing_squares_give_a_finite_torque_std(self):
+    @pytest.mark.parametrize("levels, noise", [
+        pytest.param([1e200, 1e160, 1e200], 0.1, id="overflowing-squares"),
+        pytest.param([0.02, 0.03, 0.02], 1e-6, id="low-noise-1e-6"),
+        pytest.param([0.02, 0.03, 0.02], 1e-8, id="low-noise-1e-8"),
+    ])
+    def test_merged_torque_std_is_that_of_the_pooled_samples(self, levels, noise):
+        """A merged point's torque_std is the std of its plateaus' kept
+        samples: finite where their squares overflow, and without the
+        cancellation of pooled (mean, std) pairs where the noise is small."""
         rng = np.random.default_rng(5)
         per = 400
         # The first and last plateaus lie within tolerance and merge.
         v = np.repeat([1.0, 2.0, 1.004], per)
-        tau = np.repeat([1e200, 1e160, 1e200], per) * (1.0 + 0.1 * rng.standard_normal(v.size))
+        tau = np.repeat(levels, per) * (1.0 + noise * rng.standard_normal(v.size))
         log = TelemetryLog(np.arange(v.size) / 200.0, np.ones(v.size, int), v, tau)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -298,6 +309,27 @@ class TestExtractSteadySegments:
             expected = float(np.std(samples / scale)) * scale
             assert math.isfinite(point.torque_std)
             assert abs(point.torque_std - expected) <= 1e-9 * expected
+
+    @pytest.mark.parametrize("lengths", [(800, 250, 300), (250, 800, 300)])
+    def test_plateaus_merge_on_the_running_mean_velocity(self, lengths):
+        """Plateaus at v, v + 0.8 tol and v + 1.6 tol, apart in time: the
+        third joins the first two only when their count-weighted mean lies
+        within tol of it, which the longer second plateau brings about."""
+        rng = np.random.default_rng(17)
+        tol = 0.01
+        blocks = []
+        for level, n in zip((1.0, 1.0 + 0.8 * tol, 1.0 + 1.6 * tol), lengths):
+            blocks += [np.zeros(200), level + 1e-4 * rng.standard_normal(n)]
+        v = np.concatenate(blocks)
+        t = np.arange(v.size) / 200.0
+        tau = (0.02 + 1e-3 * v) * (1.0 + 1e-3 * rng.standard_normal(v.size))
+        tv = extract_steady_segments(TelemetryLog(t, np.ones(v.size, int), v, tau), tol, 0.5)
+        want = steady_points_oracle(t, v, tau, tol, 0.5)
+        assert len(want) == (2 if lengths[0] > lengths[1] else 1)
+        assert [(p.velocity, p.count) for p in tv.points] == [(w[0], w[3]) for w in want]
+        for point, (_, mean, std, _) in zip(tv.points, want):
+            assert abs(point.torque_mean - mean) <= 1e-12 * abs(mean)
+            assert abs(point.torque_std - std) <= 1e-12 * std
 
     def test_short_plateau_excluded(self):
         rate = 200.0
@@ -415,6 +447,23 @@ class TestFitFriction:
     def test_map_without_moving_points_rejected(self, points):
         with pytest.raises(InsufficientDataError, match="^map has no nonzero-velocity points$"):
             fit_friction(TorqueVelocityMap(points), JOINT_SPECS[1])
+
+    @pytest.mark.parametrize("counts", [
+        pytest.param([450] * 5 + [0] + [450] * 6, id="zero"),
+        pytest.param([450] * 5 + [-5] + [450] * 6, id="negative"),
+        pytest.param([450] * 5 + [2.5] + [450] * 6, id="fractional"),
+        pytest.param([1, -1] * 6, id="plus-minus-one"),
+    ])
+    def test_point_counts_must_be_positive_whole_numbers(self, counts):
+        """A hand-built map's counts are read: DomainError naming the first
+        point whose count is not a positive whole number."""
+        spec, params = JOINT_SPECS[1], JOINT_PARAMS[1]
+        tv = make_map(spec, params, 1.0, BOTH_DIRECTIONS)
+        points = [dataclasses.replace(p, count=n) for p, n in zip(tv.points, counts)]
+        bad = next(p for p in points if not (p.count >= 1 and float(p.count).is_integer()))
+        pattern = f"^map point at velocity {re.escape(repr(bad.velocity))}: count must be"
+        with pytest.raises(DomainError, match=pattern):
+            fit_friction(TorqueVelocityMap(tuple(points)), spec, test_load=1.0)
 
     def test_breakaway_below_mu_c_clamped_with_a_flag(self):
         spec, params = JOINT_SPECS[1], JOINT_PARAMS[1]

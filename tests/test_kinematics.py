@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from helpers import angles, hat, probe_point_ik_oracle, unit_vectors
+from helpers import angles, critical_directions, hat, probe_point_ik_oracle, unit_vectors
 from ssmkit.errors import (
     DegenerateGeometryError,
     DomainError,
@@ -28,7 +28,6 @@ from ssmkit.kinematics import (
 )
 from ssmkit.screws import Pose, normalize_angle, rodrigues
 from ssmkit.subproblems import subproblem1
-from ssmkit.workspace import critical_directions
 from ssmkit.screws import revolute_twist
 
 DEG = math.radians

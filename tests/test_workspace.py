@@ -6,16 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import angles
+from helpers import angles, critical_directions, dot_profile_derivatives
 from ssmkit import band, csvfile
 from ssmkit.errors import DegenerateGeometryError, DomainError, UnreachableError
 from ssmkit.kinematics import JointState, build_geometry, forward_kinematics, inverse_kinematics
 from ssmkit.screws import Pose, revolute_twist, rodrigues
 from ssmkit.subproblems import subproblem1
 from ssmkit.workspace import (
-    critical_directions,
     dot_profile,
-    dot_profile_derivatives,
     sample_workspace_grid,
     tilt_extremes,
     write_workspace_csv,
