@@ -157,19 +157,6 @@ def _parse_pose(raw):
     return (rot[0:3], rot[3:6], rot[6:9]), vals[9:]
 
 
-def _norm3(x: float, y: float, z: float) -> float:
-    """Euclidean norm of three floats, the squares summed left to right, so
-    its bits do not depend on the host's BLAS. Only when that sum overflows,
-    or underflows below the smallest normal float while a component is
-    nonzero, are the components scaled by the largest of them first."""
-    sq = x * x + y * y + z * z
-    if sq == math.inf or (sq < sys.float_info.min and (x or y or z)):
-        m = max(abs(x), abs(y), abs(z))
-        x, y, z = x / m, y / m, z / m
-        return m * math.sqrt(x * x + y * y + z * z)
-    return math.sqrt(sq)
-
-
 def cmd_fk(args, project) -> int:
     from . import kinematics
 
@@ -180,7 +167,7 @@ def cmd_fk(args, project) -> int:
         geom, math.radians(t1), math.radians(t2), math.radians(t3), t4)
     print("rotation =", " ".join(ff(v) for v in rotation))
     print("position_m =", " ".join(ff(v) for v in position))
-    print(f"position_norm_m = {ff(_norm3(*position))}")
+    print(f"position_norm_m = {ff(math.hypot(*position))}")
     return 0
 
 

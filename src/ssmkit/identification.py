@@ -475,7 +475,7 @@ def fit_friction(tv_map: TorqueVelocityMap, spec: TransmissionSpec,
         if mask.any():
             by_dir[name] = _range_nrmsd(predicted[mask], y[mask], flags)
 
-    half_widths = _half_widths(coef, means, sxx, resid, spec, test_load)
+    half_widths = _half_widths(coef, means, sxx, resid, spec, test_load, mu_c)
     return FitReport(params, residual, half_widths, by_dir, tuple(flags))
 
 
@@ -527,11 +527,14 @@ def _fit_mu_s(breakaway, spec, test_load, mu_c, b_c, flags):
     return mu_s
 
 
-def _half_widths(coef, means, sxx, resid, spec, test_load):
+def _half_widths(coef, means, sxx, resid, spec, test_load, mu_c):
     """
     95% half-widths: the diagonal of J C J^T, J the Jacobian of the reported
     coefficients in (A_d..., b_v) and C = sigma^2 (diag(1/N_d..., 0) + u u^T
-    / Sxx) their covariance, u = (wbar_d..., -1).
+    / Sxx) their covariance, u = (wbar_d..., -1). Loaded both ways, J comes
+    from the inverse function theorem on A+ + A- = (load / ratio) S(mu_c),
+    S = (tan(lam + rho) + max(0, tan(lam - rho))) / tan(lam), and on b_c = A+
+    - reflect(load, +1; mu_c); a mu_c clamped at either bound stays put.
     """
     # fit_friction needs 3 distinct velocities per direction present, so
     # the n points outnumber the k coefficients: n >= 3 > 2, or n >= 6 > 3.
@@ -542,17 +545,16 @@ def _half_widths(coef, means, sxx, resid, spec, test_load):
         # mu_c pinned at 0, b_c = (A+ - A-)/2, b_v direct.
         jac = {"mu_c": (0.0, 0.0, 0.0), "b_c": (0.5, -0.5, 0.0), "b_v": (0.0, 0.0, 1.0)}
     else:
-        def transform(c):
-            mu = _solve_mu_c(c[0] + c[1], spec, test_load, [])
-            return (mu, c[0] - dynamics.reflect_load(spec, mu, test_load, +1.0), c[2])
-
-        columns = []
-        for j in range(3):
-            step = max(1e-8, 1e-6 * abs(coef[j]))
-            up = [c + step * (i == j) for i, c in enumerate(coef)]
-            dn = [c - step * (i == j) for i, c in enumerate(coef)]
-            columns.append([(u - d) / (2.0 * step) for u, d in zip(transform(up), transform(dn))])
-        jac = dict(zip(("mu_c", "b_c", "b_v"), zip(*columns)))
+        # k = d mu_c / d A_d and f = d reflect(load, +1; mu_c) / d A_d, either d.
+        lam = spec.lead_angle
+        k = f = 0.0
+        if mu_c not in (0.0, math.tan(math.pi / 2.0 - lam - 1e-9)):
+            rho = math.atan(mu_c)
+            d = 1.0 + math.tan(lam + rho) ** 2
+            o = 1.0 + math.tan(lam - rho) ** 2 if rho < lam else 0.0
+            k = spec.ratio * math.tan(lam) * (1.0 + mu_c * mu_c) / (d - o) / test_load
+            f = (d if test_load > 0.0 else -o) / (d - o)
+        jac = {"mu_c": (k, k, 0.0), "b_c": (1.0 - f, -f, 0.0), "b_v": (0.0, 0.0, 1.0)}
 
     # The residuals over the power of two at their largest, an exact scaling:
     # squares past the float range stay finite, and no other bit moves.

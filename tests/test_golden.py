@@ -31,7 +31,8 @@ product written out here, bit for bit. Another runs `identify` and
 kernels and requires the same bytes. What the table still assumes is the
 host's libm: `ik_sweep` holds 17-digit `sin`, `cos`, `atan2` and `acos`
 results as an x86-64 glibc libm, with its FMA code paths, computes them,
-and the fit's mu_c and mu_s inversions call `math.tan` and `math.atan`.
+and the fit's mu_c and mu_s inversions and its half-widths' Jacobian call
+`math.tan` and `math.atan`.
 A change that means to alter an output regenerates the table with
 `PYTHONPATH=src python tests/test_golden.py` and says why.
 """

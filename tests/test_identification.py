@@ -4,6 +4,7 @@ import re
 import warnings
 from statistics import NormalDist
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -554,6 +555,8 @@ class TestFitFriction:
         assert report.params.mu_c == 0.0
         assert report.params.b_c == 0.0
         assert any("clamped" in f for f in report.flags)
+        # A clamped mu_c does not move with the intercepts.
+        assert report.half_widths["mu_c"] == 0.0
 
     @pytest.mark.parametrize("load", [1e-310, -1e-310, 5e-324])
     def test_tiny_test_load_clamps_mu_c_without_warnings(self, load):
@@ -563,6 +566,7 @@ class TestFitFriction:
             warnings.simplefilter("error")
             report = fit_friction(tv, spec, test_load=load)
         assert "mu_c estimate clamped at the driving-domain limit" in report.flags
+        assert report.half_widths["mu_c"] == 0.0
 
     def test_fit_idempotence(self):
         spec, params = JOINT_SPECS[1], JOINT_PARAMS[1]
@@ -627,12 +631,36 @@ class TestFitFriction:
         assert set(report.residuals_by_direction) == {"positive", "negative"}
 
 
+def _random_map(seed, shape):
+    """A well-conditioned seeded map of the given shape (loaded, unloaded,
+    positive or negative): a worm drive, 3-6 speeds per direction between 5
+    and 60 rad/s, counts 20-300, torque noise 1e-5 N*m. Returns (map, spec,
+    test load)."""
+    rng = np.random.default_rng(seed)
+    spec = JOINT_SPECS[int(rng.choice([1, 2]))]
+    params = FrictionParams(0.3, float(rng.uniform(0.05, 0.3)),
+                            float(rng.uniform(2e-3, 6e-3)), float(rng.uniform(2e-5, 1e-4)))
+    load = 0.0 if shape == "unloaded" else float(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0))
+    signs = {"positive": [1.0], "negative": [-1.0]}.get(shape, [1.0, -1.0])
+    points = []
+    for s in signs:
+        for speed in rng.uniform(5.0, 60.0, int(rng.integers(3, 7))).tolist():
+            torque = kinetic_torque(spec, params, load, s * speed) + rng.uniform(-1e-5, 1e-5)
+            points.append(MapPoint(s * speed, torque, 0.0, int(rng.integers(20, 301))))
+    return TorqueVelocityMap(tuple(sorted(points, key=lambda p: p.velocity))), spec, load
+
+
 def _lstsq_oracle(tv, spec, load):
     """The intercepts and slope from `np.linalg.lstsq` on the count-weighted
     design matrix, and the 95% half-widths of (mu_c, b_c, b_v): the
     covariance from the matrix's QR factor, and the Jacobian of the reported
-    coefficients in the fitted ones, by central differences where a test
-    load is applied both ways and exact (linear) otherwise."""
+    coefficients in the fitted ones, exact (linear) unless a test load is
+    applied both ways. There the inverse function theorem gives it from the
+    forward model, A+ + A- = (load / ratio) (drive(mu) + over(mu)) with
+    drive = tan(lam + rho) / tan(lam) and over = max(0, tan(lam - rho)) /
+    tan(lam), and b_c = A+ minus the load's driving (load > 0) or
+    overhauling (load < 0) term: `mp.diff` of each term in 50 digits at the
+    bisection root `mu_c_oracle`."""
     pts = [p for p in tv.points if p.velocity != 0.0]
     w = np.array([p.velocity for p in pts])
     y = np.array([p.torque_mean for p in pts])
@@ -649,21 +677,19 @@ def _lstsq_oracle(tv, spec, load):
     rinv = np.linalg.inv(np.linalg.qr(xw, mode="r"))
     cov = sigma2 * rinv @ rinv.T
 
-    def reported(c):
-        mu = _solve_mu_c(c[0] + c[1], spec, load, [])
-        return np.array([mu, c[0] - reflect_load(spec, mu, load, 1.0), c[2]])
-
     if not both:
         jac = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     elif load == 0.0:
         jac = np.array([[0.0, 0.0, 0.0], [0.5, -0.5, 0.0], [0.0, 0.0, 1.0]])
     else:
-        jac = np.zeros((3, 3))
-        for j, c in enumerate(coef):
-            step = max(1e-8, 1e-6 * abs(c))
-            up = [x + step * (i == j) for i, x in enumerate(coef)]
-            dn = [x - step * (i == j) for i, x in enumerate(coef)]
-            jac[:, j] = (reported(up) - reported(dn)) / (2.0 * step)
+        lam = spec.lead_angle
+        mu = mu_c_oracle((coef[0] + coef[1]) * spec.ratio / load, lam)
+        with mp.workdps(50):
+            drive = mp.diff(lambda m: mp.tan(lam + mp.atan(m)) / mp.tan(lam), mu)
+            over = mp.diff(lambda m: max(0, mp.tan(lam - mp.atan(m))) / mp.tan(lam), mu)
+            k = spec.ratio / (load * (drive + over))
+            f = (drive if load > 0.0 else over) / (drive + over)
+            jac = np.array([[k, k, 0], [1 - f, -f, 0], [0, 0, 1]], dtype=float)
     halves = (_Z95 * np.sqrt(np.diag(jac @ cov @ jac.T))).tolist()
     if not both:
         halves[0] = math.inf
@@ -708,6 +734,20 @@ class TestClosedFormFit:
         with pytest.raises(RankDeficientError, match="too close together"):
             fit_friction(TorqueVelocityMap(tuple(points)), JOINT_SPECS[1], test_load=1.0)
 
+    def test_half_widths_reproduce_under_a_one_ulp_nudge(self):
+        """On 100 seeded maps loaded both ways, moving one point's torque_mean
+        by one ulp moves no half-width by more than 1e-10 relative: the
+        Jacobian is in closed form, with no finite-difference step to round."""
+        for seed in range(100):
+            tv, spec, load = _random_map(seed, "loaded")
+            first = tv.points[0]
+            nudged = dataclasses.replace(first, torque_mean=math.nextafter(first.torque_mean, 0.0))
+            moved = TorqueVelocityMap((nudged,) + tv.points[1:])
+            want = fit_friction(tv, spec, test_load=load).half_widths
+            got = fit_friction(moved, spec, test_load=load).half_widths
+            for name, value in want.items():
+                assert abs(got[name] - value) <= 1e-10 * value, (seed, name)
+
     @settings(max_examples=150, deadline=None)
     @given(shape=st.sampled_from(["loaded", "unloaded", "positive", "negative"]),
            seed=st.integers(0, 2**32 - 1))
@@ -717,21 +757,8 @@ class TestClosedFormFit:
         fitted coefficients agree with the oracle's within 1e-12 and the
         half-widths within 1e-9. Where a test load is applied both ways, mu_c
         and b_c recover the intercepts through the load reflection, whose
-        inverse (`_solve_mu_c`) can amplify any rounding a hundredfold, and
-        their half-widths are held to 1e-8: the central-difference Jacobian
-        moves by a few 1e-9 between coefficient points an ulp apart."""
-        rng = np.random.default_rng(seed)
-        spec = JOINT_SPECS[int(rng.choice([1, 2]))]
-        params = FrictionParams(0.3, float(rng.uniform(0.05, 0.3)),
-                                float(rng.uniform(2e-3, 6e-3)), float(rng.uniform(2e-5, 1e-4)))
-        load = 0.0 if shape == "unloaded" else float(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0))
-        signs = {"positive": [1.0], "negative": [-1.0]}.get(shape, [1.0, -1.0])
-        points = []
-        for s in signs:
-            for speed in rng.uniform(5.0, 60.0, int(rng.integers(3, 7))).tolist():
-                torque = kinetic_torque(spec, params, load, s * speed) + rng.uniform(-1e-5, 1e-5)
-                points.append(MapPoint(s * speed, torque, 0.0, int(rng.integers(20, 301))))
-        tv = TorqueVelocityMap(tuple(sorted(points, key=lambda p: p.velocity)))
+        inverse (`_solve_mu_c`) can amplify any rounding a hundredfold."""
+        tv, spec, load = _random_map(seed, shape)
         report = fit_friction(tv, spec, test_load=load)
         if any("clamped" in f for f in report.flags):
             return  # a clamp replaces the least-squares value
@@ -742,13 +769,12 @@ class TestClosedFormFit:
         elif shape == "unloaded":
             got, coef = [p.b_c], [0.5 * (coef[0] - coef[1]), coef[2]]
         else:
-            got = [signs[0] * p.b_c + load / spec.ratio]
+            got = [(1.0 if shape == "positive" else -1.0) * p.b_c + load / spec.ratio]
         for value, oracle in zip(got + [p.b_v], coef):
             assert abs(value - oracle) <= 1e-12 * abs(oracle)
         for name, oracle in halves.items():
             value = report.half_widths[name]
-            tol = 1e-8 if shape == "loaded" and name != "b_v" else 1e-9
-            assert value == oracle or abs(value - oracle) <= tol * oracle, name
+            assert value == oracle or abs(value - oracle) <= 1e-9 * oracle, name
 
 
 def _drive(lam, ratio=1.0):
