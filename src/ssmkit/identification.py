@@ -50,6 +50,10 @@ VALID_JOINT_IDS = (1, 2, 3, 4)
 # Fewest samples a plateau keeps after its transient is discarded.
 _MIN_SAMPLES = 5
 
+# A breakaway's rest: at most this fraction of the plateau's speed, this long (s).
+_REST_FRACTION = 1e-3
+_MIN_REST_S = 0.1
+
 # Standard-normal quantile of the two-sided 95% parameter intervals:
 # `statistics.NormalDist().inv_cdf(0.975)`, written out so that importing
 # this module does not load `statistics` (and `fractions`, `decimal`).
@@ -272,19 +276,16 @@ def extract_steady_segments(log: TelemetryLog, velocity_tolerance: float,
 
 
 def extract_breakaway_samples(log: TelemetryLog, velocity_tolerance: float,
-                              min_duration_s: float, *, joint_id=None,
-                              rest_fraction: float = 1e-3,
-                              min_rest_s: float = 0.1):
+                              min_duration_s: float, *, joint_id=None):
     """
-    Breakaway torques: for each qualifying plateau preceded by a rest, the
-    motor torque at the first sample whose speed exceeds `rest_fraction`
-    of the plateau level. A rest gives at most one sample, to the first
-    plateau after it. Returns a list of (direction, torque) pairs.
+    Breakaway torques: for each qualifying plateau preceded by a rest (a
+    speed at or under `_REST_FRACTION` of the plateau's for `_MIN_REST_S`
+    seconds), the motor torque at the first sample faster than that. A rest
+    gives at most one sample, to the first plateau after it. Returns a list
+    of (direction, torque) pairs.
     """
     velocity_tolerance = real("velocity_tolerance", velocity_tolerance)
     min_duration_s = real("min_duration_s", min_duration_s)
-    rest_fraction = real("rest_fraction", rest_fraction)
-    min_rest_s = real("min_rest_s", min_rest_s)
     jid = _resolve_joint(log, joint_id)
     t, v, tau, runs = _joint_runs(log, jid, velocity_tolerance)
     times = t.tolist()
@@ -315,7 +316,7 @@ def extract_breakaway_samples(log: TelemetryLog, velocity_tolerance: float,
             low_speed.extend(block[keep].tolist())
             low_idx.extend((keep + swept).tolist())
             swept = i0
-        threshold = rest_fraction * abs(level)
+        threshold = _REST_FRACTION * abs(level)
         below = bisect.bisect_right(low_speed, threshold)
         if below == 0:
             continue
@@ -325,9 +326,9 @@ def extract_breakaway_samples(log: TelemetryLog, velocity_tolerance: float,
         # Walk back only as far as the rest must last.
         rest_start = rest_end
         while (rest_start > 0 and speed[rest_start - 1] <= threshold
-               and times[rest_end] - times[rest_start] < min_rest_s):
+               and times[rest_end] - times[rest_start] < _MIN_REST_S):
             rest_start -= 1
-        if times[rest_end] - times[rest_start] < min_rest_s:
+        if times[rest_end] - times[rest_start] < _MIN_REST_S:
             continue
         used_rests.add(rest_end)
         samples.append((1 if level > 0 else -1, float(tau[rest_end + 1])))
@@ -345,13 +346,9 @@ class FitReport:
     flags: tuple
 
 
-def _reflection_sum(rho: float, lead_angle: float) -> float:
-    """1/eta_driving + eta_overhauling as a function of the friction angle."""
-    mu = math.tan(rho)
-    return (
-        1.0 / efficiency(lead_angle, mu, Direction.DRIVING)
-        + efficiency(lead_angle, mu, Direction.OVERHAULING)
-    )
+def _mu_limit(lam: float) -> float:
+    """Largest mu the fit reports: rho stops 1e-9 short of lam + rho = pi/2."""
+    return math.tan(math.pi / 2.0 - lam - 1e-9)
 
 
 def _solve_mu_c(intercept_sum, spec, test_load, flags):
@@ -359,23 +356,32 @@ def _solve_mu_c(intercept_sum, spec, test_load, flags):
     Invert S(rho) = 1/eta_d + eta_o = target for mu = tan(rho). With
     t = tan(lam) and m = tan(rho), S = (tan(lam + rho) + tan(lam - rho)) / t
     = 2 (1 + m^2) / (1 - t^2 m^2) while rho < lam; from rho = lam on, eta_o
-    is clamped to 0 and S = tan(lam + rho) / t.
+    is clamped to 0 and S = tan(lam + rho) / t. Returns (mu, k, f), k = d mu
+    / d A_d and f = d reflect(load, +1; mu) / d A_d for either intercept A_d
+    by the inverse function theorem, and k = f = 0 where mu is clamped.
     """
     target = intercept_sum * spec.ratio / test_load
     lam = spec.lead_angle
-    lo = 0.0
-    hi = math.pi / 2.0 - lam - 1e-9
-    if target <= _reflection_sum(lo, lam):
-        if target < _reflection_sum(lo, lam) - 1e-12:
+    if target <= 2.0:
+        if target < 2.0 - 1e-12:
             flags.append("non-physical mu_c estimate clamped to 0")
-        return 0.0
-    if target >= _reflection_sum(hi, lam):
+        return 0.0, 0.0, 0.0
+    hi = _mu_limit(lam)
+    if target >= (1.0 / efficiency(lam, hi, Direction.DRIVING)
+                  + efficiency(lam, hi, Direction.OVERHAULING)):
         flags.append("mu_c estimate clamped at the driving-domain limit")
-        return math.tan(hi)
+        return hi, 0.0, 0.0
     if 2.0 * lam < math.pi / 2.0 and target >= math.tan(2.0 * lam) / math.tan(lam):
-        return math.tan(math.atan(target * math.tan(lam)) - lam)
-    c2 = math.cos(lam) ** 2
-    return math.sqrt(c2 * (target - 2.0) / (target * math.sin(lam) ** 2 + 2.0 * c2))
+        mu = math.tan(math.atan(target * math.tan(lam)) - lam)
+    else:
+        c2 = math.cos(lam) ** 2
+        mu = math.sqrt(c2 * (target - 2.0) / (target * math.sin(lam) ** 2 + 2.0 * c2))
+    rho = math.atan(mu)
+    d = 1.0 + math.tan(lam + rho) ** 2
+    o = 1.0 + math.tan(lam - rho) ** 2 if rho < lam else 0.0
+    k = spec.ratio * math.tan(lam) * (1.0 + mu * mu) / (d - o) / test_load
+    f = (d if test_load > 0.0 else -o) / (d - o)
+    return mu, k, f
 
 
 def fit_friction(tv_map: TorqueVelocityMap, spec: TransmissionSpec,
@@ -433,6 +439,7 @@ def fit_friction(tv_map: TorqueVelocityMap, spec: TransmissionSpec,
     resid = [(p.count, (p.torque_mean - y_bar) - b_v * (p.velocity - w_bar))
              for pts, (_, w_bar, y_bar) in zip(groups, means) for p in pts]
 
+    # jac: each reported coefficient's derivatives in (A_d..., b_v), 0 if clamped.
     flags: list[str] = []
     if pos and neg:
         a_pos, a_neg, _ = coef
@@ -440,11 +447,13 @@ def fit_friction(tv_map: TorqueVelocityMap, spec: TransmissionSpec,
             mu_c = 0.0
             b_c = 0.5 * (a_pos - a_neg)
             flags.append("mu_c not identifiable without a test load; set to 0")
+            jac = {"mu_c": (0.0, 0.0, 0.0), "b_c": (0.5, -0.5, 0.0)}
         else:
             # A+ + A- from the means: b_v drops out where the mean velocities are opposite.
             (_, w_pos, y_pos), (_, w_neg, y_neg) = means
-            mu_c = _solve_mu_c(y_pos + y_neg - b_v * (w_pos + w_neg), spec, test_load, flags)
+            mu_c, k, f = _solve_mu_c(y_pos + y_neg - b_v * (w_pos + w_neg), spec, test_load, flags)
             b_c = a_pos - dynamics.reflect_load(spec, mu_c, test_load, +1.0)
+            jac = {"mu_c": (k, k, 0.0), "b_c": (1.0 - f, -f, 0.0)}
     else:
         s = 1.0 if pos else -1.0
         mu_c = 0.0
@@ -453,13 +462,17 @@ def fit_friction(tv_map: TorqueVelocityMap, spec: TransmissionSpec,
             "one-direction fit: mu_c not identifiable, assumed 0; "
             "b_c uses a frictionless load reflection"
         )
+        jac = {"b_c": (1.0, 0.0)}
+    jac["b_v"] = (0.0,) * len(means) + (1.0,)
 
     if b_c < 0.0:
         flags.append("non-physical b_c estimate clamped to 0")
         b_c = 0.0
+        jac["b_c"] = (0.0,) * len(coef)
     if b_v < 0.0:
         flags.append("non-physical b_v estimate clamped to 0")
         b_v = 0.0
+        jac["b_v"] = (0.0,) * len(coef)
 
     mu_s = _fit_mu_s(breakaway, spec, test_load, mu_c, b_c, flags)
     params = FrictionParams(mu_s=mu_s, mu_c=mu_c, b_c=b_c, b_v=b_v)
@@ -475,7 +488,7 @@ def fit_friction(tv_map: TorqueVelocityMap, spec: TransmissionSpec,
         if mask.any():
             by_dir[name] = _range_nrmsd(predicted[mask], y[mask], flags)
 
-    half_widths = _half_widths(coef, means, sxx, resid, spec, test_load, mu_c)
+    half_widths = _half_widths(jac, means, sxx, resid)
     return FitReport(params, residual, half_widths, by_dir, tuple(flags))
 
 
@@ -496,15 +509,14 @@ def _fit_mu_s(breakaway, spec, test_load, mu_c, b_c, flags):
         flags.append("mu_s not identifiable from breakaway without a test load")
         return mu_c
     lam = spec.lead_angle
-    hi = math.tan(math.pi / 2.0 - lam - 1e-9)
+    hi = _mu_limit(lam)
+    # The static model torque at mu = 0 and at the limit, per direction.
+    ends = {s: [b_c * s + dynamics.reflect_load(spec, mu, test_load, s) for mu in (0.0, hi)]
+            for s in (1.0, -1.0)}
     estimates = []
     for direction, torque in breakaway:
         s = 1.0 if direction > 0 else -1.0
-
-        def gap(mu, s=s, torque=torque):
-            return b_c * s + dynamics.reflect_load(spec, mu, test_load, s) - torque
-
-        g_lo, g_hi = gap(0.0), gap(hi)
+        g_lo, g_hi = (end - torque for end in ends[s])
         if g_lo == 0.0:
             estimates.append(0.0)
         elif g_lo * g_hi > 0.0:
@@ -527,35 +539,16 @@ def _fit_mu_s(breakaway, spec, test_load, mu_c, b_c, flags):
     return mu_s
 
 
-def _half_widths(coef, means, sxx, resid, spec, test_load, mu_c):
+def _half_widths(jac, means, sxx, resid):
     """
-    95% half-widths: the diagonal of J C J^T, J the Jacobian of the reported
-    coefficients in (A_d..., b_v) and C = sigma^2 (diag(1/N_d..., 0) + u u^T
-    / Sxx) their covariance, u = (wbar_d..., -1). Loaded both ways, J comes
-    from the inverse function theorem on A+ + A- = (load / ratio) S(mu_c),
-    S = (tan(lam + rho) + max(0, tan(lam - rho))) / tan(lam), and on b_c = A+
-    - reflect(load, +1; mu_c); a mu_c clamped at either bound stays put.
+    95% half-widths of the reported coefficients, one per named row j of
+    their Jacobian in (A_d..., b_v): sqrt(j C j^T), where C = sigma^2
+    (diag(1/N_d..., 0) + u u^T / Sxx), u = (wbar_d..., -1), is the
+    covariance of the fitted intercepts and slope. A clamped one's j is 0.
     """
     # fit_friction needs 3 distinct velocities per direction present, so
     # the n points outnumber the k coefficients: n >= 3 > 2, or n >= 6 > 3.
-    dof = len(resid) - len(coef)
-    if len(coef) == 2:
-        jac = {"b_c": (1.0, 0.0), "b_v": (0.0, 1.0)}
-    elif test_load == 0.0:
-        # mu_c pinned at 0, b_c = (A+ - A-)/2, b_v direct.
-        jac = {"mu_c": (0.0, 0.0, 0.0), "b_c": (0.5, -0.5, 0.0), "b_v": (0.0, 0.0, 1.0)}
-    else:
-        # k = d mu_c / d A_d and f = d reflect(load, +1; mu_c) / d A_d, either d.
-        lam = spec.lead_angle
-        k = f = 0.0
-        if mu_c not in (0.0, math.tan(math.pi / 2.0 - lam - 1e-9)):
-            rho = math.atan(mu_c)
-            d = 1.0 + math.tan(lam + rho) ** 2
-            o = 1.0 + math.tan(lam - rho) ** 2 if rho < lam else 0.0
-            k = spec.ratio * math.tan(lam) * (1.0 + mu_c * mu_c) / (d - o) / test_load
-            f = (d if test_load > 0.0 else -o) / (d - o)
-        jac = {"mu_c": (k, k, 0.0), "b_c": (1.0 - f, -f, 0.0), "b_v": (0.0, 0.0, 1.0)}
-
+    dof = len(resid) - len(means) - 1
     # The residuals over the power of two at their largest, an exact scaling:
     # squares past the float range stay finite, and no other bit moves.
     scale = math.ldexp(1.0, math.frexp(max(abs(r) for _, r in resid))[1])

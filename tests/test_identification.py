@@ -3,6 +3,7 @@ import math
 import re
 import warnings
 from statistics import NormalDist
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
@@ -28,8 +29,8 @@ from ssmkit.identification import (
     MapPoint,
     _fit_mu_s,
     _median,
+    _mu_limit,
     _range_nrmsd,
-    _reflection_sum,
     _segment_indices,
     _solve_mu_c,
     _Z95,
@@ -555,8 +556,23 @@ class TestFitFriction:
         assert report.params.mu_c == 0.0
         assert report.params.b_c == 0.0
         assert any("clamped" in f for f in report.flags)
-        # A clamped mu_c does not move with the intercepts.
+        # A clamped coefficient does not move with the intercepts.
         assert report.half_widths["mu_c"] == 0.0
+        assert report.half_widths["b_c"] == 0.0
+
+    def test_clamped_b_v_has_no_half_width(self):
+        """A loaded map whose torque falls with speed: b_v is clamped to 0,
+        so its half-width is 0, while b_c keeps a positive one."""
+        spec, params = JOINT_SPECS[1], dataclasses.replace(JOINT_PARAMS[1], b_v=0.0)
+        rng = np.random.default_rng(34)
+        points = [MapPoint(w, kinetic_torque(spec, params, 1.0, w) - 1e-6 * w
+                           + 1e-6 * rng.standard_normal(), 0.0, 100)
+                  for w in sorted(BOTH_DIRECTIONS)]
+        report = fit_friction(TorqueVelocityMap(tuple(points)), spec, test_load=1.0)
+        assert "non-physical b_v estimate clamped to 0" in report.flags
+        assert report.params.b_v == 0.0
+        assert report.half_widths["b_v"] == 0.0
+        assert report.half_widths["b_c"] > 0.0
 
     @pytest.mark.parametrize("load", [1e-310, -1e-310, 5e-324])
     def test_tiny_test_load_clamps_mu_c_without_warnings(self, load):
@@ -650,6 +666,21 @@ def _random_map(seed, shape):
     return TorqueVelocityMap(tuple(sorted(points, key=lambda p: p.velocity))), spec, load
 
 
+def _mu_c_slopes_oracle(mu, lam, ratio, load):
+    """(d mu_c / d A_d, d reflect(load, +1; mu_c) / d A_d) at mu_c = mu, as
+    mpmath numbers: the inverse function theorem on A+ + A- = (load / ratio)
+    (drive(mu) + over(mu)), with `mp.diff` of each term in 50 digits. over =
+    tan(lam - rho) / tan(lam) is clamped to 0 from rho = lam on; which side
+    of that kink mu lies on is decided as `dynamics.efficiency` decides it,
+    by the float rho = atan(mu)."""
+    with mp.workdps(50):
+        drive = mp.diff(lambda m: mp.tan(lam + mp.atan(m)) / mp.tan(lam), mu)
+        over = 0
+        if math.atan(mu) < lam:
+            over = mp.diff(lambda m: mp.tan(lam - mp.atan(m)) / mp.tan(lam), mu)
+        return ratio / (load * (drive + over)), (drive if load > 0.0 else over) / (drive + over)
+
+
 def _lstsq_oracle(tv, spec, load):
     """The intercepts and slope from `np.linalg.lstsq` on the count-weighted
     design matrix, and the 95% half-widths of (mu_c, b_c, b_v): the
@@ -660,7 +691,7 @@ def _lstsq_oracle(tv, spec, load):
     drive = tan(lam + rho) / tan(lam) and over = max(0, tan(lam - rho)) /
     tan(lam), and b_c = A+ minus the load's driving (load > 0) or
     overhauling (load < 0) term: `mp.diff` of each term in 50 digits at the
-    bisection root `mu_c_oracle`."""
+    bisection root `mu_c_oracle` (`_mu_c_slopes_oracle`)."""
     pts = [p for p in tv.points if p.velocity != 0.0]
     w = np.array([p.velocity for p in pts])
     y = np.array([p.torque_mean for p in pts])
@@ -685,10 +716,7 @@ def _lstsq_oracle(tv, spec, load):
         lam = spec.lead_angle
         mu = mu_c_oracle((coef[0] + coef[1]) * spec.ratio / load, lam)
         with mp.workdps(50):
-            drive = mp.diff(lambda m: mp.tan(lam + mp.atan(m)) / mp.tan(lam), mu)
-            over = mp.diff(lambda m: max(0, mp.tan(lam - mp.atan(m))) / mp.tan(lam), mu)
-            k = spec.ratio / (load * (drive + over))
-            f = (drive if load > 0.0 else over) / (drive + over)
+            k, f = _mu_c_slopes_oracle(mu, lam, spec.ratio, load)
             jac = np.array([[k, k, 0], [1 - f, -f, 0], [0, 0, 1]], dtype=float)
     halves = (_Z95 * np.sqrt(np.diag(jac @ cov @ jac.T))).tolist()
     if not both:
@@ -801,10 +829,13 @@ class TestClosedFormInversions:
         target = reflection_sum_oracle(rho, lam)
         flags = []
         # Power-of-two loads keep target * load / load exact.
-        mu = _solve_mu_c(target * load, _drive(lam), load, flags)
+        mu, k, f = _solve_mu_c(target * load, _drive(lam), load, flags)
         expected = mu_c_oracle(target, lam)
         assert flags == []
         assert abs(mu - expected) <= 1e-8 * expected
+        # The slopes of the fit's Jacobian at that mu, against the 50-digit ones.
+        for value, oracle in zip((k, f), _mu_c_slopes_oracle(mu, lam, 1.0, load)):
+            assert abs(value - oracle) <= 1e-8 * abs(oracle)
 
     @settings(max_examples=30, deadline=None)
     @given(lam=st.floats(0.02, 1.5), excess=st.floats(1e-9, 10.0))
@@ -813,14 +844,13 @@ class TestClosedFormInversions:
         flags = []
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert _solve_mu_c(2.0 - excess, spec, 1.0, flags) == 0.0
+            assert _solve_mu_c(2.0 - excess, spec, 1.0, flags) == (0.0, 0.0, 0.0)
         assert flags == ["non-physical mu_c estimate clamped to 0"]
         flags = []
-        assert _solve_mu_c(2.0 - 1e-13, spec, 1.0, flags) == 0.0
+        assert _solve_mu_c(2.0 - 1e-13, spec, 1.0, flags) == (0.0, 0.0, 0.0)
         assert flags == []
-        hi = math.pi / 2.0 - lam - 1e-9
-        target = _reflection_sum(hi, lam) * (1.0 + excess)
-        assert _solve_mu_c(target, spec, 1.0, flags) == math.tan(hi)
+        target = reflection_sum_oracle(math.pi / 2.0 - lam - 1e-9, lam) * (1.0 + excess)
+        assert _solve_mu_c(target, spec, 1.0, flags) == (_mu_limit(lam), 0.0, 0.0)
         assert flags == ["mu_c estimate clamped at the driving-domain limit"]
 
     @pytest.mark.parametrize("s", [1.0, -1.0])
@@ -922,20 +952,14 @@ class TestBreakawayExtraction:
         assert extract_steady_segments(fresh, 0.05, 0.5) == steady
         assert calls == [0.05, 0.02, 0.05]
 
-    @pytest.mark.parametrize("slot", ["velocity_tolerance", "min_duration_s",
-                                      "rest_fraction", "min_rest_s"])
+    @pytest.mark.parametrize("slot", ["velocity_tolerance", "min_duration_s"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, "a", [1.0]])
     def test_scalars_are_read(self, slot, value):
         v = np.array([0.0] * 100 + [1.0] * 200)
         log = TelemetryLog(np.arange(v.size) / 200.0, np.ones(v.size, int), v, np.zeros(v.size))
-        args = {"velocity_tolerance": 0.05, "min_duration_s": 0.5}
-        if slot in args:
-            args[slot] = value
-            call = lambda: extract_breakaway_samples(log, **args)
-        else:
-            call = lambda: extract_breakaway_samples(log, 0.05, 0.5, **{slot: value})
+        args = {"velocity_tolerance": 0.05, "min_duration_s": 0.5, slot: value}
         with pytest.raises(DomainError, match=slot):
-            call()
+            extract_breakaway_samples(log, **args)
 
     @pytest.mark.parametrize("extract", [extract_breakaway_samples, extract_steady_segments])
     def test_joint_id_is_read(self, extract):
@@ -958,7 +982,7 @@ class TestBreakawayExtraction:
 # One block of a synthetic velocity log: a rest (exact zeros or tiny
 # alternating noise) or a plateau, flat or wobbling, possibly with
 # near-zero dropouts. Flat plateaus at 0.5, 1 and 2 put rest noise of
-# 5e-4, 1e-3 and 2e-3 exactly on the threshold at rest_fraction 1e-3.
+# 5e-4, 1e-3 and 2e-3 exactly on the threshold at a rest fraction of 1e-3.
 _blocks = st.one_of(
     st.tuples(
         st.just("rest"),
@@ -1008,9 +1032,9 @@ class TestBreakawayScanMatchesWalk:
         tau = np.sin(np.arange(v.size) * 0.37)
         log = TelemetryLog(t, np.ones(v.size, int), v, tau)
         assert _segment_indices(v, tolerance) == segment_oracle(v, tolerance)
-        got = extract_breakaway_samples(
-            log, tolerance, min_duration, rest_fraction=rest_fraction, min_rest_s=min_rest
-        )
+        with mock.patch.multiple("ssmkit.identification", _REST_FRACTION=rest_fraction,
+                                 _MIN_REST_S=min_rest):
+            got = extract_breakaway_samples(log, tolerance, min_duration)
         want = breakaway_walk_oracle(
             t, v, tau, tolerance, min_duration, rest_fraction=rest_fraction,
             min_rest_s=min_rest,
