@@ -16,11 +16,14 @@ it as `path:lineno`; the loop also accepts the few spellings `float()`
 reads and `loadtxt` does not (quoted fields, digit separators such as
 `1_000`).
 
-The writer opens a table with `_table`, which writes its header line,
-and formats a block of rows per `%` call; the bytes are those of
-`np.savetxt`. Every number is `%.<precision>g` text (`_number_format`,
-`_texts`), so a writer that knows its table's repeated columns, such as
-the workspace grid, composes its rows from the same pieces.
+The writer opens a table in binary mode with `_table`, which writes its
+UTF-8 header line, and formats a block of rows per bytes `%` call
+straight into the file; the bytes are those of `np.savetxt`. Bytes `%`
+formats a float as str `%` does, and it skips the text layer's encoder
+and the copy of each block into UTF-8. Every number is `%.<precision>g`
+bytes (`_number_format`, `_texts`), so a writer that knows its table's
+repeated columns, such as the workspace grid, composes its rows from the
+same pieces.
 """
 
 from __future__ import annotations
@@ -86,38 +89,38 @@ def write_numeric_csv(path, columns, data, precision: int) -> None:
     """Write a header line of `columns` and the rows of `data`, each
     number with `precision` significant digits. A 1-D `data` is one column.
 
-    Each block of `_WRITE_BLOCK_ROWS` rows is formatted by one `%` call on
-    a row format repeated per row; the blocks keep the tuple of arguments
-    a few thousand rows long."""
+    Each block of `_WRITE_BLOCK_ROWS` rows is formatted by one bytes `%`
+    call on a row format repeated per row; the blocks keep the tuple of
+    arguments a few thousand rows long."""
     data = np.asarray(data, dtype=np.float64)
     if data.ndim == 1:
         data = data[:, None]
-    row_fmt = ",".join([_number_format(precision)] * data.shape[1]) + "\n"
+    row_fmt = b",".join([_number_format(precision)] * data.shape[1]) + b"\n"
     with _table(path, columns) as fh:
         for start in range(0, data.shape[0], _WRITE_BLOCK_ROWS):
             block = data[start:start + _WRITE_BLOCK_ROWS]
             fh.write((row_fmt * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
-def _number_format(precision: int) -> str:
-    """The `%` format of one number with `precision` significant digits."""
-    return "%.{}g".format(precision)
+def _number_format(precision: int) -> bytes:
+    """The bytes `%` format of one number with `precision` significant digits."""
+    return b"%%.%dg" % precision
 
 
 def _texts(values, precision: int) -> list:
-    """The text of each number of the 1-D array `values`, as written in a
+    """The bytes of each number of the 1-D array `values`, as written in a
     table with `precision` significant digits."""
     values = np.asarray(values, dtype=np.float64).tolist()
-    line = _number_format(precision) + "\n"
-    return (line * len(values) % tuple(values)).split("\n")[:-1]
+    line = _number_format(precision) + b"\n"
+    return (line * len(values) % tuple(values)).split(b"\n")[:-1]
 
 
 @contextlib.contextmanager
 def _table(path, columns):
-    """`path` opened for a UTF-8 table with LF line ends, its header line
-    of `columns` written."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(columns) + "\n")
+    """`path` opened in binary mode for a table with LF line ends, its
+    UTF-8 header line of `columns` written."""
+    with open(path, "wb") as fh:
+        fh.write((",".join(columns) + "\n").encode("utf-8"))
         yield fh
 
 

@@ -54,6 +54,12 @@ _MIN_SAMPLES = 5
 _REST_FRACTION = 1e-3
 _MIN_REST_S = 0.1
 
+# Relative band about S(lam) in which the kink at rho = lam is flagged. Over
+# 151 lead angles in [0.005, 0.78], k came from the side of the kink the
+# exact root does not lie on only within 3e-15 of S(lam); the band leaves
+# some 300 times that for the rounding of the intercepts, ratio and load.
+_KINK_BAND = 1e-12
+
 # Standard-normal quantile of the two-sided 95% parameter intervals:
 # `statistics.NormalDist().inv_cdf(0.975)`, written out so that importing
 # this module does not load `statistics` (and `fractions`, `decimal`).
@@ -223,9 +229,11 @@ def extract_steady_segments(log: TelemetryLog, velocity_tolerance: float,
     transients, and runs shorter than `min_duration_s` (after trimming),
     with fewer than `_MIN_SAMPLES` samples, or centered within tolerance of
     zero velocity (rest periods) are discarded. In velocity order, a
-    plateau joins the last point within tolerance of its mean velocity; a
-    point's velocity is the count-weighted mean of its plateaus', and its
-    torque mean and std are those of their kept samples taken together.
+    plateau joins the last point when it lies within tolerance both of that
+    point's mean velocity and of its first plateau's, so a point's plateau
+    velocities span at most the tolerance; a point's velocity is the
+    count-weighted mean of its plateaus', and its torque mean and std are
+    those of their kept samples taken together.
     """
     velocity_tolerance = real("velocity_tolerance", velocity_tolerance)
     min_duration_s = real("min_duration_s", min_duration_s)
@@ -255,16 +263,17 @@ def extract_steady_segments(log: TelemetryLog, velocity_tolerance: float,
     merged: list[list] = []
     for vm, keep, i1 in plateaus:
         n = i1 - keep
-        if merged and abs(vm - merged[-1][0]) <= velocity_tolerance:
-            v0, n0, parts = merged[-1]
+        if (merged and abs(vm - merged[-1][0]) <= velocity_tolerance
+                and abs(vm - merged[-1][3]) <= velocity_tolerance):
+            v0, n0, parts, _ = merged[-1]
             merged[-1][:2] = (v0 * n0 + vm * n) / (n0 + n), n0 + n
             parts.append(tau[keep:i1])
         else:
-            merged.append([vm, n, [tau[keep:i1]]])
+            merged.append([vm, n, [tau[keep:i1]], vm])
 
     points = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for velocity, count, parts in merged:
+        for velocity, count, parts, _ in merged:
             samples = np.concatenate(parts)
             mean = float(np.mean(samples))
             std = float(np.std(samples))
@@ -359,6 +368,8 @@ def _solve_mu_c(intercept_sum, spec, test_load, flags):
     is clamped to 0 and S = tan(lam + rho) / t. Returns (mu, k, f), k = d mu
     / d A_d and f = d reflect(load, +1; mu) / d A_d for either intercept A_d
     by the inverse function theorem, and k = f = 0 where mu is clamped.
+    A target within `_KINK_BAND` of S(lam) = tan(2 lam) / tan(lam) is
+    flagged: rounding picks the side of the kink, and so the slopes.
     """
     target = intercept_sum * spec.ratio / test_load
     lam = spec.lead_angle
@@ -371,11 +382,15 @@ def _solve_mu_c(intercept_sum, spec, test_load, flags):
                   + efficiency(lam, hi, Direction.OVERHAULING)):
         flags.append("mu_c estimate clamped at the driving-domain limit")
         return hi, 0.0, 0.0
-    if 2.0 * lam < math.pi / 2.0 and target >= math.tan(2.0 * lam) / math.tan(lam):
+    # S at the kink rho = lam, inside the driving domain only if 2 lam < pi/2.
+    kink = math.tan(2.0 * lam) / math.tan(lam) if 2.0 * lam < math.pi / 2.0 else None
+    if kink is not None and target >= kink:
         mu = math.tan(math.atan(target * math.tan(lam)) - lam)
     else:
         c2 = math.cos(lam) ** 2
         mu = math.sqrt(c2 * (target - 2.0) / (target * math.sin(lam) ** 2 + 2.0 * c2))
+    if kink is not None and abs(target - kink) <= _KINK_BAND * kink:
+        flags.append("mu_c at the self-locking kink; half-widths are one-sided")
     rho = math.atan(mu)
     d = 1.0 + math.tan(lam + rho) ** 2
     o = 1.0 + math.tan(lam - rho) ** 2 if rho < lam else 0.0

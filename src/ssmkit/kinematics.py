@@ -45,6 +45,10 @@ from .subproblems import (
 # indeterminate; the solver then pins theta1 = 0 and flags the result.
 SINGULARITY_TOL = 1e-8
 
+# Within this distance |omega1 x u| of the roll axis, IK places the point
+# of the two-axis solve by its chord to the pole (`_chord_points`).
+_CHORD_ZONE = 1e-4
+
 # IK keeps a branch whose pose is this close to the target in rotation and
 # this times max(1, |theta4|) in position.
 _FIT_TOL = 1e-9
@@ -263,6 +267,50 @@ def forward_kinematics(geom: MechanismGeometry, theta: JointState) -> Pose:
     return Pose(np.array(rot).reshape(3, 3), np.array(tip))
 
 
+def _chord_points(geom: MechanismGeometry, u) -> list:
+    """
+    The points c of the two-axis solve (v4 about omega2 onto the circle u
+    sweeps about omega1) for a tool axis u near the roll axis, by the chord
+    form of Paden-Kahan subproblem 3. A turn about omega1 keeps the
+    distance to the pole P = +-omega1 nearer u, so c lies on the circle v4
+    sweeps about omega2 at |c - P| = delta = |u - P|: near the pole that
+    chord keeps its relative precision, where the height omega1 . u does
+    not. With p' and q' the parts of v4 and P normal to omega2, the chord
+    normal to omega2 is delta'^2 = delta^2 - (omega2 . (v4 - P))^2, and
+    theta2 = theta0 +- phi, theta0 the angle about omega2 from p' to q'
+    and sin^2(phi/2) = (delta'^2 - (|p'| - |q'|)^2) / (4 |p'| |q'|).
+    """
+    w1x, w1y, w1z = geom._w1
+    w2 = w2x, w2y, w2z = geom._w2
+    vx, vy, vz = geom._w3
+    ux, uy, uz = u
+    sign = 1.0 if w1x * ux + w1y * uy + w1z * uz >= 0.0 else -1.0
+    ex, ey, ez = sign * w1x, sign * w1y, sign * w1z
+    dx, dy, dz = ux - ex, uy - ey, uz - ez
+    w2v = w2x * vx + w2y * vy + w2z * vz
+    w2e = w2x * ex + w2y * ey + w2z * ez
+    chord2 = dx * dx + dy * dy + dz * dz - (w2v - w2e) ** 2
+    px, py, pz = vx - w2v * w2x, vy - w2v * w2y, vz - w2v * w2z
+    qx, qy, qz = ex - w2e * w2x, ey - w2e * w2y, ez - w2e * w2z
+    pn = math.sqrt(px * px + py * py + pz * pz)
+    qn = math.sqrt(qx * qx + qy * qy + qz * qz)
+    half2 = (chord2 - (pn - qn) ** 2) / (4.0 * pn * qn)
+    if -1e-15 <= half2 < 0.0:
+        half2 = 0.0
+    elif not 0.0 <= half2 <= 1.0:
+        return []
+    theta0 = math.atan2(w2x * (py * qz - pz * qy) + w2y * (pz * qx - px * qz)
+                        + w2z * (px * qy - py * qx), px * qx + py * qy + pz * qz)
+    phi = 2.0 * math.asin(math.sqrt(half2))
+    points = []
+    for theta2 in ((theta0,) if phi == 0.0 else (theta0 + phi, theta0 - phi)):
+        m0, m1, m2, n0, n1, n2, o0, o1, o2 = _rotation_rows(
+            w2, math.cos(theta2), math.sin(theta2))
+        points.append((m0 * vx + m1 * vy + m2 * vz, n0 * vx + n1 * vy + n2 * vz,
+                       o0 * vx + o1 * vy + o2 * vz))
+    return points
+
+
 def _inverse_rows(geom: MechanismGeometry, rotation, position) -> IkSolutionSet:
     """The IK row core, for a target rotation given as three rows of three
     floats and a position of three (see `inverse_kinematics`). A NaN or inf
@@ -293,7 +341,8 @@ def _inverse_rows(geom: MechanismGeometry, rotation, position) -> IkSolutionSet:
     cx = uy * w1z - uz * w1y
     cy = uz * w1x - ux * w1z
     cz = ux * w1y - uy * w1x
-    singular = math.sqrt(cx * cx + cy * cy + cz * cz) <= SINGULARITY_TOL
+    off_axis = math.sqrt(cx * cx + cy * cy + cz * cz)
+    singular = off_axis <= SINGULARITY_TOL
 
     pairs = []
     if singular:
@@ -302,7 +351,9 @@ def _inverse_rows(geom: MechanismGeometry, rotation, position) -> IkSolutionSet:
         except (NoSolutionError, DegenerateInputError):
             pass
     else:
-        for c in _two_axis_points_to(geom._two_axis, u):
+        points = (_chord_points(geom, u) if off_axis < _CHORD_ZONE
+                  else _two_axis_points_to(geom._two_axis, u))
+        for c in points:
             try:
                 pairs.append((_rotation_angle_to(_rotation_axis_terms(w1, c), u),
                               _rotation_angle_to(geom._theta2, c)))
@@ -364,8 +415,9 @@ def inverse_kinematics(geom: MechanismGeometry, target: Pose) -> IkSolutionSet:
     All closed-form joint-space branches reaching `target`. The spin about
     the tool axis leaves it in place, so the target fixes the tool axis
     u = R r0^T v4 = R1 R2 v4 and the tip p = u theta4: theta4 = p . u, one
-    two-axis rotation solve takes v4 onto u (theta1, theta2), and theta3 is
-    the angle of (R1 R2)^T R r0^T about omega3. A candidate branch is kept
+    two-axis rotation solve takes v4 onto u (theta1, theta2; within
+    `_CHORD_ZONE` of the roll axis by `_chord_points`), and theta3 is the
+    angle of (R1 R2)^T R r0^T about omega3. A candidate branch is kept
     only when its pose from FK's kernel, `_tool_pose_rows`, is within
     `_FIT_TOL` of the target in rotation and within `_FIT_TOL` times
     max(1, |theta4|) in position, since FK's rounding of the tip grows

@@ -80,19 +80,19 @@ def write_workspace_csv(path, geom: MechanismGeometry, n1: int, n2: int,
                         precision: int = DEFAULT_PRECISION) -> None:
     """Emit grid samples as CSV: theta1_rad, theta2_rad, x, y, z, polar_deg.
 
-    The text of each theta1, and of each theta2 with its z and polar angle,
-    is formatted once. Each theta2 gets a row template with x and y left as
-    `%` slots, and each theta1 line is written by one `%` call on the
-    templates. The bytes are those of `csvfile.write_numeric_csv` on the
-    (n1*n2, 6) table."""
+    The bytes of each theta1, and of each theta2 with its z and polar
+    angle, are formatted once. Each theta2 gets a row template with x and
+    y left as `%` slots, and each theta1 line is written by one bytes `%`
+    call on the templates. The bytes are those of
+    `csvfile.write_numeric_csv` on the (n1*n2, 6) table."""
     theta1, theta2, points, polar = sample_workspace_grid(geom, n1, n2)
     num = csvfile._number_format(precision)
     # A formatted number holds no `%`, so the fixed text is safe in a template.
-    templates = [f"{t2},{num},{num},{z},{deg}\n" for t2, z, deg in zip(
+    templates = [b"%s,%s,%s,%s,%s\n" % (t2, num, num, z, deg) for t2, z, deg in zip(
         csvfile._texts(theta2, precision), csvfile._texts(points[:n2, 2], precision),
         csvfile._texts(np.degrees(polar[:n2]), precision))]
     xy = points.reshape(n1, n2, 3)[:, :, :2]
     with csvfile._table(path, ("theta1_rad", "theta2_rad", "x", "y", "z", "polar_deg")) as fh:
         for lead, line in zip(csvfile._texts(theta1, precision), xy):
-            lead += ","
+            lead += b","
             fh.write((lead + lead.join(templates)) % tuple(line.ravel().tolist()))

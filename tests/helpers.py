@@ -125,8 +125,9 @@ def steady_points_oracle(t, v, tau, tol, min_duration_s, discard_s=0.25):
     `segment_oracle` drops its first `discard_s` seconds and must then keep
     5 samples over `min_duration_s` at a mean velocity beyond `tol`. In
     velocity order, a plateau joins the last point while within `tol` of
-    the point's running count-weighted mean velocity; the torque statistics
-    are `statistics.fmean` and `statistics.pstdev` of the pooled samples.
+    the point's running count-weighted mean velocity and of the point's
+    first plateau velocity; the torque statistics are `statistics.fmean`
+    and `statistics.pstdev` of the pooled samples.
     """
     plateaus = []
     for i0, i1 in segment_oracle(v, tol):
@@ -142,14 +143,14 @@ def steady_points_oracle(t, v, tau, tol, min_duration_s, discard_s=0.25):
     for level, keep, i1 in sorted(plateaus):
         n = i1 - keep
         samples = tau[keep:i1].tolist()
-        if points and abs(level - points[-1][0]) <= tol:
-            velocity, count, pooled = points[-1]
+        if points and abs(level - points[-1][0]) <= tol and abs(level - points[-1][3]) <= tol:
+            velocity, count, pooled, first = points[-1]
             points[-1] = [(velocity * count + level * n) / (count + n), count + n,
-                          pooled + samples]
+                          pooled + samples, first]
         else:
-            points.append([level, n, samples])
+            points.append([level, n, samples, level])
     return [(velocity, statistics.fmean(pooled), statistics.pstdev(pooled), count)
-            for velocity, count, pooled in points]
+            for velocity, count, pooled, _ in points]
 
 
 def breakaway_walk_oracle(t, v, tau, velocity_tolerance, min_duration_s,

@@ -1,4 +1,6 @@
+import contextlib
 import importlib
+import io
 import math
 import os
 import shlex
@@ -1124,6 +1126,115 @@ class TestArbitraryInputFiles:
         assert code in (0, 2, 3)
         if kind == "project" and code == 0:
             assert list(work.rglob("c.csv"))
+
+
+# Values for the argv contract test, each as (valid, hostile). Paths are
+# templates on the test's folder: {cfg} the shipped configs, {log} and
+# {trace} small generated files, {missing} a path that does not exist and
+# {dir} a folder.
+_HOSTILE = ("nan", "inf", "-inf", "1e400", "\u0663", "0x10", "1_0", "", "-")
+_PATHS = ("{missing}", "{dir}")
+_ARG_VALUES = {
+    "number": (("0", "1", "-1", "2.5", "30", "110", "45"), _HOSTILE + ("1e-300",)),
+    "count": (("2", "3", "5"), ("1", "0", "-2", "\u0663", "abc", "1e400", "")),
+    "--project": (("{cfg}/project.cfg",), ("{cfg}/joint1.cfg",) + _PATHS),
+    "--config": (("{cfg}/mechanism.cfg",), ("{cfg}/joint1.cfg",) + _PATHS),
+    "--transmission": (("{cfg}/joint1.cfg", "{cfg}/joint4.cfg"),
+                       ("{cfg}/mechanism.cfg",) + _PATHS),
+    "--joint": (("1", "2", "4"), ("3", "5", "0x10", "")),
+    "--precision": (("1", "9", "17"), ("18", "0", "nan", "\u0663")),
+    # Identity on the 30/110 build solves; a tip off the tool axis is unreachable.
+    "--pose": (("1,0,0,0,1,0,0,0,1,1,0,0", "1,0,0,0,1,0,0,0,1,0,0,0",
+                "1,0,0,0,1,0,0,0,1,0,0,1"),
+               ("1,0,0,0,1,0,0,0,1,nan,0,0", "1,0,0,0,1,0,0,0,1,1e400,0,0",
+                "0,0,0,0,0,0,0,0,0,0,0,0", "1,2,3", "")),
+    "--theta": (("10,20,30,0.1", "0,0,0,0", "-10,5,0,1"),
+                ("nan,0,0,0", "\u0663,0,0,0", "1_0,0,0,0", "1,2,3", "")),
+    "--measured": (("{trace}",), _PATHS),
+    "--out": (("out.csv", "sub/out.csv"), (".",)),
+    "--csv": (("w.csv", "sub/w.csv"), (".",)),
+    "telemetry": (("{log}",), ("{trace}",) + _PATHS),
+    "trajectory": (("{trace}",), ("{log}",) + _PATHS),
+}
+# Each subcommand's positionals (value pools), the options it always gets
+# and those it gets sometimes.
+_SUBCOMMANDS = {
+    "workspace": (("number", "number"), (), ("--csv", "--precision", "--project")),
+    "fk": ((), ("--config", "--theta"), ("--precision", "--project")),
+    "ik": ((), ("--config", "--pose"), ("--precision", "--project")),
+    "identify": (("telemetry",), ("--transmission",),
+                 ("--joint", "--load", "--tolerance", "--min-duration", "--discard", "--rate",
+                  "--breakaway", "--out", "--precision", "--project")),
+    "simulate": (("trajectory",), ("--transmission",),
+                 ("--joint", "--load", "--measured", "--out", "--precision", "--project")),
+    "payload": ((), ("--transmission", "--vmax"),
+                ("--joint", "--load", "--points", "--out", "--precision", "--project")),
+}
+_POOL = {"--samples": "count", "--points": "count", "--load": "number", "--vmax": "number",
+         "--tolerance": "number", "--min-duration": "number", "--discard": "number",
+         "--rate": "number"}
+
+
+@st.composite
+def _argv(draw):
+    """A subcommand with drawn positionals and options, each value valid
+    three times in four. `--samples` and `--points` stay small, and
+    `--csv` always comes with `--samples`, so no draw allocates much."""
+    def value(pool):
+        valid, hostile = _ARG_VALUES[_POOL.get(pool, pool)]
+        return draw(st.sampled_from(hostile if draw(st.integers(0, 3)) == 3 else valid))
+
+    # ik twice: it is the one subcommand that can exit 3.
+    command = draw(st.sampled_from(sorted(_SUBCOMMANDS) + ["ik"]))
+    positionals, always, sometimes = _SUBCOMMANDS[command]
+    argv = [command] + [value(pool) for pool in positionals]
+    for option in always + tuple(o for o in sometimes if draw(st.booleans())):
+        if option == "--breakaway":
+            argv.append(option)
+        elif option == "--csv":
+            argv += ["--samples", value("--samples"), "--csv", value("--csv")]
+        else:
+            argv += [option, value(option)]
+    return argv
+
+
+class TestArgvContract:
+    def test_exit_code_is_0_2_or_3(self, tmp_path, monkeypatch):
+        """Random argv for all six subcommands, in one process: each run
+        ends with exit code 0, 2 or 3 (argparse's own exit included), lets
+        no other exception escape and raises no warning, and over the run
+        all three codes occur. Outputs go under the test's folder."""
+        monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path / "out"))
+        (tmp_path / "dir").mkdir()
+        rows = ["time_s,joint_id,velocity,torque"]
+        for block, speed in enumerate((1.0, 2.5, 4.0, -1.0, -2.5, -4.0)):
+            torque = math.copysign(0.004, speed) + 7e-5 * speed
+            rows += [f"{(block * 160 + i) / 200.0!r},1,{speed!r},{torque!r}" for i in range(160)]
+        (tmp_path / "log.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+        write_trace_csv(tmp_path / "trace.csv", np.linspace(0.0, 1.0, 21),
+                        np.linspace(-0.2, 0.2, 21))
+        paths = {"cfg": Path(__file__).resolve().parents[1] / "configs",
+                 "log": tmp_path / "log.csv", "trace": tmp_path / "trace.csv",
+                 "missing": tmp_path / "missing.csv", "dir": tmp_path / "dir"}
+        codes = set()
+
+        @settings(max_examples=300, deadline=None, database=None)
+        @given(_argv())
+        def run(argv):
+            argv = [arg.format(**paths) for arg in argv]
+            with warnings.catch_warnings(), \
+                    contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                warnings.simplefilter("error")
+                try:
+                    code = cli.main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+            assert code in (0, 2, 3), argv
+            codes.add(code)
+
+        run()
+        assert codes == {0, 2, 3}
 
 
 def _fresh_python(code):

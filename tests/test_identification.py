@@ -312,26 +312,46 @@ class TestExtractSteadySegments:
             assert math.isfinite(point.torque_std)
             assert abs(point.torque_std - expected) <= 1e-9 * expected
 
-    @pytest.mark.parametrize("lengths", [(800, 250, 300), (250, 800, 300)])
-    def test_plateaus_merge_on_the_running_mean_velocity(self, lengths):
-        """Plateaus at v, v + 0.8 tol and v + 1.6 tol, apart in time: the
-        third joins the first two only when their count-weighted mean lies
-        within tol of it, which the longer second plateau brings about."""
-        rng = np.random.default_rng(17)
-        tol = 0.01
+    @staticmethod
+    def _chain(levels, lengths, tol, seed):
+        """One joint's log of plateaus at `levels`, `lengths` samples each,
+        with a 1 s rest before each, and its steady points and oracle."""
+        rng = np.random.default_rng(seed)
         blocks = []
-        for level, n in zip((1.0, 1.0 + 0.8 * tol, 1.0 + 1.6 * tol), lengths):
+        for level, n in zip(levels, lengths):
             blocks += [np.zeros(200), level + 1e-4 * rng.standard_normal(n)]
         v = np.concatenate(blocks)
         t = np.arange(v.size) / 200.0
         tau = (0.02 + 1e-3 * v) * (1.0 + 1e-3 * rng.standard_normal(v.size))
         tv = extract_steady_segments(TelemetryLog(t, np.ones(v.size, int), v, tau), tol, 0.5)
         want = steady_points_oracle(t, v, tau, tol, 0.5)
-        assert len(want) == (2 if lengths[0] > lengths[1] else 1)
         assert [(p.velocity, p.count) for p in tv.points] == [(w[0], w[3]) for w in want]
         for point, (_, mean, std, _) in zip(tv.points, want):
             assert abs(point.torque_mean - mean) <= 1e-12 * abs(mean)
             assert abs(point.torque_std - std) <= 1e-12 * std
+        return tv
+
+    @pytest.mark.parametrize("lengths", [(800, 250, 300), (250, 800, 300)])
+    def test_a_point_spans_at_most_the_tolerance(self, lengths):
+        """Plateaus at v, v + 0.8 tol and v + 1.6 tol, apart in time: the
+        second joins the first, and the third starts a point of its own,
+        also where the longer second plateau brings the first two's mean
+        within tol of it, since it lies 1.6 tol from the first plateau."""
+        tol = 0.01
+        levels = (1.0, 1.0 + 0.8 * tol, 1.0 + 1.6 * tol)
+        tv = self._chain(levels, lengths, tol, 17)
+        # discard_s = 0.25 drops the first 50 samples of each plateau.
+        assert [p.count for p in tv.points] == [lengths[0] + lengths[1] - 100, lengths[2] - 50]
+
+    def test_a_drifting_chain_splits_where_its_span_passes_the_tolerance(self):
+        """Plateaus 0.45 tol apart, each twice as long as the one before:
+        each lies within tol of the running mean of those before it, which
+        pooled all five into one point before a point's span was bounded.
+        Now the third is the last within tol of the first."""
+        tol = 0.01
+        lengths = (200, 400, 800, 1600, 3200)
+        tv = self._chain([1.0 + 0.45 * tol * k for k in range(5)], lengths, tol, 23)
+        assert [p.count for p in tv.points] == [sum(lengths[:3]) - 150, sum(lengths[3:]) - 100]
 
     def test_short_plateau_excluded(self):
         rate = 200.0
@@ -831,10 +851,31 @@ class TestClosedFormInversions:
         # Power-of-two loads keep target * load / load exact.
         mu, k, f = _solve_mu_c(target * load, _drive(lam), load, flags)
         expected = mu_c_oracle(target, lam)
-        assert flags == []
+        # rho within rounding of lam, as rho_frac = 0 draws it, is the kink.
+        kink = math.tan(2.0 * lam) / math.tan(lam)
+        at_kink = zone == "eta_o clamped" and abs(target - kink) <= 1e-12 * kink
+        assert flags == (["mu_c at the self-locking kink; half-widths are one-sided"]
+                         if at_kink else [])
         assert abs(mu - expected) <= 1e-8 * expected
         # The slopes of the fit's Jacobian at that mu, against the 50-digit ones.
         for value, oracle in zip((k, f), _mu_c_slopes_oracle(mu, lam, 1.0, load)):
+            assert abs(value - oracle) <= 1e-8 * abs(oracle)
+
+    @pytest.mark.parametrize("offset, flagged", [
+        (0.0, True), (1e-13, True), (-1e-13, True), (2e-12, False), (-2e-12, False)])
+    def test_mu_c_at_the_kink_is_flagged(self, offset, flagged):
+        """At lam = 0.02 the target S(lam) = tan(2 lam) / tan(lam) gives a
+        rho = atan(mu) on the kink, where k is 0.0200 on its right and 12.49
+        on its left: the fit flags a target within 1e-12 of S(lam), and no
+        target 2e-12 away. The flag changes no returned number."""
+        lam = 0.02
+        target = math.tan(2.0 * lam) / math.tan(lam) * (1.0 + offset)
+        flags = []
+        mu, k, f = _solve_mu_c(target, _drive(lam), 1.0, flags)
+        assert flags == (["mu_c at the self-locking kink; half-widths are one-sided"]
+                         if flagged else [])
+        assert abs(mu - mu_c_oracle(target, lam)) <= 1e-8 * mu
+        for value, oracle in zip((k, f), _mu_c_slopes_oracle(mu, lam, 1.0, 1.0)):
             assert abs(value - oracle) <= 1e-8 * abs(oracle)
 
     @settings(max_examples=30, deadline=None)

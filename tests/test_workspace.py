@@ -3,13 +3,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import angles, critical_directions, dot_profile_derivatives
 from ssmkit import band, csvfile
 from ssmkit.errors import DegenerateGeometryError, DomainError, UnreachableError
-from ssmkit.kinematics import JointState, build_geometry, forward_kinematics, inverse_kinematics
+from ssmkit.kinematics import (
+    SINGULARITY_TOL,
+    JointState,
+    build_geometry,
+    forward_kinematics,
+    inverse_kinematics,
+)
 from ssmkit.screws import Pose, revolute_twist, rodrigues
 from ssmkit.subproblems import subproblem1
 from ssmkit.workspace import (
@@ -206,10 +212,11 @@ class TestTiltExtremes:
 
 # Tool axes this close to a band edge are left unclassified.
 _EDGE_MARGIN = 1e-6
-# Within this angle of the roll axis, IK rejects some tool axes inside the
-# band (see `test_reachable_axis_near_the_roll_axis`), so there only the
-# unreachable half of the property is checked.
-_ROLL_AXIS_ZONE = 1e-4
+# Within this angle of the roll axis IK pins theta1 and may reject a tool
+# axis inside the band, so there only the unreachable half of the property
+# is checked; twice the singular band keeps the rounding of the polar angle
+# off its edge.
+_ROLL_AXIS_ZONE = 2.0 * SINGULARITY_TOL
 
 
 @st.composite
@@ -261,16 +268,37 @@ class TestBandMatchesIkReachability:
               and _ROLL_AXIS_ZONE < phi < math.pi - _ROLL_AXIS_ZONE):
             assert inverse_kinematics(geom, target).branches
 
-    @pytest.mark.xfail(strict=True, raises=UnreachableError, reason=(
-        "the two-axis solve finds the point near the pole from its height on "
-        "the roll axis, so a 1e-16 error there moves it 1e-16/polar sideways "
-        "and the 1e-9 checks reject it"))
     def test_reachable_axis_near_the_roll_axis(self):
         # alpha == beta puts the roll axis inside the band, at its lower edge.
         geom = build_geometry(DEG(45), DEG(45))
         polar = 1e-7
         u = np.array([math.sin(polar), 0.0, math.cos(polar)])
-        inverse_kinematics(geom, Pose(_rotation_onto(geom.v4, u), u * 0.01))
+        assert inverse_kinematics(geom, Pose(_rotation_onto(geom.v4, u), u * 0.01)).branches
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(0.05, math.pi - 0.05), st.booleans(), st.booleans(),
+           st.floats(math.log(2.0 * SINGULARITY_TOL), math.log(1e-3)), angles, angles,
+           st.floats(-0.1, 0.1))
+    def test_states_near_the_pole_come_back(self, alpha, antipodal, flip, log_polar,
+                                            theta1, theta3, theta4):
+        """A build whose band reaches the roll axis (alpha == beta: the
+        pole +omega1 at theta2 = pi; alpha + beta = pi: -omega1 at theta2 =
+        0) and a state whose tool axis is 2 SINGULARITY_TOL to 1e-3 rad from
+        that pole: IK finds the state among branches within the fit checks."""
+        beta = math.pi - alpha if antipodal else alpha
+        geom = build_geometry(alpha, beta)
+        # The axis moves sin(beta) per radian of theta2 off the pole.
+        step = math.exp(log_polar) / math.sin(beta)
+        theta2 = step if antipodal else math.pi - step
+        state = JointState(theta1, -theta2 if flip else theta2, theta3, theta4)
+        target = forward_kinematics(geom, state)
+        axis = target.rotation @ geom.r0.T @ geom.v4
+        assume(math.hypot(axis[0], axis[1]) >= 2.0 * SINGULARITY_TOL)
+        solutions = inverse_kinematics(geom, target)
+        assert max(max(r) for r in solutions.residuals) < 1e-9
+        assert any(max(abs(math.remainder(got - want, 2.0 * math.pi)) for got, want in
+                       ((b.theta1, theta1), (b.theta2, state.theta2), (b.theta3, theta3)))
+                   < 1e-6 and abs(b.theta4 - theta4) < 1e-12 for b in solutions.branches)
 
 
 class TestSampling:
